@@ -93,9 +93,7 @@ def make_windows(stream: PhonemeLogitStream, k: int) -> np.ndarray:
     if stream.frame_count == 0:
         raise ValueError("cannot window an empty stream")
     t = stream.frame_count
-    offsets = np.arange(-(k // 2), k // 2)
-    idx = np.clip(np.arange(t)[:, None] + offsets[None, :], 0, t - 1)
-    return stream.frames[idx]
+    return stream.frames[_window_indices(np.arange(t), k, t)]
 
 
 def window_at(stream_frames: np.ndarray, t: int, k: int) -> np.ndarray:
@@ -104,9 +102,14 @@ def window_at(stream_frames: np.ndarray, t: int, k: int) -> np.ndarray:
     Matches make_windows(stream, k)[t]; usable incrementally by streaming
     consumers that only have frames up to t + K/2 - 1.
     """
-    total = stream_frames.shape[0]
-    idx = np.clip(np.arange(t - k // 2, t + k // 2), 0, total - 1)
-    return stream_frames[idx]
+    return stream_frames[_window_indices(t, k, stream_frames.shape[0])]
+
+
+def _window_indices(t, k: int, total: int) -> np.ndarray:
+    """Frame indices of the centered window(s) at output index t (scalar or
+    array), clipped to [0, total - 1] so the edge frames replicate."""
+    offsets = np.arange(-(k // 2), k // 2)
+    return np.clip(np.asarray(t)[..., None] + offsets, 0, total - 1)
 
 
 def _check_window_size(k: int) -> None:
@@ -120,20 +123,22 @@ class StreamingWindower:
     Frames arrive one at a time; a window for output index t is emitted as
     soon as frame t + K/2 - 1 exists. ``finish`` flushes the tail, where the
     missing future frames replicate the final frame, exactly as the offline
-    path does. One instance serves one stream.
+    path does. Every window still to be emitted starts at or after frame
+    ``pushed - K``, so only the last K frames are kept, in a ring buffer:
+    memory stays bounded however long the stream runs. One instance serves
+    one stream.
     """
 
     def __init__(self, k: int, class_count: int):
         _check_window_size(k)
         self.k = k
         self.class_count = class_count
-        self._frames: list[np.ndarray] = []
+        self._frames = np.empty((k, class_count))
+        self._pushed = 0
         self._next_out = 0
 
     def _window(self, t: int) -> np.ndarray:
-        total = len(self._frames)
-        idx = np.clip(np.arange(t - self.k // 2, t + self.k // 2), 0, total - 1)
-        return np.stack([self._frames[i] for i in idx])
+        return self._frames[_window_indices(t, self.k, self._pushed) % self.k]
 
     def push(self, frame: np.ndarray) -> list[np.ndarray]:
         """Add one frame; returns the windows that became complete."""
@@ -142,9 +147,10 @@ class StreamingWindower:
             raise ValueError(
                 f"frame has shape {frame.shape}, expected ({self.class_count},)"
             )
-        self._frames.append(frame)
+        self._frames[self._pushed % self.k] = frame
+        self._pushed += 1
         out = []
-        while self._next_out + self.k // 2 <= len(self._frames):
+        while self._next_out + self.k // 2 <= self._pushed:
             out.append(self._window(self._next_out))
             self._next_out += 1
         return out
@@ -152,7 +158,7 @@ class StreamingWindower:
     def finish(self) -> list[np.ndarray]:
         """Emit the remaining windows once the stream has ended."""
         out = []
-        while self._next_out < len(self._frames):
+        while self._next_out < self._pushed:
             out.append(self._window(self._next_out))
             self._next_out += 1
         return out

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .arkit import REGIONS
-from .util import frozen_array as _frozen
+from .util import frozen_array as _frozen, in_unit_interval
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ class BlendCoefficients:
         vals = _frozen(self.values)
         if vals.ndim != 1:
             raise ValueError("coefficients must be a flat array")
-        if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
-            raise ValueError("coefficients must lie in [0, 1]")
+        if not in_unit_interval(vals):
+            raise ValueError("coefficients must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -173,8 +173,8 @@ class MotionSequence:
         frames = _frozen(self.frames)
         if frames.ndim != 2:
             raise ValueError("frames must be a (T, B) array")
-        if frames.size and (frames.min() < 0.0 or frames.max() > 1.0):
-            raise ValueError("coefficients must lie in [0, 1]")
+        if not in_unit_interval(frames):
+            raise ValueError("coefficients must be finite and lie in [0, 1]")
         object.__setattr__(self, "frames", frames)
 
     @property

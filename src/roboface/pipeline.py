@@ -3,7 +3,10 @@
 One tick function implements the whole 25 Hz chain; the offline and
 streaming drivers differ only in how logit windows are produced, which is
 what guarantees bitwise-identical servo byte streams between the two
-modes. The serial wire format frames 31 pulse widths with a sync byte,
+modes. After the model the tick works on the blendshape coefficients
+alone: filter bank, name permutation and IK from coefficients; no
+landmark-space target is built. Non-finite logits are rejected before the
+first tick. The serial wire format frames 31 pulse widths with a sync byte,
 a wrapping frame counter, and a two's-complement checksum.
 """
 
@@ -18,11 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .frontend import StreamingWindower, window_at
-from .lbs import BlendCoefficients, LbsRig, MotionSequence
+from .lbs import LbsRig, MotionSequence
 from .motionnet import ModelParams, forward
-from .retarget import transfer_coefficients
+# transfer_coefficients stays importable from here: perfbench/tracing.py
+# wraps pipeline.transfer_coefficients to count per-tick transfer calls.
+from .retarget import transfer_coefficients, transfer_order  # noqa: F401
 from .rigsim import RigConfig, _kinematics
 from .smoothing import FilterSpec, StreamingFilter, design, group_delay_frames
+from .synthdata import make_logits, make_motion
 
 SYNC_BYTE = 0xFA
 
@@ -180,7 +186,15 @@ class PipelineResult:
 
 
 class _Ticker:
-    """Shared per-window step: model, filter, transfer, IK, pulse mapping."""
+    """Shared per-window step: model, filter, transfer, IK, pulse mapping.
+
+    Everything after the model is linear in the 51 coefficients, so the
+    tick stays in coefficient space: one filter bank steps all channels,
+    the name transfer is a permutation resolved at construction, and IK
+    takes the robot coefficients directly (``Kinematics.coefficient_solver_for``)
+    instead of a landmark target. The heavy solver state is cached per
+    (config, rig), so a ticker per stream builds nothing heavy.
+    """
 
     def __init__(self, config, params, robot_rig, robot_config, source_rig):
         if params.output_size != (
@@ -192,22 +206,10 @@ class _Ticker:
             )
         self.config = config
         self.params = params
-        self.robot_rig = robot_rig
-        self.robot_config = robot_config
-        self.source_rig = source_rig
-        if source_rig is not None and source_rig.basis.names != robot_rig.basis.names:
-            self.transfer = lambda theta: transfer_coefficients(
-                theta, source_rig, robot_rig
-            ).values
-        else:
-            self.transfer = lambda theta: theta.values
+        self.transfer_order = transfer_order(source_rig or robot_rig, robot_rig)
 
         kin = _kinematics(robot_config, robot_rig)
-        self.eval_vertices = kin.landmark_vertices()
-        rows = kin.coord_rows(self.eval_vertices)
-        self.basis_columns = np.ascontiguousarray(robot_rig.basis.matrix[:, rows])
-        self.neutral = robot_rig.mesh.positions[rows]
-        self.solver = kin.solver_for(self.eval_vertices, None)
+        self.solver = kin.coefficient_solver_for(kin.landmark_vertices(), None)
         self.ik_channels = kin.ik_channels
         self.channel_count = len(robot_config.channels)
         lows = np.array([ch.pulse_us[0] for ch in robot_config.channels])
@@ -215,8 +217,7 @@ class _Ticker:
         self.pulse_low = lows
         self.pulse_span = highs - lows
 
-        cascade = design(config.filter_spec)
-        self.filters = [StreamingFilter(cascade) for _ in range(params.output_size)]
+        self.filter = StreamingFilter(design(config.filter_spec))
         self.warm: np.ndarray | None = None
         self.counter = 0
         self.unconverged_streak = 0
@@ -224,10 +225,9 @@ class _Ticker:
 
     def tick(self, window) -> tuple[ServoFrame, np.ndarray]:
         theta = forward(self.params, window, self.config.style_id)
-        smoothed = np.array([f.step(v) for f, v in zip(self.filters, theta.values)])
-        robot_theta = self.transfer(BlendCoefficients(smoothed))
-        target = robot_theta @ self.basis_columns
-        x, residual, converged, _ = self.solver.solve(target, x0=self.warm)
+        smoothed = self.filter.step(theta.values)
+        robot_theta = smoothed[self.transfer_order]
+        x, residual, converged, _ = self.solver.solve(robot_theta, x0=self.warm)
         self.warm = x
         if converged:
             self.unconverged_streak = 0
@@ -243,7 +243,7 @@ class _Ticker:
         u = np.zeros(self.channel_count)
         u[self.ik_channels] = x
         pulses = np.rint(self.pulse_low + u * self.pulse_span).astype(np.int64)
-        frame = ServoFrame(self.counter & 0xFFFF, tuple(int(p) for p in pulses))
+        frame = ServoFrame(self.counter & 0xFFFF, tuple(pulses.tolist()))
         self.counter += 1
         return frame, smoothed
 
@@ -286,6 +286,8 @@ def run_pipeline(
             f"logit frames have {frames.shape[1]} classes, model expects "
             f"{params.class_count}"
         )
+    if not np.isfinite(frames).all():
+        raise ValueError("logit_frames contain non-finite values")
     ticker = _Ticker(config, params, robot_rig, robot_config, source_rig)
     servo_frames = []
     smoothed_rows = []
@@ -323,10 +325,16 @@ def bench(
     seed: int = 0,
 ) -> dict:
     """Deterministic throughput measurement for the model alone and the
-    full tick; latencies in milliseconds, rates in frames per second."""
+    full tick; latencies in milliseconds, rates in frames per second.
+
+    Input is speech-like: seeded smooth ``make_motion`` tracks mapped to
+    logits by ``make_logits``, so IK warm starts behave as on real streams.
+    """
     config = config or PipelineConfig()
-    rng = np.random.default_rng(seed)
-    frames = rng.normal(0.0, 1.0, (n_frames, params.class_count))
+    motion = make_motion(
+        n_frames, params.output_size, config.tick_hz, np.random.default_rng(seed)
+    )
+    frames = make_logits(motion, params.class_count, seed).frames
 
     windows = [window_at(frames, t, params.window_size) for t in range(n_frames)]
     model_ms = np.empty(n_frames)

@@ -12,7 +12,9 @@ each iteration to kill the slow zigzag pure projected gradient suffers on
 ill-conditioned bases. Both step types are clipped at the box and accepted
 only if the objective does not increase, so the iterate sequence is
 monotone by construction. The B x B Gram matrix E^T E is computed once per
-rig (U >> B makes that the dominant saving).
+rig (U >> B makes that the dominant saving). When the target is itself a
+linear image of coefficients, ``CoefficientBoxLeastSquares`` takes those
+coefficients as the right-hand side and never forms the target.
 """
 
 from __future__ import annotations
@@ -61,7 +63,11 @@ class BoxLeastSquares:
     """min ||A x - y||^2 over the box [lower, upper]^n, reusable across y.
 
     Construction precomputes A^T A; ``solve`` then runs in O(n^2) per
-    iteration regardless of A's row count.
+    iteration regardless of A's row count. The objective is expanded as
+    x^T (A^T A) x - 2 c^T x + const; ``_normal_equations`` derives the pair
+    (c, const) from the right-hand side and ``_residual`` reports the final
+    ||A x - y||^2, so a subclass can take the right-hand side in another
+    form (see ``CoefficientBoxLeastSquares``) and reuse the iteration.
     """
 
     def __init__(self, matrix: np.ndarray, settings: ProjectionSettings | None = None):
@@ -74,6 +80,18 @@ class BoxLeastSquares:
 
     def _objective(self, x, c, const):
         return float(x @ (self.gram @ x) - 2.0 * (c @ x) + const)
+
+    def _normal_equations(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        if y.shape != (self.matrix.shape[0],):
+            raise ValueError(
+                f"right-hand side has shape {y.shape}, "
+                f"matrix has {self.matrix.shape[0]} rows"
+            )
+        return self.matrix.T @ y, float(y @ y)
+
+    def _residual(self, x: np.ndarray, y: np.ndarray, objective: float) -> float:
+        r = self.matrix @ x - y
+        return float(r @ r)
 
     def solve(self, y: np.ndarray, x0: np.ndarray | None = None, callback=None):
         """Returns (x, residual, converged, iterations).
@@ -88,13 +106,7 @@ class BoxLeastSquares:
         lo, hi = s.lower, s.upper
         g_mat = self.gram
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.matrix.shape[0],):
-            raise ValueError(
-                f"right-hand side has shape {y.shape}, "
-                f"matrix has {self.matrix.shape[0]} rows"
-            )
-        c = self.matrix.T @ y
-        const = float(y @ y)
+        c, const = self._normal_equations(y)
         n = g_mat.shape[0]
 
         x = np.full(n, lo) if x0 is None else np.clip(np.asarray(x0, float), lo, hi)
@@ -165,8 +177,43 @@ class BoxLeastSquares:
                 converged = bool(np.abs(pg).max(initial=0.0) <= s.tolerance)
                 break
 
-        r = self.matrix @ x - y
-        return x, float(r @ r), converged, iterations
+        return x, self._residual(x, y, f), converged, iterations
+
+
+class CoefficientBoxLeastSquares(BoxLeastSquares):
+    """The same box problem with y = theta @ basis, solved from theta alone.
+
+    ``basis`` is (B, rows) over the rows of the landmark solver's matrix A.
+    Precomputing M = basis @ A (B x n) and basis @ basis^T (B x B) gives
+    c = theta M and ||y||^2 = theta^T (basis basis^T) theta, so the
+    rows-long target y is never formed. The residual is the final objective
+    itself, clamped at 0 against rounding. ``matrix``, ``gram`` and
+    ``settings`` are the landmark solver's own objects.
+    """
+
+    def __init__(self, landmark_solver: BoxLeastSquares, basis: np.ndarray):
+        basis = np.ascontiguousarray(basis, dtype=np.float64)
+        if basis.ndim != 2 or basis.shape[1] != landmark_solver.matrix.shape[0]:
+            raise ValueError(
+                f"basis has shape {basis.shape}, solver matrix has "
+                f"{landmark_solver.matrix.shape[0]} rows"
+            )
+        self.matrix = landmark_solver.matrix
+        self.gram = landmark_solver.gram
+        self.settings = landmark_solver.settings
+        self.basis_matrix = basis @ self.matrix
+        self.basis_gram = basis @ basis.T
+
+    def _normal_equations(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
+        if theta.shape != (self.basis_gram.shape[0],):
+            raise ValueError(
+                f"coefficient vector has shape {theta.shape}, basis has "
+                f"{self.basis_gram.shape[0]} blendshapes"
+            )
+        return theta @ self.basis_matrix, float(theta @ (self.basis_gram @ theta))
+
+    def _residual(self, x: np.ndarray, theta: np.ndarray, objective: float) -> float:
+        return max(objective, 0.0)
 
 
 def project_to_basis(
@@ -270,18 +317,16 @@ def project_sequence(
     return MotionSequence(fps, np.clip(coeffs, 0.0, 1.0)), residuals
 
 
-def transfer_coefficients(
-    theta: BlendCoefficients, source_rig: LbsRig, dest_rig: LbsRig
-) -> BlendCoefficients:
-    """Move a pose between semantically aligned rigs by blendshape name."""
+def transfer_order(source_rig: LbsRig, dest_rig: LbsRig) -> np.ndarray:
+    """Indices taking a source-rig coefficient vector to destination order.
+
+    ``theta[order]`` is the same pose on ``dest_rig``. Rigs must carry the
+    same blendshape names, in any order.
+    """
     src_names = source_rig.basis.names
     dst_names = dest_rig.basis.names
-    if len(theta) != len(src_names):
-        raise ValueError(
-            f"pose has {len(theta)} coefficients, source rig has {len(src_names)}"
-        )
     if src_names == dst_names:
-        return BlendCoefficients(theta.values)
+        return np.arange(len(src_names))
     missing = sorted(set(src_names) - set(dst_names))
     extra = sorted(set(dst_names) - set(src_names))
     if missing or extra:
@@ -290,8 +335,19 @@ def transfer_coefficients(
             f"destination missing {missing}, destination extra {extra}"
         )
     src_index = {name: i for i, name in enumerate(src_names)}
-    order = np.array([src_index[name] for name in dst_names])
-    return BlendCoefficients(theta.values[order])
+    return np.array([src_index[name] for name in dst_names])
+
+
+def transfer_coefficients(
+    theta: BlendCoefficients, source_rig: LbsRig, dest_rig: LbsRig
+) -> BlendCoefficients:
+    """Move a pose between semantically aligned rigs by blendshape name."""
+    if len(theta) != source_rig.blendshape_count:
+        raise ValueError(
+            f"pose has {len(theta)} coefficients, source rig has "
+            f"{source_rig.blendshape_count}"
+        )
+    return BlendCoefficients(theta.values[transfer_order(source_rig, dest_rig)])
 
 
 def edit_coefficients(

@@ -26,8 +26,8 @@ import numpy as np
 
 from .arkit import CANONICAL_NAMES, REGIONS, region_of
 from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning
-from .retarget import BoxLeastSquares, ProjectionSettings
-from .util import frozen_array
+from .retarget import BoxLeastSquares, CoefficientBoxLeastSquares, ProjectionSettings
+from .util import frozen_array, in_unit_interval
 
 CONTROL_POINT_KINDS = {
     "brow": 4,
@@ -93,8 +93,8 @@ class ActuatorState:
         vals = frozen_array(self.values)
         if vals.ndim != 1:
             raise ValueError("actuator state must be a flat vector")
-        if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
-            raise ValueError("actuator values must lie in [0, 1]")
+        if not in_unit_interval(vals):
+            raise ValueError("actuator values must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -332,6 +332,21 @@ class Kinematics:
             self._solvers[key] = solver
         return solver
 
+    def coefficient_solver_for(
+        self, vertices: np.ndarray, settings: ProjectionSettings | None
+    ) -> CoefficientBoxLeastSquares:
+        """``solver_for``'s problem with the target given as rig coefficients:
+        ``solve(theta)`` is ``solve(theta @ basis[:, rows])`` without the target."""
+        key = ("coefficients", vertices.tobytes(), settings)
+        solver = self._solvers.get(key)
+        if solver is None:
+            rows = self.coord_rows(vertices)
+            solver = CoefficientBoxLeastSquares(
+                self.solver_for(vertices, settings), self.rig.basis.matrix[:, rows]
+            )
+            self._solvers[key] = solver
+        return solver
+
 
 def _kinematics(config: RigConfig, rig: LbsRig) -> Kinematics:
     # Cached on the config; the entry pins the rig so its id stays valid.
@@ -360,8 +375,8 @@ def forward_kinematics(config: RigConfig, u, rig: LbsRig) -> FaceMesh:
             f"actuator vector has shape {vals.shape}, "
             f"config has {len(config.channels)} channels"
         )
-    if vals.min(initial=0.0) < 0.0 or vals.max(initial=0.0) > 1.0:
-        raise ValueError("actuator values must lie in [0, 1]")
+    if not in_unit_interval(vals):
+        raise ValueError("actuator values must be finite and lie in [0, 1]")
     if not vals.any():
         return FaceMesh(rig.mesh.positions, rig.mesh.triangles)
     d = kin.gain @ vals

@@ -10,7 +10,10 @@ through untouched and fully nulls the Nyquist frequency.
 
 Filtering is causal; the ~3-frame group delay at 25 Hz is the price of
 real-time operation. States start in the steady state of the first input
-sample, so a constant input produces that constant from sample 0.
+sample, so a constant input produces that constant from sample 0. One
+filter bank steps every coefficient channel of a sample at once, and
+``filter_sequence`` runs that same bank row by row, so streaming and
+offline filtering share one code path.
 """
 
 from __future__ import annotations
@@ -115,47 +118,64 @@ def group_delay_frames(cascade: BiquadCascade, freq_hz: float = 1.0) -> float:
 
 
 class StreamingFilter:
-    """One causal filter instance for one scalar channel.
+    """Causal filter bank: one cascade run on every channel of each sample.
 
-    Transposed direct form II per section. The steady-state start is
-    realized by filtering the deviation from the first input sample with
-    zero states and adding that sample back: for unit-DC-gain sections this
-    equals preloading steady state, and it keeps constant inputs constant
-    bitwise. ``step`` outputs are clamped to [0, 1].
+    Transposed direct form II per section, over a state of shape
+    ``(sections, 2, *channel_shape)``. The first sample fixes the channel
+    shape (a scalar gives a scalar bank) and the steady-state start: each
+    channel filters its deviation from its first input sample with zero
+    states and adds that sample back. For unit-DC-gain sections this equals
+    preloading steady state, and it keeps constant inputs constant bitwise.
+    The arithmetic per channel is that of a scalar filter, so a bank over B
+    channels matches B independent scalar filters bitwise. ``step`` outputs
+    are clamped to [0, 1]; a scalar in gives a float out.
     """
 
     def __init__(self, cascade: BiquadCascade):
         self.cascade = cascade
-        self._state = np.zeros((cascade.sections.shape[0], 2))
-        self._offset: float | None = None
+        # Python floats: scaling an array by one is cheaper than by a numpy
+        # scalar, and gives the same float64 products.
+        self._sections = cascade.sections.tolist()
+        self._state: np.ndarray | None = None
+        self._offset: np.ndarray | None = None
 
-    def step(self, x: float) -> float:
+    def step(self, x):
+        x = np.asarray(x, dtype=np.float64)
         if self._offset is None:
-            self._offset = float(x)
+            self._offset = x.copy()
+            self._state = np.zeros((len(self._sections), 2) + x.shape)
+        elif x.shape != self._offset.shape:
+            raise ValueError(
+                f"sample has shape {x.shape}, filter bank has {self._offset.shape}"
+            )
+        state = self._state
         u = x - self._offset
-        for s, (b0, b1, b2, a1, a2) in enumerate(self.cascade.sections):
-            y = b0 * u + self._state[s, 0]
-            self._state[s, 0] = b1 * u - a1 * y + self._state[s, 1]
-            self._state[s, 1] = b2 * u - a2 * y
+        for s, (b0, b1, b2, a1, a2) in enumerate(self._sections):
+            y = b0 * u + state[s, 0]
+            state[s, 0] = b1 * u - a1 * y + state[s, 1]
+            state[s, 1] = b2 * u - a2 * y
             u = y
-        return min(max(u + self._offset, 0.0), 1.0)
+        out = np.minimum(np.maximum(u + self._offset, 0.0), 1.0)
+        return float(out) if out.ndim == 0 else out
 
     def reset(self) -> None:
-        self._state[:] = 0.0
+        self._state = None
         self._offset = None
 
 
 def filter_sequence(cascade: BiquadCascade, seq: MotionSequence) -> MotionSequence:
-    """Filter every coefficient channel causally; fps must match the design."""
+    """Filter every coefficient channel causally; fps must match the design.
+
+    Runs the streaming bank over the frames row by row, so offline and
+    streaming filtering share one code path and agree bitwise.
+    """
     if seq.fps != cascade.spec.sample_hz:
         raise ValueError(
             f"sequence at {seq.fps} fps, filter designed for "
             f"{cascade.spec.sample_hz} Hz"
         )
+    bank = StreamingFilter(cascade)
     out = np.empty_like(seq.frames)
-    for ch in range(seq.blendshape_count):
-        filt = StreamingFilter(cascade)
-        col = seq.frames[:, ch]
-        for t in range(seq.frame_count):
-            out[t, ch] = filt.step(col[t])
+    for t, row in enumerate(seq.frames):
+        out[t] = bank.step(row)
     return MotionSequence(seq.fps, out)

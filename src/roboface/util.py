@@ -16,6 +16,11 @@ def frozen_array(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def in_unit_interval(a: np.ndarray) -> bool:
+    """True when every entry lies in [0, 1]; NaN fails, unlike min()/max()."""
+    return bool(((a >= 0.0) & (a <= 1.0)).all())
+
+
 def worker_count(requested: int | None = None) -> int:
     """Number of parallel workers to use.
 

@@ -200,3 +200,25 @@ class TestStubExtractor:
     def test_empty_audio_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             stub_extractor(np.zeros(0))
+
+
+class TestStreamingWindowerBounded:
+    def test_long_stream_keeps_k_frames_and_matches_offline(self):
+        k, classes, total = 8, 4, 10_000
+        frames = np.random.default_rng(5).normal(0, 1, (total, classes))
+        w = StreamingWindower(k, classes)
+        live = []
+        for f in frames:
+            live.extend(w.push(f))
+            assert len(w._frames) <= k
+        live.extend(w.finish())
+        assert len(w._frames) <= k
+        offline = make_windows(stream_of(frames, 25.0), k)
+        assert np.stack(live).tobytes() == offline.tobytes()
+
+    def test_streams_shorter_than_window(self):
+        frames = np.random.default_rng(6).normal(0, 1, (3, 2))
+        w = StreamingWindower(8, 2)
+        live = [win for f in frames for win in w.push(f)] + w.finish()
+        offline = make_windows(stream_of(frames, 25.0), 8)
+        assert np.stack(live).tobytes() == offline.tobytes()

@@ -207,3 +207,17 @@ class TestTypes:
         assert RIG.basis.index_of("shape03") == 3
         with pytest.raises(KeyError):
             RIG.basis.index_of("nope")
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coefficients(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BlendCoefficients(np.array([0.5, bad, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_motion_sequence(self, bad):
+        frames = np.full((3, 4), 0.5)
+        frames[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MotionSequence(25.0, frames)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from roboface.lbs import BlendshapeBasis, LbsRig
+from roboface.lbs import BlendCoefficients, BlendshapeBasis, LbsRig
 from roboface.motionnet import init_params
 from roboface.pipeline import (
     FileSink,
@@ -17,8 +17,10 @@ from roboface.pipeline import (
     encode_frame,
     run_pipeline,
 )
+from roboface.retarget import transfer_coefficients
 from roboface.rigsim import _kinematics, build_reference_rig
 from roboface.smoothing import FilterSpec
+from roboface.synthdata import make_logits, make_motion
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +340,69 @@ class TestRunPipeline:
         )
         with pytest.raises(ValueError, match="coefficients"):
             run_pipeline(PipelineConfig(), small, rig, config_r, random_logits(4))
+
+    def test_non_finite_logits_rejected_before_any_byte(self, reference, params):
+        rig, config_r = reference
+        for bad in (np.nan, np.inf):
+            frames = random_logits(40, seed=6)
+            frames[10, 5] = bad
+            for mode in ("offline", "streaming"):
+                sink = LoopbackSink()
+                with pytest.raises(ValueError, match="non-finite"):
+                    run_pipeline(
+                        PipelineConfig(), params, rig, config_r, frames,
+                        mode=mode, frame_sink=sink,
+                    )
+                assert len(sink.data) == 0
+
+    def test_unaligned_source_rig_rejected_before_any_byte(self, reference, params):
+        rig, config_r = reference
+        names = ("notABlendshape",) + rig.basis.names[1:]
+        source = LbsRig(
+            mesh=rig.mesh,
+            basis=BlendshapeBasis(names, rig.basis.displacements),
+            landmark_groups=rig.landmark_groups,
+        )
+        sink = LoopbackSink()
+        with pytest.raises(ValueError, match="name-aligned"):
+            run_pipeline(
+                PipelineConfig(), params, rig, config_r, random_logits(4),
+                source_rig=source, frame_sink=sink,
+            )
+        assert len(sink.data) == 0
+
+    def test_coefficient_space_ik_matches_landmark_target_chain(self, reference, params):
+        """750 ticks through a name-permuted source rig against the chain
+        written out in landmark space: transfer by name, the 5313-long
+        target, the landmark solver warm-started tick to tick."""
+        rig, config_r = reference
+        reversed_names = tuple(reversed(rig.basis.names))
+        source = LbsRig(
+            mesh=rig.mesh,
+            basis=BlendshapeBasis(reversed_names, rig.basis.displacements[::-1]),
+            landmark_groups=rig.landmark_groups,
+        )
+        motion = make_motion(750, 51, 25.0, np.random.default_rng(12))
+        logits = make_logits(motion, 392, seed=12).frames
+        result = run_pipeline(
+            PipelineConfig(), params, rig, config_r, logits,
+            source_rig=source, mode="streaming",
+        )
+
+        kin = _kinematics(config_r, rig)
+        vertices = kin.landmark_vertices()
+        columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
+        solver = kin.solver_for(vertices, None)
+        lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
+        span = np.array([ch.pulse_us[1] for ch in config_r.channels]) - lows
+        warm = None
+        for smoothed, frame in zip(result.motion.frames, result.servo_frames):
+            robot = transfer_coefficients(BlendCoefficients(smoothed), source, rig)
+            x, _, _, _ = solver.solve(robot.values @ columns, x0=warm)
+            warm = x
+            u = np.zeros(len(config_r.channels))
+            u[kin.ik_channels] = x
+            assert tuple(np.rint(lows + u * span).astype(int)) == frame.pulses
 
 
 class TestBench:

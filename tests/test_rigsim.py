@@ -19,6 +19,7 @@ from roboface.rigsim import (
     save_config,
     solve_ik,
     validate_config,
+    _kinematics,
 )
 
 
@@ -148,6 +149,10 @@ class TestActuatorState:
     def test_rejects_out_of_box(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ActuatorState(np.array([0.5, -0.1]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            ActuatorState(np.array([0.5, np.nan]))
 
     def test_rejects_matrix(self):
         with pytest.raises(ValueError, match="flat"):
@@ -479,3 +484,46 @@ class TestValidateConfig:
             rig,
         )
         assert any("min > max" in p for p in problems)
+
+
+class TestCoefficientSolver:
+    """IK from blendshape coefficients against the landmark-target solve."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, reference):
+        rig, config = reference
+        kin = _kinematics(config, rig)
+        vertices = kin.landmark_vertices()
+        columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
+        return (kin.solver_for(vertices, None),
+                kin.coefficient_solver_for(vertices, None), columns)
+
+    def test_cached_and_shares_landmark_solver_state(self, reference, setup):
+        rig, config = reference
+        full, coeff, _ = setup
+        kin = _kinematics(config, rig)
+        assert kin.coefficient_solver_for(kin.landmark_vertices(), None) is coeff
+        assert coeff.matrix is full.matrix and coeff.gram is full.gram
+
+    def test_matches_full_space_solve(self, setup):
+        full, coeff, columns = setup
+        rng = np.random.default_rng(31)
+        warm = None
+        for theta in rng.uniform(0.0, 1.0, (12, columns.shape[0])):
+            x_full, r_full, conv_full, _ = full.solve(theta @ columns, x0=warm)
+            x, r, conv, _ = coeff.solve(theta, x0=warm)
+            np.testing.assert_allclose(x, x_full, rtol=0, atol=1e-10)
+            assert conv == conv_full
+            y = theta @ columns
+            direct = float(np.sum((full.matrix @ x - y) ** 2))
+            assert r >= 0.0
+            assert abs(r - direct) <= 1e-9 * max(direct, 1.0)
+            assert abs(r - r_full) <= 1e-9 * max(r_full, 1.0)
+            warm = x
+
+    def test_rejects_wrong_shape(self, setup):
+        _, coeff, columns = setup
+        with pytest.raises(ValueError, match="shape"):
+            coeff.solve(np.zeros(columns.shape[0] + 1))
+        with pytest.raises(ValueError, match="shape"):
+            coeff.solve(np.zeros(columns.shape[1]))

@@ -162,3 +162,42 @@ class TestFiltering:
         filt.reset()
         second = [filt.step(x) for x in (0.2, 0.8, 0.5)]
         assert first == second
+
+
+class TestFilterBank:
+    @staticmethod
+    def clamping_signal(frames=300, channels=51, seed=21):
+        # Swings well past both box edges so the clamp fires at 0 and at 1.
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-0.4, 1.4, (frames, channels))
+
+    def test_bank_matches_independent_scalar_filters_bitwise(self):
+        signal = self.clamping_signal()
+        bank = StreamingFilter(CASCADE)
+        got = np.array([bank.step(row) for row in signal])
+        expected = np.empty_like(signal)
+        for ch in range(signal.shape[1]):
+            filt = StreamingFilter(CASCADE)
+            expected[:, ch] = [filt.step(float(v)) for v in signal[:, ch]]
+        assert (got == 0.0).any() and (got == 1.0).any()
+        assert got.tobytes() == expected.tobytes()
+
+    def test_filter_sequence_equals_row_by_row_bank(self):
+        signal = np.clip(self.clamping_signal(seed=22), 0.0, 1.0)
+        out = filter_sequence(CASCADE, MotionSequence(25.0, signal))
+        bank = StreamingFilter(CASCADE)
+        rows = np.array([bank.step(row) for row in signal])
+        assert out.frames.tobytes() == rows.tobytes()
+
+    def test_scalar_in_gives_float_out(self):
+        filt = StreamingFilter(CASCADE)
+        out = filt.step(0.25)
+        assert type(out) is float and out == 0.25
+
+    def test_channel_shape_fixed_by_first_sample(self):
+        bank = StreamingFilter(CASCADE)
+        assert bank.step(np.full(3, 0.5)).shape == (3,)
+        with pytest.raises(ValueError, match="shape"):
+            bank.step(np.full(4, 0.5))
+        bank.reset()
+        assert bank.step(np.full(4, 0.5)).shape == (4,)
