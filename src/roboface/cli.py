@@ -76,7 +76,6 @@ def _pipeline_config(args) -> PipelineConfig:
     tick_hz = float(values.get("tick_hz", 25.0))
     return PipelineConfig(
         tick_hz=tick_hz,
-        frame_budget_ms=1000.0 / tick_hz,
         style_id=int(values.get("style_id", 0)),
         filter_spec=FilterSpec(
             order=int(values.get("filter_order", 5)),
@@ -149,9 +148,7 @@ def cmd_retarget(args) -> int:
     settings = ProjectionSettings(
         max_iterations=args.max_iterations, tolerance=args.tolerance
     )
-    motion, residuals = project_sequence(
-        frames, fps, rig, settings, workers=args.workers
-    )
+    motion, residuals = project_sequence(frames, fps, rig, settings)
     save_motion(args.out, motion)
     print(
         f"wrote {args.out}: {motion.frame_count} frames, residual "
@@ -350,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--rig", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=cmd_retarget)

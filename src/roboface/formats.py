@@ -47,6 +47,11 @@ class _Reader:
     def remaining(self) -> int:
         return len(self.data) - self.pos
 
+    def finish(self) -> None:
+        """Rejects bytes past the payload, so a corrupted count never loads."""
+        if self.remaining():
+            raise ValueError(f"{self.remaining()} trailing bytes in {self.label} file")
+
     def peek(self, n: int) -> bytes:
         return self.data[self.pos : self.pos + n]
 
@@ -124,6 +129,10 @@ def load_rig(path) -> LbsRig:
     _check_header(r, _RIG_MAGIC)
     u = r.u32()
     b = r.u32()
+    # Every blendshape holds a 3U-float field and a name of at least its
+    # 2-byte length; a count past the file size must not drive the loops.
+    if 12 * u * (b + 1) + 2 * b > r.remaining():
+        raise ValueError("truncated rig file")
     neutral = r.f32_array(3 * u)
     disp = tuple(r.f32_array(3 * u) for _ in range(b))
     names = tuple(r.string() for _ in range(b))
@@ -132,6 +141,7 @@ def load_rig(path) -> LbsRig:
     for _ in range(len(REGIONS)):
         region = r.string()
         groups[region] = r.u32_array(r.u32())
+    r.finish()
     return LbsRig(
         mesh=FaceMesh(neutral),
         basis=BlendshapeBasis(names, disp),
@@ -154,6 +164,7 @@ def load_motion(path) -> MotionSequence:
     t = r.u32()
     b = r.u32()
     frames = r.f32_array(t * b).reshape(t, b)
+    r.finish()
     return MotionSequence(fps, frames)
 
 
@@ -175,6 +186,7 @@ def load_logits(path) -> tuple[float, np.ndarray]:
     classes = r.u32()
     t = r.u32()
     frames = r.f32_array(t * classes).reshape(t, classes)
+    r.finish()
     return rate, frames
 
 
@@ -197,6 +209,7 @@ def load_dense_frames(path) -> tuple[np.ndarray, float]:
     t = r.u32()
     fps = r.f32()
     frames = r.f32_array(t * 3 * v).reshape(t, 3 * v)
+    r.finish()
     return frames, fps
 
 

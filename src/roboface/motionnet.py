@@ -9,14 +9,13 @@ frozen linear skinning layer, so the loss is a plain (optionally
 mouth-weighted) squared vertex error.
 
 Everything runs in float64 numpy with hand-written reverse-mode gradients
-so analytic derivatives can be held to finite-difference oracles; an
-optional float32 path covers inference.
+so analytic derivatives can be held to finite-difference oracles.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -135,27 +134,6 @@ def init_params(
     )
 
 
-def cast_params(params: ModelParams, dtype) -> ModelParams:
-    """Copy of the model at another float precision (float32 inference)."""
-    return ModelParams(
-        blocks=[
-            BlockParams(
-                conv1_weight=b.conv1_weight.astype(dtype),
-                conv1_bias=b.conv1_bias.astype(dtype),
-                conv2_weight=b.conv2_weight.astype(dtype),
-                conv2_bias=b.conv2_bias.astype(dtype),
-                shortcut_weight=b.shortcut_weight.astype(dtype),
-            )
-            for b in params.blocks
-        ],
-        style_table=params.style_table.astype(dtype),
-        head1_weight=params.head1_weight.astype(dtype),
-        head1_bias=params.head1_bias.astype(dtype),
-        head2_weight=params.head2_weight.astype(dtype),
-        head2_bias=params.head2_bias.astype(dtype),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
@@ -194,7 +172,7 @@ def _conv1d_backward(dy, cols, weight, in_shape, stride, pad):
 
 
 def _check_window(params: ModelParams, window) -> np.ndarray:
-    w = np.asarray(window, dtype=params.style_table.dtype)
+    w = np.asarray(window, dtype=np.float64)
     if w.shape != (params.window_size, params.class_count):
         raise ValueError(
             f"window has shape {w.shape}, model expects "
@@ -269,27 +247,18 @@ def _run_backward(params: ModelParams, tape, dtheta) -> dict[str, np.ndarray]:
 def _dropout_mask(params: ModelParams, rate: float, rng) -> np.ndarray | None:
     if rate <= 0.0:
         return None
-    if rng is None:
-        raise ValueError("train-mode dropout needs a random generator")
     keep = rng.random(2 * params.hidden_size) >= rate
     return keep / (1.0 - rate)
 
 
-def forward(
-    params: ModelParams,
-    window,
-    style_id: int,
-    mode: str = "eval",
-    dropout_rate: float = 0.0,
-    rng=None,
-) -> BlendCoefficients:
-    """Window of logits -> coefficients. Eval mode is a pure function;
-    train mode applies inverted dropout between the head layers."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    mask = _dropout_mask(params, dropout_rate, rng) if mode == "train" else None
-    theta, _ = _run_forward(params, window, style_id, mask)
-    return BlendCoefficients(np.asarray(theta, dtype=np.float64))
+def forward(params: ModelParams, window, style_id: int) -> BlendCoefficients:
+    """Window of logits -> coefficients; a pure function of its inputs.
+
+    Dropout exists only in training (``train``, ``training_loss``,
+    ``backward``), which draws its own masks.
+    """
+    theta, _ = _run_forward(params, window, style_id, None)
+    return BlendCoefficients(theta)
 
 
 def human_decode(rig: LbsRig, theta) -> np.ndarray:

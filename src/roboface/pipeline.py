@@ -12,11 +12,9 @@ a wrapping frame counter, and a two's-complement checksum.
 
 from __future__ import annotations
 
-import json
 import struct
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +106,9 @@ class LoopbackSink:
         out = []
         pos = 0
         while pos < len(self.data):
-            count = self.data[pos + 3]
-            size = 4 + 2 * count + 1
+            if len(self.data) - pos < 4:
+                raise ValueError("servo stream ends inside a frame header")
+            size = 4 + 2 * self.data[pos + 3] + 1
             out.append(decode_frame(bytes(self.data[pos : pos + size])))
             pos += size
         return out
@@ -117,25 +116,20 @@ class LoopbackSink:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Runtime knobs of the orchestrator; the budget is one tick period."""
+    """Runtime settings of the orchestrator.
+
+    The frame budget is not a setting: it is one tick period,
+    ``frame_budget_ms == 1000 / tick_hz``.
+    """
 
     tick_hz: float = 25.0
-    frame_budget_ms: float = 40.0
     style_id: int = 0
     filter_spec: FilterSpec = FilterSpec()
     max_unconverged_streak: int = 25
-    rig_path: str | None = None
-    config_path: str | None = None
-    model_path: str | None = None
 
     def __post_init__(self):
         if self.tick_hz <= 0:
             raise ValueError("tick_hz must be positive")
-        if abs(self.frame_budget_ms - 1000.0 / self.tick_hz) > 1e-9:
-            raise ValueError(
-                f"frame_budget_ms must equal 1000/tick_hz = "
-                f"{1000.0 / self.tick_hz:g} ms"
-            )
         if self.style_id < 0:
             raise ValueError("style_id must be nonnegative")
         if self.filter_spec.sample_hz != self.tick_hz:
@@ -145,6 +139,10 @@ class PipelineConfig:
             )
         if self.max_unconverged_streak < 1:
             raise ValueError("max_unconverged_streak must be at least 1")
+
+    @property
+    def frame_budget_ms(self) -> float:
+        return 1000.0 / self.tick_hz
 
 
 @dataclass(frozen=True)
@@ -310,7 +308,7 @@ def run_pipeline(
         tick_p99_ms=float(np.percentile(times, 99)),
         tick_max_ms=float(times.max()),
         window_lookahead_frames=params.window_size / 2,
-        filter_delay_frames=group_delay_frames(design(config.filter_spec)),
+        filter_delay_frames=group_delay_frames(ticker.filter.cascade),
     )
     motion = MotionSequence(config.tick_hz, np.vstack(smoothed_rows))
     return PipelineResult(servo_frames, motion, report)

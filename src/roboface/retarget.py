@@ -19,13 +19,11 @@ coefficients as the right-hand side and never forms the target.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lbs import BlendCoefficients, FaceMesh, LbsRig, MotionSequence
-from .util import worker_count
 
 
 @dataclass(frozen=True)
@@ -249,71 +247,30 @@ def _rig_solver(rig: LbsRig, settings: ProjectionSettings | None) -> BoxLeastSqu
     return solver
 
 
-def normalize_subject(
-    frames: np.ndarray, subject_neutral: FaceMesh, canonical_neutral: FaceMesh
-) -> np.ndarray:
-    """Re-expresses frames of one subject's face on the canonical neutral:
-    output_t = frame_t - subject_neutral + canonical_neutral, per coordinate.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    width = frames.shape[-1]
-    if width != subject_neutral.positions.size:
-        raise ValueError(
-            f"frames have {width // 3} vertices, subject neutral has "
-            f"{subject_neutral.vertex_count}"
-        )
-    if subject_neutral.positions.size != canonical_neutral.positions.size:
-        raise ValueError(
-            f"subject neutral has {subject_neutral.vertex_count} vertices, "
-            f"canonical neutral has {canonical_neutral.vertex_count}"
-        )
-    if np.array_equal(subject_neutral.positions, canonical_neutral.positions):
-        return frames.copy()
-    return frames - subject_neutral.positions + canonical_neutral.positions
-
-
 def project_sequence(
     frames: np.ndarray,
     fps: float,
     rig: LbsRig,
     settings: ProjectionSettings | None = None,
-    workers: int | None = None,
 ) -> tuple[MotionSequence, np.ndarray]:
     """Project every dense frame (T, 3V) onto the rig basis.
 
-    Frames are split into contiguous chunks, one per worker; within a chunk
-    each solve warm-starts from the previous frame's solution. Results are
-    deterministic for a fixed worker count. Returns the coefficient motion
-    and the per-frame residuals (mm^2).
+    One sequential chain: each solve warm-starts from the previous frame's
+    solution, so the result is ``project_to_basis`` run frame by frame and
+    does not depend on the machine. Returns the coefficient motion and the
+    per-frame residuals (mm^2).
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != 3 * rig.vertex_count:
         raise ValueError("frames must be (T, 3V) matching the rig")
-    t_total = frames.shape[0]
     solver = _rig_solver(rig, settings)
     neutral = rig.mesh.positions
-
-    def run_chunk(start: int, stop: int):
-        out = np.empty((stop - start, rig.blendshape_count))
-        res = np.empty(stop - start)
-        warm = None
-        for i in range(start, stop):
-            x, r, _, _ = solver.solve(frames[i] - neutral, x0=warm)
-            out[i - start] = x
-            res[i - start] = r
-            warm = x
-        return out, res
-
-    n_workers = min(worker_count(workers), max(1, t_total))
-    bounds = np.linspace(0, t_total, n_workers + 1).astype(int)
-    spans = [(bounds[i], bounds[i + 1]) for i in range(n_workers) if bounds[i] < bounds[i + 1]]
-    if len(spans) <= 1:
-        coeffs, residuals = run_chunk(0, t_total)
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(pool.map(lambda span: run_chunk(*span), spans))
-        coeffs = np.vstack([p[0] for p in parts])
-        residuals = np.concatenate([p[1] for p in parts])
+    coeffs = np.empty((frames.shape[0], rig.blendshape_count))
+    residuals = np.empty(frames.shape[0])
+    warm = None
+    for t, frame in enumerate(frames):
+        warm, residuals[t], _, _ = solver.solve(frame - neutral, x0=warm)
+        coeffs[t] = warm
     return MotionSequence(fps, np.clip(coeffs, 0.0, 1.0)), residuals
 
 
@@ -348,25 +305,3 @@ def transfer_coefficients(
             f"{source_rig.blendshape_count}"
         )
     return BlendCoefficients(theta.values[transfer_order(source_rig, dest_rig)])
-
-
-def edit_coefficients(
-    seq: MotionSequence,
-    names: tuple[str, ...],
-    edits: list[tuple[str, float, float]],
-) -> MotionSequence:
-    """Apply per-channel (name, scale, offset) edits:
-    value' = clamp(scale * value + offset, 0, 1).
-    """
-    if len(names) != seq.blendshape_count:
-        raise ValueError("name list does not match sequence width")
-    if not edits:
-        return MotionSequence(seq.fps, seq.frames)
-    frames = seq.frames.copy()
-    index = {name: i for i, name in enumerate(names)}
-    for name, scale, offset in edits:
-        if name not in index:
-            raise ValueError(f"no blendshape named {name!r} in the sequence")
-        col = index[name]
-        frames[:, col] = np.clip(scale * frames[:, col] + offset, 0.0, 1.0)
-    return MotionSequence(seq.fps, frames)

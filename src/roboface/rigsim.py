@@ -472,7 +472,6 @@ def evaluate_tracking(
     rows = kin.coord_rows(vertices)
     neutral = rig.mesh.positions[rows]
     solver = kin.solver_for(vertices, settings)
-    fk_matrix = kin.vertex_map[np.ix_(rows, kin.ik_channels)]
 
     errors = np.empty((reference.frame_count, vertices.size))
     warm = None
@@ -481,7 +480,7 @@ def evaluate_tracking(
         offset = skinned.positions[rows] - neutral
         x, _, _, _ = solver.solve(offset, x0=warm)
         warm = x
-        achieved = fk_matrix @ x
+        achieved = solver.matrix @ x
         diff = (achieved - offset).reshape(-1, 3)
         errors[t] = np.sqrt((diff * diff).sum(axis=1))
 

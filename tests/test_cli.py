@@ -127,7 +127,7 @@ class TestRetarget:
         out = tmp_path / "recovered.lbsm"
         assert main([
             "retarget", "--frames", str(dense_path), "--rig",
-            str(workspace["rig"]), "--out", str(out), "--workers", "1",
+            str(workspace["rig"]), "--out", str(out),
         ]) == 0
         recovered = load_motion(out)
         # Storage is f32, so recovery is tight but not at solver precision.

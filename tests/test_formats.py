@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from roboface.formats import (
     export_obj,
@@ -104,6 +106,12 @@ class TestRigFile:
         assert np.array_equal(back.landmark_groups["mouth"], np.array([4, 5, 6]))
         assert back.landmark_groups["eye"].size == 0
 
+    def test_huge_count_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "r.lbsrig"
+        path.write_bytes(b"LBSR" + struct.pack("<III", 1, 0, 0xFFFFFFFF) + bytes(64))
+        with pytest.raises(ValueError, match="truncated"):
+            load_rig(path)
+
     def test_header_fields(self, tmp_path):
         rig = small_rig()
         path = tmp_path / "r.lbsrig"
@@ -188,3 +196,92 @@ class TestObjExport:
         verts, _ = parse_obj(paths[1])
         expected = apply_skinning(rig, seq.frames[1]).vertices()
         np.testing.assert_allclose(verts, expected, atol=1e-6)
+
+
+# Each format: (file name, writer of a small valid file, loader, header
+# bytes, offsets of the magic, version and count fields). A flip inside the
+# counted fields changes how many payload bytes the file must hold.
+FORMATS = {
+    "lbsrig": ("r.lbsrig", lambda p: save_rig(p, small_rig()), load_rig, 12, range(12)),
+    "lbsm": (
+        "m.lbsm",
+        lambda p: save_motion(p, MotionSequence(25.0, np.full((3, 2), 0.5))),
+        load_motion,
+        20,
+        [*range(8), *range(12, 20)],
+    ),
+    "phlg": (
+        "x.phlg",
+        lambda p: save_logits(p, 25.0, np.arange(12.0).reshape(3, 4)),
+        load_logits,
+        20,
+        [*range(8), *range(12, 20)],
+    ),
+    "dnsf": (
+        "d.bin",
+        lambda p: save_dense_frames(p, np.arange(18.0).reshape(2, 9), 25.0),
+        load_dense_frames,
+        20,
+        range(16),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    files = {}
+    for fmt, (name, write, _, _, _) in FORMATS.items():
+        write(root / name)
+        files[fmt] = (root / name).read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_every_strict_prefix_raises_value_error(fmt, valid_files, tmp_path):
+    name, _, load, _, _ = FORMATS[fmt]
+    data = valid_files[fmt]
+    path = tmp_path / name
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            load(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_every_bit_flip_in_a_counted_header_field_raises(fmt, valid_files, tmp_path):
+    name, _, load, _, counted = FORMATS[fmt]
+    path = tmp_path / name
+    for offset in counted:
+        for bit in range(8):
+            raw = bytearray(valid_files[fmt])
+            raw[offset] ^= 1 << bit
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValueError):
+                load(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flips=st.lists(
+    st.tuples(st.integers(0, 19), st.integers(1, 255)), min_size=1, max_size=3,
+))
+def test_header_byte_flips_raise_only_value_error(fmt, flips, valid_files, tmp_path):
+    # A flip confined to the rate field may load; any other must raise, and
+    # no flip may raise anything but ValueError.
+    name, _, load, header, counted = FORMATS[fmt]
+    data = valid_files[fmt]
+    raw = bytearray(data)
+    for offset, mask in flips:
+        raw[offset % header] ^= mask
+    touched = {i for i in range(header) if raw[i] != data[i]}
+    if not touched:
+        return
+    path = tmp_path / name
+    path.write_bytes(bytes(raw))
+    try:
+        load(path)
+    except ValueError:
+        return
+    assert not touched & set(counted), f"corrupt header loaded: {bytes(raw[:header])!r}"

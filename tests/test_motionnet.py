@@ -7,11 +7,9 @@ from roboface.arkit import BLINK_NAMES, canonical_index
 from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning
 from roboface.motionnet import (
     AdamState,
-    ModelParams,
     TrainConfig,
     TrainingSample,
     backward,
-    cast_params,
     forward,
     human_decode,
     init_params,
@@ -120,32 +118,6 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             forward(tiny_params(), np.zeros((8, 6)), 0)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            forward(tiny_params(), np.zeros((4, 6)), 0, mode="predict")
-
-    def test_train_mode_dropout_scales(self):
-        # With rate just under 1 almost every hidden unit drops, pulling the
-        # output to sigmoid(bias) = 0.5; eval mode must stay unaffected.
-        params = tiny_params()
-        window = np.random.default_rng(7).normal(0.0, 1.0, (4, 6))
-        dropped = forward(
-            params, window, 0, mode="train", dropout_rate=0.99,
-            rng=np.random.default_rng(0),
-        )
-        np.testing.assert_allclose(dropped.values, 0.5, atol=1e-12)
-        plain = forward(params, window, 0)
-        assert (plain.values != dropped.values).any()
-
-    def test_float32_path_agrees(self):
-        params = tiny_params()
-        params.style_table[...] = 0.1
-        window = np.random.default_rng(8).normal(0.0, 1.0, (4, 6))
-        exact = forward(params, window, 2).values
-        fast = forward(cast_params(params, np.float32), window.astype(np.float32), 2)
-        assert fast.values.dtype == np.float64  # coefficients stay canonical
-        np.testing.assert_allclose(fast.values, exact, atol=1e-4)
-
 
 class TestHumanDecode:
     def test_zero_is_neutral(self):
@@ -247,6 +219,20 @@ class TestBackward:
 
     def test_gradcheck_with_dropout(self):
         self.check_all_params(dropout_rate=0.3, seed=77)
+
+    def test_training_loss_dropout_scales(self):
+        # With rate just under 1 almost every hidden unit drops, pulling the
+        # output to sigmoid(bias) = 0.5; without dropout the loss differs.
+        rig = tiny_rig()
+        params = tiny_params()
+        sample = tiny_sample(rig)
+        dropped = training_loss(params, rig, sample, 1.0, dropout_rate=0.99, seed=0)
+        expected = loss(
+            human_decode(rig, np.full(3, 0.5)), sample.target_vertices,
+            rig.mouth_mask, 1.0,
+        )
+        assert dropped == pytest.approx(expected, rel=1e-12)
+        assert training_loss(params, rig, sample, 1.0) != dropped
 
     def test_zero_loss_gives_zero_gradients(self):
         rig = tiny_rig()

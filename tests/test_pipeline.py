@@ -135,6 +135,16 @@ class TestSinks:
             sink.write(encode_frame(frame))
         assert sink.frames() == frames
 
+    def test_loopback_partial_trailing_frame_raises_value_error(self):
+        frames = [ServoFrame(i, (1500 + i,) * 31) for i in range(3)]
+        stream = b"".join(encode_frame(frame) for frame in frames)
+        size = len(stream) // 3
+        for cut in range(1, size):
+            sink = LoopbackSink()
+            sink.write(stream[: 2 * size + cut])
+            with pytest.raises(ValueError):
+                sink.frames()
+
 
 class TestPipelineConfig:
     def test_default_is_consistent(self):
@@ -142,25 +152,22 @@ class TestPipelineConfig:
         assert config.tick_hz == 25.0
         assert config.frame_budget_ms == 40.0
 
-    def test_budget_must_match_rate(self):
-        with pytest.raises(ValueError, match="budget"):
-            PipelineConfig(tick_hz=25.0, frame_budget_ms=50.0)
+    def test_budget_is_one_tick_period(self):
+        for tick_hz in (25.0, 50.0, 30.0):
+            config = PipelineConfig(
+                tick_hz=tick_hz, filter_spec=FilterSpec(sample_hz=tick_hz)
+            )
+            assert config.frame_budget_ms == 1000.0 / tick_hz
+        with pytest.raises(TypeError):
+            PipelineConfig(frame_budget_ms=40.0)
 
     def test_other_rates_allowed(self):
-        config = PipelineConfig(
-            tick_hz=50.0,
-            frame_budget_ms=20.0,
-            filter_spec=FilterSpec(sample_hz=50.0),
-        )
+        config = PipelineConfig(tick_hz=50.0, filter_spec=FilterSpec(sample_hz=50.0))
         assert config.frame_budget_ms == 20.0
 
     def test_filter_rate_must_match(self):
         with pytest.raises(ValueError, match="[Ff]ilter"):
-            PipelineConfig(
-                tick_hz=50.0,
-                frame_budget_ms=20.0,
-                filter_spec=FilterSpec(sample_hz=25.0),
-            )
+            PipelineConfig(tick_hz=50.0, filter_spec=FilterSpec(sample_hz=25.0))
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -168,7 +175,7 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(max_unconverged_streak=0)
         with pytest.raises(ValueError):
-            PipelineConfig(tick_hz=0.0, frame_budget_ms=40.0)
+            PipelineConfig(tick_hz=0.0)
 
 
 class TestRunPipeline:
