@@ -314,6 +314,18 @@ def cmd_export_obj(args) -> int:
     return 0
 
 
+def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    """The JSON config file and the flags ``_pipeline_config`` reads."""
+    p.add_argument("--config", default=None, help="JSON settings; flags win")
+    p.add_argument("--tick-hz", type=float, default=None, dest="tick_hz")
+    p.add_argument("--style-id", type=int, default=None, dest="style_id")
+    p.add_argument("--filter-order", type=int, default=None, dest="filter_order")
+    p.add_argument("--filter-cutoff-hz", type=float, default=None,
+                   dest="filter_cutoff_hz")
+    p.add_argument("--max-unconverged-streak", type=int, default=None,
+                   dest="max_unconverged_streak")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roboface",
@@ -380,14 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("offline", "streaming"), default="offline")
     p.add_argument("--source-rig", default=None,
                    help="rig naming the model's coefficient space")
-    p.add_argument("--config", default=None, help="JSON settings; flags win")
-    p.add_argument("--tick-hz", type=float, default=None, dest="tick_hz")
-    p.add_argument("--style-id", type=int, default=None, dest="style_id")
-    p.add_argument("--filter-order", type=int, default=None, dest="filter_order")
-    p.add_argument("--filter-cutoff-hz", type=float, default=None,
-                   dest="filter_cutoff_hz")
-    p.add_argument("--max-unconverged-streak", type=int, default=None,
-                   dest="max_unconverged_streak")
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="tracking-error report for a motion")
@@ -412,14 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None, help="JSON settings; flags win")
-    p.add_argument("--tick-hz", type=float, default=None, dest="tick_hz")
-    p.add_argument("--style-id", type=int, default=None, dest="style_id")
-    p.add_argument("--filter-order", type=int, default=None, dest="filter_order")
-    p.add_argument("--filter-cutoff-hz", type=float, default=None,
-                   dest="filter_cutoff_hz")
-    p.add_argument("--max-unconverged-streak", type=int, default=None,
-                   dest="max_unconverged_streak")
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("export-obj", help="write OBJ meshes for inspection")

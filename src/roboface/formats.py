@@ -21,6 +21,7 @@ import numpy as np
 
 from .arkit import REGIONS
 from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence
+from .util import is_positive_finite
 
 _RIG_MAGIC = b"LBSR"
 _MOTION_MAGIC = b"LBSM"
@@ -61,8 +62,12 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f32(self) -> float:
-        return struct.unpack("<f", self.take(4))[0]
+    def rate(self) -> float:
+        """An f32 frame-rate field; NaN, inf and values <= 0 are rejected."""
+        value = struct.unpack("<f", self.take(4))[0]
+        if not is_positive_finite(value):
+            raise ValueError(f"{self.label} file has frame rate {value}")
+        return value
 
     def f32_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float64)
@@ -160,7 +165,7 @@ def save_motion(path, seq: MotionSequence) -> None:
 def load_motion(path) -> MotionSequence:
     r = _Reader(Path(path).read_bytes(), "motion")
     _check_header(r, _MOTION_MAGIC)
-    fps = r.f32()
+    fps = r.rate()
     t = r.u32()
     b = r.u32()
     frames = r.f32_array(t * b).reshape(t, b)
@@ -182,7 +187,7 @@ def load_logits(path) -> tuple[float, np.ndarray]:
     """Returns (rate_hz, frames) with frames shaped (T, classes)."""
     r = _Reader(Path(path).read_bytes(), "logit")
     _check_header(r, _LOGIT_MAGIC)
-    rate = r.f32()
+    rate = r.rate()
     classes = r.u32()
     t = r.u32()
     frames = r.f32_array(t * classes).reshape(t, classes)
@@ -207,7 +212,7 @@ def load_dense_frames(path) -> tuple[np.ndarray, float]:
     _check_header(r, _DENSE_MAGIC)
     v = r.u32()
     t = r.u32()
-    fps = r.f32()
+    fps = r.rate()
     frames = r.f32_array(t * 3 * v).reshape(t, 3 * v)
     r.finish()
     return frames, fps

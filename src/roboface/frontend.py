@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import frozen_array as _frozen
+from .util import frozen_array as _frozen, is_positive_finite
 
 CLASS_COUNT = 392
 BLANK_CLASS = 0
@@ -36,8 +36,8 @@ class PhonemeLogitStream:
     frames: np.ndarray
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
+        if not is_positive_finite(self.rate_hz):
+            raise ValueError("rate_hz must be finite and positive")
         frames = _frozen(self.frames)
         if frames.ndim != 2:
             raise ValueError("frames must be a (T, classes) array")
@@ -65,8 +65,8 @@ def resample(stream: PhonemeLogitStream, target_hz: float) -> PhonemeLogitStream
     the input frames. Endpoints clamp to the nearest source frame; stream
     duration is preserved to within one output frame period.
     """
-    if target_hz <= 0:
-        raise ValueError("target_hz must be positive")
+    if not is_positive_finite(target_hz):
+        raise ValueError("target_hz must be finite and positive")
     if stream.frame_count == 0:
         raise ValueError("cannot resample an empty stream")
     src = stream.frames

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .arkit import REGIONS
-from .util import frozen_array as _frozen, in_unit_interval
+from .util import frozen_array as _frozen, in_unit_interval, is_positive_finite
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,8 @@ class MotionSequence:
     frames: np.ndarray
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not is_positive_finite(self.fps):
+            raise ValueError("fps must be finite and positive")
         frames = _frozen(self.frames)
         if frames.ndim != 2:
             raise ValueError("frames must be a (T, B) array")

@@ -11,10 +11,11 @@ quadratic objective, plus an exact solve on the free (non-bound) subspace
 each iteration to kill the slow zigzag pure projected gradient suffers on
 ill-conditioned bases. Both step types are clipped at the box and accepted
 only if the objective does not increase, so the iterate sequence is
-monotone by construction. The B x B Gram matrix E^T E is computed once per
-rig (U >> B makes that the dominant saving). When the target is itself a
-linear image of coefficients, ``CoefficientBoxLeastSquares`` takes those
-coefficients as the right-hand side and never forms the target.
+monotone by construction; an iteration that accepts neither ends the
+solve. The box is always [0, 1]. The B x B Gram matrix E^T E is computed
+once per rig (U >> B makes that the dominant saving). When the target is
+itself a linear image of coefficients, ``CoefficientBoxLeastSquares``
+takes those coefficients as the right-hand side and never forms the target.
 """
 
 from __future__ import annotations
@@ -28,20 +29,16 @@ from .lbs import BlendCoefficients, FaceMesh, LbsRig, MotionSequence
 
 @dataclass(frozen=True)
 class ProjectionSettings:
-    """Stopping rule and box bounds for the least-squares solver."""
+    """Stopping rule for the least-squares solver; the box is always [0, 1]."""
 
     max_iterations: int = 500
     tolerance: float = 1e-8
-    lower: float = 0.0
-    upper: float = 1.0
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.lower >= self.upper:
-            raise ValueError("lower bound must be below upper bound")
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class ProjectionResult:
 
 
 class BoxLeastSquares:
-    """min ||A x - y||^2 over the box [lower, upper]^n, reusable across y.
+    """min ||A x - y||^2 over the box [0, 1]^n, reusable across y.
 
     Construction precomputes A^T A; ``solve`` then runs in O(n^2) per
     iteration regardless of A's row count. The objective is expanded as
@@ -95,28 +92,25 @@ class BoxLeastSquares:
         """Returns (x, residual, converged, iterations).
 
         ``x0`` warm-starts the iteration (clipped into the box). ``callback``
-        receives (iteration, objective) after every accepted iteration.
-        Convergence is an infinity-norm test on the projected gradient. On
-        hitting the iteration cap the best iterate is returned with
-        converged=False.
+        receives (iteration, objective) after every iteration. Convergence
+        is an infinity-norm test on the projected gradient. When neither
+        step lowers the objective (the numerical floor) or the iteration
+        cap is hit, the best iterate is returned with converged=False.
         """
         s = self.settings
-        lo, hi = s.lower, s.upper
         g_mat = self.gram
         y = np.asarray(y, dtype=np.float64)
         c, const = self._normal_equations(y)
         n = g_mat.shape[0]
 
-        x = np.full(n, lo) if x0 is None else np.clip(np.asarray(x0, float), lo, hi)
+        x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, float), 0.0, 1.0)
         f = self._objective(x, c, const)
         converged = False
         iterations = 0
 
         for iterations in range(1, s.max_iterations + 1):
             grad = 2.0 * (g_mat @ x - c)
-            pg = grad.copy()
-            pg[(x <= lo) & (grad > 0)] = 0.0
-            pg[(x >= hi) & (grad < 0)] = 0.0
+            pg = np.where(_blocked(x, grad), 0.0, grad)
             if np.abs(pg).max(initial=0.0) <= s.tolerance:
                 converged = True
                 break
@@ -127,22 +121,15 @@ class BoxLeastSquares:
             d = -pg
             curv = d @ (g_mat @ d)
             if curv > 0:
-                alpha = (pg @ pg) / (2.0 * curv)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    to_hi = np.where(d > 0, (hi - x) / d, np.inf)
-                    to_lo = np.where(d < 0, (lo - x) / d, np.inf)
-                alpha = min(alpha, float(np.minimum(to_hi, to_lo).min()))
-                cand = np.clip(x + alpha * d, lo, hi)
+                alpha = min((pg @ pg) / (2.0 * curv), _step_to_box(x, d))
+                cand = np.clip(x + alpha * d, 0.0, 1.0)
                 f_cand = self._objective(cand, c, const)
                 if f_cand <= f:
                     x, f = cand, f_cand
                     moved = True
 
             # Exact solve on the free subspace, step clipped at the box.
-            grad = 2.0 * (g_mat @ x - c)
-            at_lo = (x <= lo) & (grad > 0)
-            at_hi = (x >= hi) & (grad < 0)
-            free = ~(at_lo | at_hi)
+            free = ~_blocked(x, 2.0 * (g_mat @ x - c))
             if free.any():
                 idx = np.flatnonzero(free)
                 rhs = c[idx] - g_mat[np.ix_(idx, ~free)] @ x[~free]
@@ -153,12 +140,9 @@ class BoxLeastSquares:
                     target = np.linalg.lstsq(sub, rhs, rcond=None)[0]
                 delta = target - x[idx]
                 if delta.any():
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        to_hi = np.where(delta > 0, (hi - x[idx]) / delta, np.inf)
-                        to_lo = np.where(delta < 0, (lo - x[idx]) / delta, np.inf)
-                    beta = min(1.0, float(np.minimum(to_hi, to_lo).min()))
+                    beta = min(1.0, _step_to_box(x[idx], delta))
                     cand = x.copy()
-                    cand[idx] = np.clip(x[idx] + beta * delta, lo, hi)
+                    cand[idx] = np.clip(x[idx] + beta * delta, 0.0, 1.0)
                     f_cand = self._objective(cand, c, const)
                     if f_cand <= f:
                         x, f = cand, f_cand
@@ -167,15 +151,22 @@ class BoxLeastSquares:
             if callback is not None:
                 callback(iterations, f)
             if not moved:
-                # Numerical floor: no acceptable descent step exists.
-                grad = 2.0 * (g_mat @ x - c)
-                pg = grad.copy()
-                pg[(x <= lo) & (grad > 0)] = 0.0
-                pg[(x >= hi) & (grad < 0)] = 0.0
-                converged = bool(np.abs(pg).max(initial=0.0) <= s.tolerance)
                 break
 
         return x, self._residual(x, y, f), converged, iterations
+
+
+def _blocked(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Coordinates held at a bound by a gradient that points out of the box."""
+    return ((x <= 0.0) & (grad > 0)) | ((x >= 1.0) & (grad < 0))
+
+
+def _step_to_box(x: np.ndarray, d: np.ndarray) -> float:
+    """Largest t with x + t d still in [0, 1]^n (inf when d is all zero)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        to_hi = np.where(d > 0, (1.0 - x) / d, np.inf)
+        to_lo = np.where(d < 0, (0.0 - x) / d, np.inf)
+    return float(np.minimum(to_hi, to_lo).min())
 
 
 class CoefficientBoxLeastSquares(BoxLeastSquares):
@@ -271,7 +262,7 @@ def project_sequence(
     for t, frame in enumerate(frames):
         warm, residuals[t], _, _ = solver.solve(frame - neutral, x0=warm)
         coeffs[t] = warm
-    return MotionSequence(fps, np.clip(coeffs, 0.0, 1.0)), residuals
+    return MotionSequence(fps, coeffs), residuals
 
 
 def transfer_order(source_rig: LbsRig, dest_rig: LbsRig) -> np.ndarray:

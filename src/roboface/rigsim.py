@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .arkit import CANONICAL_NAMES, REGIONS, region_of
-from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning
+# apply_skinning stays importable here: perfbench/tracing.py wraps rigsim.apply_skinning.
+from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning  # noqa: F401
 from .retarget import BoxLeastSquares, CoefficientBoxLeastSquares, ProjectionSettings
 from .util import frozen_array, in_unit_interval
 
@@ -261,7 +262,6 @@ class Kinematics:
                 f"config weights cover {config.weights.shape[0]} vertices, "
                 f"rig has {rig.vertex_count}"
             )
-        self.config = config
         self.rig = rig
         self.gain = _gain_matrix(config)
         bounds = np.vstack([cp.bounds for cp in config.control_points])
@@ -455,8 +455,9 @@ def evaluate_tracking(
 ) -> dict:
     """How well the actuated face tracks a reference coefficient motion.
 
-    Every frame is skinned through the rig, solved back to actuator space,
-    re-skinned through forward kinematics, and compared per landmark vertex.
+    Every frame is solved to actuator space from its coefficients by the
+    tick's warm-started coefficient solver and compared per landmark vertex
+    with theta @ basis over the landmark rows; no full mesh is skinned.
     Euclidean errors pool across frames into per-region median and quartile
     statistics: {region: {median_mm, q1_mm, q3_mm, frames}}.
     """
@@ -469,19 +470,14 @@ def evaluate_tracking(
     if missing:
         raise ValueError(f"rig is missing landmark groups: {missing}")
     vertices = kin.landmark_vertices()
-    rows = kin.coord_rows(vertices)
-    neutral = rig.mesh.positions[rows]
-    solver = kin.solver_for(vertices, settings)
+    columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
+    solver = kin.coefficient_solver_for(vertices, settings)
 
     errors = np.empty((reference.frame_count, vertices.size))
     warm = None
-    for t in range(reference.frame_count):
-        skinned = apply_skinning(rig, reference.frames[t])
-        offset = skinned.positions[rows] - neutral
-        x, _, _, _ = solver.solve(offset, x0=warm)
-        warm = x
-        achieved = solver.matrix @ x
-        diff = (achieved - offset).reshape(-1, 3)
+    for t, theta in enumerate(reference.frames):
+        warm, _, _, _ = solver.solve(theta, x0=warm)
+        diff = (solver.matrix @ warm - theta @ columns).reshape(-1, 3)
         errors[t] = np.sqrt((diff * diff).sum(axis=1))
 
     position_of = {v: i for i, v in enumerate(vertices)}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbs import MotionSequence
-from .util import frozen_array
+from .util import frozen_array, is_positive_finite
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class FilterSpec:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be at least 1")
+        if not is_positive_finite(self.sample_hz):
+            raise ValueError("sample_hz must be finite and positive")
         if not 0 < self.cutoff_hz < self.sample_hz / 2:
             raise ValueError(
                 f"cutoff must lie in (0, {self.sample_hz / 2}) Hz, "

@@ -285,3 +285,20 @@ def test_header_byte_flips_raise_only_value_error(fmt, flips, valid_files, tmp_p
     except ValueError:
         return
     assert not touched & set(counted), f"corrupt header loaded: {bytes(raw[:header])!r}"
+
+
+# Offset of the f32 rate field in each rate-carrying header.
+RATE_OFFSET = {"lbsm": 8, "phlg": 8, "dnsf": 16}
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("fmt", sorted(RATE_OFFSET))
+def test_bad_rate_field_raises(fmt, rate, valid_files, tmp_path):
+    name, _, load, _, _ = FORMATS[fmt]
+    raw = bytearray(valid_files[fmt])
+    at = RATE_OFFSET[fmt]
+    raw[at:at + 4] = struct.pack("<f", rate)
+    path = tmp_path / name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="rate"):
+        load(path)

@@ -65,6 +65,16 @@ class TestResample:
         with pytest.raises(ValueError, match="empty"):
             resample(stream_of(np.zeros((0, 3))), 25.0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_target_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="target_hz"):
+            resample(stream_of(np.zeros((4, 3))), rate)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_stream_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate_hz"):
+            stream_of(np.zeros((4, 3)), rate)
+
 
 class TestMakeWindows:
     def test_window_shape_and_span(self):

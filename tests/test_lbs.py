@@ -221,3 +221,8 @@ class TestNonFiniteRejected:
         frames[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             MotionSequence(25.0, frames)
+
+    @pytest.mark.parametrize("fps", [np.nan, np.inf, 0.0, -1.0])
+    def test_motion_sequence_fps(self, fps):
+        with pytest.raises(ValueError, match="fps"):
+            MotionSequence(fps, np.zeros((2, 2)))

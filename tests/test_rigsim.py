@@ -1,11 +1,13 @@
 """Kinematics simulator tests: forward map, online IK, tracking report."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from roboface.arkit import CANONICAL_NAMES, REGIONS, region_of
 from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, validate_rig
-from roboface.retarget import ProjectionSettings
 from roboface.rigsim import (
     ActuatorChannel,
     ActuatorState,
@@ -222,20 +224,6 @@ class TestSolveIk:
         with pytest.raises(ValueError, match="evaluation"):
             solve_ik(config, np.zeros(7), rig, eval_vertices=np.arange(12))
 
-    def test_nested_box_residual_monotone(self):
-        # Widening the solver box can only lower the best residual.
-        rig, config, weights = toy_setup()
-        kin = Kinematics(config, rig)
-        vertices = np.arange(12)
-        target = np.random.default_rng(5).uniform(-2.0, 2.0, 36)
-        tight = kin.solver_for(vertices, ProjectionSettings())
-        wide = kin.solver_for(
-            vertices, ProjectionSettings(lower=-0.5, upper=1.5)
-        )
-        _, r_tight, _, _ = tight.solve(target)
-        _, r_wide, _, _ = wide.solve(target)
-        assert r_wide <= r_tight + 1e-12
-
     def test_warm_start_same_solution(self, reference):
         rig, config = reference
         kin = Kinematics(config, rig)
@@ -280,7 +268,51 @@ def grid_search_medians(rig, config, weights, reference):
     return medians
 
 
+def landmark_space_tracking(rig, config, reference):
+    """Tracking written out over the landmark rows: skinned target rows, the
+    landmark-target solver warm-started frame to frame, per-vertex norms."""
+    from roboface.lbs import apply_skinning
+
+    kin = _kinematics(config, rig)
+    vertices = kin.landmark_vertices()
+    rows = kin.coord_rows(vertices)
+    solver = kin.solver_for(vertices, None)
+    errors = np.empty((reference.frame_count, vertices.size))
+    warm = None
+    for t in range(reference.frame_count):
+        offset = apply_skinning(rig, reference.frames[t]).positions[rows]
+        offset = offset - rig.mesh.positions[rows]
+        warm, _, _, _ = solver.solve(offset, x0=warm)
+        diff = (solver.matrix @ warm - offset).reshape(-1, 3)
+        errors[t] = np.sqrt((diff * diff).sum(axis=1))
+    position_of = {v: i for i, v in enumerate(vertices)}
+    stats = {}
+    for region in REGIONS:
+        cols = [position_of[v] for v in rig.landmark_groups[region]]
+        stats[region] = np.quantile(errors[:, cols].ravel(), [0.25, 0.5, 0.75])
+    return stats
+
+
 class TestEvaluateTracking:
+    def test_matches_landmark_space_tracking(self, reference, monkeypatch):
+        from roboface import rigsim
+        from roboface.synthdata import make_motion
+
+        def no_full_mesh_skin(*args, **kwargs):
+            raise AssertionError("tracking skinned the full mesh")
+
+        monkeypatch.setattr(rigsim, "apply_skinning", no_full_mesh_skin)
+        rig, config = reference
+        motion = make_motion(250, rig.blendshape_count, 25.0, np.random.default_rng(0))
+        report = evaluate_tracking(config, motion, rig)
+        oracle = landmark_space_tracking(rig, config, motion)
+        for region in REGIONS:
+            q1, med, q3 = oracle[region]
+            assert report[region]["q1_mm"] == pytest.approx(q1, rel=0, abs=1e-9)
+            assert report[region]["median_mm"] == pytest.approx(med, rel=0, abs=1e-9)
+            assert report[region]["q3_mm"] == pytest.approx(q3, rel=0, abs=1e-9)
+            assert report[region]["frames"] == 250
+
     def test_zero_reference_gives_zero_medians(self, reference):
         rig, config = reference
         motion = MotionSequence(fps=25.0, frames=np.zeros((3, 51)))
@@ -343,6 +375,20 @@ class TestEvaluateTracking:
             assert lines[0] == "bin_lo_mm,bin_hi_mm,count"
             counts = sum(int(line.split(",")[2]) for line in lines[1:])
             assert counts == 2 * 2  # frames x vertices per region
+
+
+class TestKinematicsCache:
+    def test_discarded_build_freed_without_collector(self):
+        # No reference cycle: dropping the config and rig frees the cached
+        # Kinematics by reference counting alone.
+        rig, config, _ = toy_setup()
+        kin = weakref.ref(_kinematics(config, rig))
+        gc.disable()
+        try:
+            del rig, config
+            assert kin() is None
+        finally:
+            gc.enable()
 
 
 class TestReferenceRig:

@@ -72,6 +72,11 @@ class TestDesign:
         with pytest.raises(ValueError, match="order"):
             FilterSpec(order=0, cutoff_hz=7.0, sample_hz=25.0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_sample_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="sample_hz"):
+            FilterSpec(order=5, cutoff_hz=7.0, sample_hz=rate)
+
     def test_even_order_design_is_clean(self):
         cascade = design(FilterSpec(order=4, cutoff_hz=5.0, sample_hz=25.0))
         assert cascade.sections.shape == (2, 5)
