@@ -1,12 +1,14 @@
 """Trainable speech-to-coefficient model and its from-scratch training loop.
 
-The model maps one temporal window of phoneme logits (K frames, 392
-classes) to blendshape coefficients: a stack of log2(K) stride-2 residual
-conv blocks fuses the window down to a single H-vector, a per-style
-embedding row is added to it, and a two-layer head squashes through a
-Sigmoid into theta in (0,1)^B. Targets are vertex positions decoded by a
-frozen linear skinning layer, so the loss is a plain (optionally
-mouth-weighted) squared vertex error.
+The model maps temporal windows of phoneme logits, batch-first (n, K
+frames, 392 classes), to blendshape coefficients (n, B): a stack of log2(K)
+stride-2 residual conv blocks, each layer one GEMM over the batch, fuses a
+window down to a single H-vector, a per-style embedding row is added to
+it, and a two-layer head squashes through a Sigmoid into theta in (0,1)^B.
+Targets are vertex positions decoded by a frozen linear skinning layer,
+one (n, B) @ (B, 3·V) product per batch, so the loss is a plain
+(optionally mouth-weighted) squared vertex error. ``forward`` runs a
+batch of one window.
 
 Everything runs in float64 numpy with hand-written reverse-mode gradients
 so analytic derivatives can be held to finite-difference oracles.
@@ -15,7 +17,7 @@ so analytic derivatives can be held to finite-difference oracles.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,19 +81,12 @@ class ModelParams:
 def named_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """(name, array) pairs in the fixed declaration order used everywhere:
     checkpoints, gradients, and optimizer state all follow this layout."""
-    out = []
-    for i, blk in enumerate(params.blocks):
-        out.append((f"block{i}.conv1_weight", blk.conv1_weight))
-        out.append((f"block{i}.conv1_bias", blk.conv1_bias))
-        out.append((f"block{i}.conv2_weight", blk.conv2_weight))
-        out.append((f"block{i}.conv2_bias", blk.conv2_bias))
-        out.append((f"block{i}.shortcut_weight", blk.shortcut_weight))
-    out.append(("style_table", params.style_table))
-    out.append(("head1_weight", params.head1_weight))
-    out.append(("head1_bias", params.head1_bias))
-    out.append(("head2_weight", params.head2_weight))
-    out.append(("head2_bias", params.head2_bias))
-    return out
+    out = [
+        (f"block{i}.{f.name}", getattr(blk, f.name))
+        for i, blk in enumerate(params.blocks)
+        for f in fields(BlockParams)
+    ]
+    return out + [(f.name, getattr(params, f.name)) for f in fields(ModelParams)[1:]]
 
 
 def init_params(
@@ -140,55 +135,60 @@ def init_params(
 
 
 def _conv1d(x, weight, bias, stride, pad):
-    """x (C_in, T) -> (y, cols); cols kept for the backward pass."""
-    c_in, t = x.shape
+    """x (C_in, n, T) -> (y (C_out, n, T_out), cols (C_in·k, n·T_out)); one
+    GEMM for the whole batch, cols kept for the backward pass."""
+    c_in, n, t = x.shape
     c_out, _, k = weight.shape
     if pad:
-        xp = np.zeros((c_in, t + 2 * pad), dtype=x.dtype)
-        xp[:, pad : pad + t] = x
+        xp = np.zeros((c_in, n, t + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + t] = x
     else:
         xp = x
-    t_out = (xp.shape[1] - k) // stride + 1
-    gather = stride * np.arange(t_out)[:, None] + np.arange(k)[None, :]
-    cols = xp[:, gather].transpose(0, 2, 1).reshape(c_in * k, t_out)
+    t_out = (xp.shape[2] - k) // stride + 1
+    span = stride * (t_out - 1) + 1
+    cols = np.empty((c_in, k, n, t_out), dtype=x.dtype)
+    for j in range(k):
+        cols[:, j] = xp[:, :, j : j + span : stride]
+    cols = cols.reshape(c_in * k, n * t_out)
     y = weight.reshape(c_out, c_in * k) @ cols
     if bias is not None:
         y = y + bias[:, None]
-    return y, cols
+    return y.reshape(c_out, n, t_out), cols
 
 
 def _conv1d_backward(dy, cols, weight, in_shape, stride, pad):
-    """Gradients of _conv1d: returns (dweight, dbias, dx)."""
+    """Gradients of _conv1d summed over the batch: (dweight, dbias, dx)."""
     c_out, c_in, k = weight.shape
-    t = in_shape[1]
-    t_out = dy.shape[1]
+    _, n, t = in_shape
+    t_out = dy.shape[2]
+    dy = dy.reshape(c_out, n * t_out)
     dweight = (dy @ cols.T).reshape(c_out, c_in, k)
     dbias = dy.sum(axis=1)
-    dcols = weight.reshape(c_out, c_in * k).T @ dy
-    dxp = np.zeros((c_in, t + 2 * pad), dtype=dy.dtype)
-    gather = stride * np.arange(t_out)[:, None] + np.arange(k)[None, :]
-    np.add.at(dxp, (slice(None), gather), dcols.reshape(c_in, k, t_out).transpose(0, 2, 1))
-    return dweight, dbias, dxp[:, pad : pad + t] if pad else dxp
+    dcols = (weight.reshape(c_out, c_in * k).T @ dy).reshape(c_in, k, n, t_out)
+    dxp = np.zeros((c_in, n, t + 2 * pad), dtype=dy.dtype)
+    span = stride * (t_out - 1) + 1
+    for j in range(k):
+        dxp[:, :, j : j + span : stride] += dcols[:, j]
+    return dweight, dbias, dxp[:, :, pad : pad + t] if pad else dxp
 
 
-def _check_window(params: ModelParams, window) -> np.ndarray:
-    w = np.asarray(window, dtype=np.float64)
-    if w.shape != (params.window_size, params.class_count):
+def _run_forward(params: ModelParams, windows, style_ids, masks):
+    """Batched forward pass: windows (n, K, classes), style_ids (n,) and
+    masks (n, 2H) or None -> (theta (n, B), tape for reverse mode). Inside,
+    features lead: the conv stack runs on (C, n, T), the head on (H, n)."""
+    w = np.asarray(windows, dtype=np.float64)
+    if w.shape[1:] != (params.window_size, params.class_count):
         raise ValueError(
-            f"window has shape {w.shape}, model expects "
+            f"window has shape {w.shape[1:]}, model expects "
             f"({params.window_size}, {params.class_count})"
         )
-    return w
-
-
-def _run_forward(params: ModelParams, window, style_id: int, dropout_mask):
-    """Full forward pass; returns (theta, tape) for reverse mode."""
-    w = _check_window(params, window)
-    if not 0 <= style_id < params.style_count:
+    if min(style_ids) < 0 or max(style_ids) >= params.style_count:
         raise ValueError(
-            f"style_id {style_id} out of range for {params.style_count} styles"
+            f"style_id {min(style_ids)}..{max(style_ids)} out of range "
+            f"for {params.style_count} styles"
         )
-    x = np.ascontiguousarray(w.T)
+    style_ids = np.asarray(style_ids, dtype=np.int64)
+    x = np.ascontiguousarray(w.transpose(2, 0, 1))
     taped_blocks = []
     for blk in params.blocks:
         y1, cols1 = _conv1d(x, blk.conv1_weight, blk.conv1_bias, stride=2, pad=1)
@@ -197,37 +197,37 @@ def _run_forward(params: ModelParams, window, style_id: int, dropout_mask):
         shortcut, cols_s = _conv1d(x, blk.shortcut_weight, None, stride=2, pad=0)
         taped_blocks.append((x, cols1, y1, a1, cols2, cols_s))
         x = y2 + shortcut
-    h = x[:, 0]
-    fused = h + params.style_table[style_id]
-    z1 = params.head1_weight @ fused + params.head1_bias
+    fused = x[:, :, 0] + params.style_table[style_ids].T
+    z1 = params.head1_weight @ fused + params.head1_bias[:, None]
     a = np.maximum(z1, 0.0)
-    dropped = a if dropout_mask is None else a * dropout_mask
-    z2 = params.head2_weight @ dropped + params.head2_bias
+    dropped = a if masks is None else a * masks.T
+    z2 = params.head2_weight @ dropped + params.head2_bias[:, None]
     theta = 1.0 / (1.0 + np.exp(-z2))
-    tape = (taped_blocks, fused, z1, dropped, theta, style_id, dropout_mask)
-    return theta, tape
+    tape = (taped_blocks, fused, z1, dropped, theta, style_ids, masks)
+    return theta.T, tape
 
 
 def _run_backward(params: ModelParams, tape, dtheta) -> dict[str, np.ndarray]:
-    taped_blocks, fused, z1, dropped, theta, style_id, dropout_mask = tape
+    """Gradients summed over the batch for dtheta (n, B)."""
+    taped_blocks, fused, z1, dropped, theta, style_ids, masks = tape
     grads: dict[str, np.ndarray] = {}
 
-    dz2 = dtheta * theta * (1.0 - theta)
-    grads["head2_weight"] = np.outer(dz2, dropped)
-    grads["head2_bias"] = dz2
+    dz2 = dtheta.T * theta * (1.0 - theta)
+    grads["head2_weight"] = dz2 @ dropped.T
+    grads["head2_bias"] = dz2.sum(axis=1)
     da = params.head2_weight.T @ dz2
-    if dropout_mask is not None:
-        da = da * dropout_mask
+    if masks is not None:
+        da = da * masks.T
     dz1 = da * (z1 > 0.0)
-    grads["head1_weight"] = np.outer(dz1, fused)
-    grads["head1_bias"] = dz1
+    grads["head1_weight"] = dz1 @ fused.T
+    grads["head1_bias"] = dz1.sum(axis=1)
     dh = params.head1_weight.T @ dz1
 
     dstyle = np.zeros_like(params.style_table)
-    dstyle[style_id] = dh
+    np.add.at(dstyle, style_ids, dh.T)
     grads["style_table"] = dstyle
 
-    dx = dh[:, None]
+    dx = dh[:, :, None]
     for i in range(len(params.blocks) - 1, -1, -1):
         blk = params.blocks[i]
         x, cols1, y1, a1, cols2, cols_s = taped_blocks[i]
@@ -244,10 +244,11 @@ def _run_backward(params: ModelParams, tape, dtheta) -> dict[str, np.ndarray]:
     return grads
 
 
-def _dropout_mask(params: ModelParams, rate: float, rng) -> np.ndarray | None:
+def _dropout_masks(params: ModelParams, rate: float, rng, n: int) -> np.ndarray | None:
+    """One inverted-dropout mask per sample, (n, 2H), drawn in batch order."""
     if rate <= 0.0:
         return None
-    keep = rng.random(2 * params.hidden_size) >= rate
+    keep = rng.random((n, 2 * params.hidden_size)) >= rate
     return keep / (1.0 - rate)
 
 
@@ -257,8 +258,8 @@ def forward(params: ModelParams, window, style_id: int) -> BlendCoefficients:
     Dropout exists only in training (``train``, ``training_loss``,
     ``backward``), which draws its own masks.
     """
-    theta, _ = _run_forward(params, window, style_id, None)
-    return BlendCoefficients(theta)
+    theta, _ = _run_forward(params, np.asarray(window)[None], [style_id], None)
+    return BlendCoefficients(theta[0])
 
 
 def human_decode(rig: LbsRig, theta) -> np.ndarray:
@@ -276,30 +277,26 @@ def human_decode(rig: LbsRig, theta) -> np.ndarray:
     return vals @ rig.basis.matrix + rig.mesh.positions
 
 
+def _coordinate_weights(mouth_mask, mouth_weight: float, size: int) -> np.ndarray:
+    """Loss weight of each of the (3·V,) coordinates: 1, or 1 + mouth_weight
+    on the mouth vertices."""
+    mask = np.asarray(mouth_mask, dtype=np.int64)
+    if mask.size and (mask.min() < 0 or mask.max() >= size // 3):
+        raise ValueError("mouth mask indexes vertices outside the prediction")
+    weight = np.ones(size)
+    weight[(3 * mask[:, None] + np.arange(3)[None, :]).ravel()] += mouth_weight
+    return weight
+
+
 def loss(pred_vertices, target_vertices, mouth_mask, mouth_weight: float) -> float:
     """Squared vertex error plus the weighted mouth term."""
     pred = np.asarray(pred_vertices, dtype=np.float64)
     target = np.asarray(target_vertices, dtype=np.float64)
     if pred.shape != target.shape:
-        raise ValueError(
-            f"prediction has shape {pred.shape}, target {target.shape}"
-        )
-    mask = np.asarray(mouth_mask, dtype=np.int64)
-    if mask.size and (mask.min() < 0 or mask.max() >= pred.size // 3):
-        raise ValueError("mouth mask indexes vertices outside the prediction")
+        raise ValueError(f"prediction has shape {pred.shape}, target {target.shape}")
     diff = pred - target
-    total = diff @ diff
-    rows = (3 * mask[:, None] + np.arange(3)[None, :]).ravel()
-    mouth_diff = diff[rows]
-    return float(total + mouth_weight * (mouth_diff @ mouth_diff))
-
-
-def _loss_gradient(pred, target, mouth_mask, mouth_weight):
-    diff = pred - target
-    grad = 2.0 * diff
-    rows = (3 * np.asarray(mouth_mask, dtype=np.int64)[:, None] + np.arange(3)).ravel()
-    grad[rows] += 2.0 * mouth_weight * diff[rows]
-    return grad
+    weight = _coordinate_weights(mouth_mask, mouth_weight, diff.size)
+    return float(diff @ (diff * weight))
 
 
 @dataclass(frozen=True)
@@ -311,12 +308,42 @@ class TrainingSample:
     target_vertices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "window", np.asarray(self.window, dtype=np.float64))
-        object.__setattr__(
-            self, "target_vertices", np.asarray(self.target_vertices, dtype=np.float64)
-        )
+        window = np.asarray(self.window, dtype=np.float64)
+        target = np.asarray(self.target_vertices, dtype=np.float64)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "target_vertices", target)
         if self.style_id < 0:
             raise ValueError("style_id must be nonnegative")
+        if window.ndim != 2 or target.ndim != 1:
+            raise ValueError("window must be 2-D and target_vertices 1-D")
+        if not (np.isfinite(window).all() and np.isfinite(target).all()):
+            raise ValueError("training sample holds NaN or inf")
+
+
+def _batch_losses(params, rig, samples, mouth_weight, masks):
+    """Decode a batch and score it: returns (losses (n,), dpred (n, 3·V),
+    tape). The decode is one GEMM, ``theta @ E + p0``."""
+    windows = np.stack([s.window for s in samples])
+    targets = np.stack([s.target_vertices for s in samples])
+    theta, tape = _run_forward(params, windows, [s.style_id for s in samples], masks)
+    diff = theta @ rig.basis.matrix  # then in place: new (n, 3·V) arrays page-fault
+    if targets.shape != diff.shape:
+        raise ValueError(f"prediction has shape {diff.shape}, target {targets.shape}")
+    diff += rig.mesh.positions
+    diff -= targets
+    weighted = diff * _coordinate_weights(rig.mouth_mask, mouth_weight, diff.shape[1])
+    losses = np.einsum("ij,ij->i", diff, weighted)
+    weighted *= 2.0
+    return losses, weighted, tape
+
+
+def _batch_gradients(params, rig, samples, mouth_weight, masks):
+    """Gradients summed over the batch, and one loss per sample.
+
+    The frozen decoder contributes only its transpose: dtheta = dpred @ Eᵀ.
+    """
+    losses, dpred, tape = _batch_losses(params, rig, samples, mouth_weight, masks)
+    return _run_backward(params, tape, dpred @ rig.basis.matrix.T), losses
 
 
 def training_loss(
@@ -329,11 +356,9 @@ def training_loss(
 ) -> float:
     """Loss of one sample; with dropout, the mask is derived from ``seed``
     so the value pairs deterministically with ``backward``."""
-    mask = _dropout_mask(params, dropout_rate, np.random.default_rng(seed))
-    theta, _ = _run_forward(params, sample.window, sample.style_id, mask)
-    return loss(
-        human_decode(rig, theta), sample.target_vertices, rig.mouth_mask, mouth_weight
-    )
+    masks = _dropout_masks(params, dropout_rate, np.random.default_rng(seed), 1)
+    losses, _, _ = _batch_losses(params, rig, [sample], mouth_weight, masks)
+    return float(losses[0])
 
 
 def backward(
@@ -349,18 +374,9 @@ def backward(
     The frozen decoder contributes only its transpose to the chain; no
     gradient entry exists for it.
     """
-    mask = _dropout_mask(params, dropout_rate, np.random.default_rng(seed))
-    grads, _ = _sample_gradients(params, rig, sample, mouth_weight, mask)
+    masks = _dropout_masks(params, dropout_rate, np.random.default_rng(seed), 1)
+    grads, _ = _batch_gradients(params, rig, [sample], mouth_weight, masks)
     return grads
-
-
-def _sample_gradients(params, rig, sample, mouth_weight, dropout_mask):
-    theta, tape = _run_forward(params, sample.window, sample.style_id, dropout_mask)
-    pred = human_decode(rig, theta)
-    value = loss(pred, sample.target_vertices, rig.mouth_mask, mouth_weight)
-    dpred = _loss_gradient(pred, sample.target_vertices, rig.mouth_mask, mouth_weight)
-    dtheta = rig.basis.matrix @ dpred
-    return _run_backward(params, tape, dtheta), value
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +462,11 @@ def train(
 ) -> tuple[ModelParams, TrainHistory]:
     """AdamW over shuffled mini-batches; mutates and returns ``params``.
 
-    Per-sample gradients reduce in batch order, so a fixed seed reproduces
-    the loss history bitwise.
+    Each mini-batch is one forward/backward pass on (n, K, classes)
+    windows, decoded by one (n, B) @ (B, 3·V) product. Per epoch the seed's
+    stream draws the permutation, then one dropout mask per sample in batch
+    order, so a fixed seed reproduces the loss history bitwise for a fixed
+    BLAS thread count.
     """
     dataset = list(dataset)
     if not dataset:
@@ -461,32 +480,23 @@ def train(
         order = rng.permutation(len(dataset))
         epoch_loss = 0.0
         for start in range(0, len(dataset), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            total: dict[str, np.ndarray] | None = None
-            for i in batch:
-                mask = _dropout_mask(params, config.dropout_rate, rng)
-                grads, value = _sample_gradients(
-                    params, rig, dataset[i], config.mouth_weight, mask
-                )
-                epoch_loss += value
-                if total is None:
-                    total = grads
-                else:
-                    for name in total:
-                        total[name] += grads[name]
-            for name in total:
-                total[name] /= batch.size
-            _adam_step(params, total, state, config)
-        train_hist[epoch] = epoch_loss / len(dataset)
-        if validation:
-            val_hist[epoch] = float(
-                np.mean(
-                    [
-                        training_loss(params, rig, s, config.mouth_weight)
-                        for s in validation
-                    ]
-                )
+            batch = [dataset[i] for i in order[start : start + config.batch_size]]
+            masks = _dropout_masks(params, config.dropout_rate, rng, len(batch))
+            grads, losses = _batch_gradients(
+                params, rig, batch, config.mouth_weight, masks
             )
+            epoch_loss += losses.sum()
+            for g in grads.values():
+                g /= len(batch)
+            _adam_step(params, grads, state, config)
+        train_hist[epoch] = epoch_loss / len(dataset)
+        if validation:  # dropout-free, scored in chunks of batch_size
+            val_loss = 0.0
+            for start in range(0, len(validation), config.batch_size):
+                chunk = validation[start : start + config.batch_size]
+                scored = _batch_losses(params, rig, chunk, config.mouth_weight, None)
+                val_loss += scored[0].sum()
+            val_hist[epoch] = val_loss / len(validation)
     return params, TrainHistory(train_hist, val_hist)
 
 
@@ -515,29 +525,17 @@ def save_model(path, params: ModelParams, adam_state: AdamState | None = None) -
     if adam_state is not None:
         parts.append(b"ADAM")
         parts.append(struct.pack("<I", adam_state.step))
-        for name, _ in named_arrays(params):
-            parts.append(np.ascontiguousarray(adam_state.first[name], dtype="<f8").tobytes())
-        for name, _ in named_arrays(params):
-            parts.append(np.ascontiguousarray(adam_state.second[name], dtype="<f8").tobytes())
+        for moments in (adam_state.first, adam_state.second):
+            for name, _ in named_arrays(params):
+                parts.append(np.ascontiguousarray(moments[name], dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
 def load_model(path) -> tuple[ModelParams, AdamState | None]:
     r = _Reader(Path(path).read_bytes(), "model file")
     _check_header(r, b"MNET")
-    window_size = r.u32()
-    hidden = r.u32()
-    styles = r.u32()
-    outputs = r.u32()
-    classes = r.u32()
-    params = init_params(
-        seed=0,
-        window_size=window_size,
-        hidden_size=hidden,
-        style_count=styles,
-        output_size=outputs,
-        class_count=classes,
-    )
+    # Window, hidden, style, output and class counts: init_params' order.
+    params = init_params(0, *(r.u32() for _ in range(5)))
     for _, array in named_arrays(params):
         array[...] = r.f64_array(array.size).reshape(array.shape)
     state = None
@@ -545,10 +543,9 @@ def load_model(path) -> tuple[ModelParams, AdamState | None]:
         r.take(4)
         state = AdamState.zeros_like(params)
         state.step = r.u32()
-        for name, array in named_arrays(params):
-            state.first[name][...] = r.f64_array(array.size).reshape(array.shape)
-        for name, array in named_arrays(params):
-            state.second[name][...] = r.f64_array(array.size).reshape(array.shape)
+        for moments in (state.first, state.second):
+            for name, array in named_arrays(params):
+                moments[name][...] = r.f64_array(array.size).reshape(array.shape)
     return params, state
 
 

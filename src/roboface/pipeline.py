@@ -12,6 +12,7 @@ a wrapping frame counter, and a two's-complement checksum.
 
 from __future__ import annotations
 
+import copy
 import struct
 import time
 from dataclasses import dataclass
@@ -20,13 +21,13 @@ import numpy as np
 
 from .frontend import StreamingWindower, window_at
 from .lbs import LbsRig, MotionSequence
-from .motionnet import ModelParams, forward
+from .motionnet import AdamState, ModelParams, TrainConfig, forward, train
 # transfer_coefficients stays importable from here: perfbench/tracing.py
 # wraps pipeline.transfer_coefficients to count per-tick transfer calls.
 from .retarget import transfer_coefficients, transfer_order  # noqa: F401
 from .rigsim import RigConfig, _kinematics
 from .smoothing import FilterSpec, StreamingFilter, design, group_delay_frames
-from .synthdata import make_logits, make_motion
+from .synthdata import build_samples, make_logits, make_motion
 
 SYNC_BYTE = 0xFA
 
@@ -322,17 +323,20 @@ def bench(
     n_frames: int = 500,
     seed: int = 0,
 ) -> dict:
-    """Deterministic throughput measurement for the model alone and the
-    full tick; latencies in milliseconds, rates in frames per second.
+    """Deterministic throughput measurement for the model alone, the full
+    tick and training; latencies in milliseconds, rates per second.
 
     Input is speech-like: seeded smooth ``make_motion`` tracks mapped to
     logits by ``make_logits``, so IK warm starts behave as on real streams.
+    Training runs one epoch of 16-sample ``train`` steps over the clip's
+    first 128 samples, on a copy of ``params`` that is then dropped.
     """
     config = config or PipelineConfig()
     motion = make_motion(
         n_frames, params.output_size, config.tick_hz, np.random.default_rng(seed)
     )
-    frames = make_logits(motion, params.class_count, seed).frames
+    logits = make_logits(motion, params.class_count, seed)
+    frames = logits.frames
 
     windows = [window_at(frames, t, params.window_size) for t in range(n_frames)]
     model_ms = np.empty(n_frames)
@@ -346,6 +350,19 @@ def bench(
     run_seconds = time.perf_counter() - run_started
     report = result.report
 
+    samples = build_samples(
+        robot_rig, motion, logits, config.style_id, params.window_size
+    )[:128]
+    scratch = copy.deepcopy(params)
+    state = AdamState.zeros_like(scratch)
+    train_config = TrainConfig(epochs=1, batch_size=16, seed=seed)
+    step_ms = []
+    for start in range(0, len(samples), 16):
+        batch = samples[start : start + 16]
+        started = time.perf_counter()
+        train(scratch, robot_rig, batch, train_config, adam_state=state)
+        step_ms.append(1000.0 * (time.perf_counter() - started))
+
     return {
         "frames": n_frames,
         "budget_ms": config.frame_budget_ms,
@@ -358,6 +375,10 @@ def bench(
             "fps": n_frames / run_seconds,
             "p50_ms": report.tick_p50_ms,
             "p99_ms": report.tick_p99_ms,
+        },
+        "train": {
+            "samples_per_s": len(samples) / (sum(step_ms) / 1000.0),
+            "step_p50_ms": float(np.percentile(step_ms, 50)),
         },
         "over_budget": report.over_budget,
     }

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from roboface import motionnet
 from roboface.arkit import BLINK_NAMES, canonical_index
 from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning
 from roboface.motionnet import (
     AdamState,
     TrainConfig,
+    _adam_step,
+    _run_forward,
     TrainingSample,
     backward,
     forward,
@@ -422,3 +425,157 @@ class TestBlinks:
     def test_negative_rate_errors(self):
         with pytest.raises(ValueError, match="rate"):
             synth_augment_blinks(self.base_sequence(), -1.0, seed=0)
+
+
+class TestTrainingSampleChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_rejected(self, bad):
+        window = np.zeros((4, 6))
+        window[2, 3] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            TrainingSample(window=window, style_id=0, target_vertices=np.zeros(15))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        target = np.zeros(15)
+        target[7] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            TrainingSample(window=np.zeros((4, 6)), style_id=0, target_vertices=target)
+
+    @pytest.mark.parametrize("shape", [(24,), (1, 4, 6)])
+    def test_window_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            TrainingSample(window=np.zeros(shape), style_id=0, target_vertices=np.zeros(15))
+
+    @pytest.mark.parametrize("shape", [(), (5, 3)])
+    def test_target_must_be_1d(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            TrainingSample(window=np.zeros((4, 6)), style_id=0, target_vertices=np.zeros(shape))
+
+
+def small_rig(seed=0, vertices=12):
+    """A B=51 rig on a 12-vertex mesh, for full-width (K=8, H=64) models."""
+    rng = np.random.default_rng(seed)
+    fields = tuple(rng.uniform(-0.2, 0.2, 3 * vertices) for _ in range(51))
+    return LbsRig(
+        mesh=FaceMesh(rng.uniform(-1.0, 1.0, 3 * vertices)),
+        basis=BlendshapeBasis(tuple(f"s{b}" for b in range(51)), fields),
+        mouth_mask=np.array([2, 5, 9]),
+    )
+
+
+def full_width_params(seed=4):
+    params = init_params(seed, window_size=8, hidden_size=64, style_count=3, output_size=51)
+    params.style_table[...] = np.random.default_rng(seed).uniform(
+        -0.3, 0.3, params.style_table.shape
+    )
+    return params
+
+
+def full_width_samples(rig, count, seed=5):
+    rng = np.random.default_rng(seed)
+    return [
+        TrainingSample(
+            window=rng.normal(0.0, 1.0, (8, 392)),
+            style_id=i % 3,
+            target_vertices=human_decode(rig, rng.uniform(0.1, 0.9, 51))
+            + rng.normal(0.0, 0.01, rig.mesh.positions.size),
+        )
+        for i in range(count)
+    ]
+
+
+def per_sample_epoch(params, rig, dataset, config, monkeypatch):
+    """One epoch written per sample: the seed's stream draws the permutation,
+    then one mask per sample in batch order; ``backward`` runs on each sample
+    with that mask, the gradients are summed and divided, then one AdamW step.
+    Returns the per-sample losses in visiting order."""
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(dataset))
+    state = AdamState.zeros_like(params)
+    rate = config.dropout_rate
+    losses = []
+    for start in range(0, len(dataset), config.batch_size):
+        batch = order[start : start + config.batch_size]
+        total = {name: np.zeros_like(array) for name, array in named_arrays(params)}
+        for i in batch:
+            mask = (rng.random(2 * params.hidden_size) >= rate) / (1.0 - rate)
+            monkeypatch.setattr(motionnet, "_dropout_masks", lambda *_: mask[None])
+            sample = dataset[i]
+            grads = backward(params, rig, sample, config.mouth_weight, rate)
+            losses.append(training_loss(params, rig, sample, config.mouth_weight, rate))
+            for name in total:
+                total[name] += grads[name]
+        monkeypatch.undo()
+        for name in total:
+            total[name] /= batch.size
+        _adam_step(params, total, state, config)
+    return np.array(losses)
+
+
+def max_relative_gap(a: dict, b: dict) -> float:
+    return max(np.abs(a[n] - b[n]).max() / max(np.abs(b[n]).max(), 1e-300) for n in b)
+
+
+class TestBatchedTraining:
+    def check_epoch_matches_per_sample_loop(self, count, batch_size, monkeypatch):
+        # Default learning rate: AdamW divides by sqrt(v) + 1e-8, so the
+        # rounding of a near-zero gradient entry reaches its parameter
+        # scaled by up to learning_rate / 1e-8.
+        rig = small_rig()
+        dataset = full_width_samples(rig, count)
+        config = TrainConfig(epochs=1, batch_size=batch_size, dropout_rate=0.3, seed=11)
+        batched = full_width_params()
+        _, history = train(batched, rig, dataset, config)
+        looped = full_width_params()
+        losses = per_sample_epoch(looped, rig, dataset, config, monkeypatch)
+        assert max_relative_gap(dict(named_arrays(batched)), dict(named_arrays(looped))) < 1e-12
+        assert history.train_loss[0] == pytest.approx(losses.mean(), rel=1e-12)
+        moved = full_width_params()
+        assert max_relative_gap(dict(named_arrays(batched)), dict(named_arrays(moved))) > 1e-6
+
+    def test_whole_dataset_batch_matches_per_sample_loop(self, monkeypatch):
+        self.check_epoch_matches_per_sample_loop(6, 6, monkeypatch)
+
+    def test_ragged_last_batch_matches_per_sample_loop(self, monkeypatch):
+        self.check_epoch_matches_per_sample_loop(7, 3, monkeypatch)
+
+    def test_batch_gradients_equal_summed_backward(self):
+        rig = small_rig()
+        params = full_width_params()
+        dataset = full_width_samples(rig, 5)
+        summed = {name: np.zeros_like(array) for name, array in named_arrays(params)}
+        for sample in dataset:
+            for name, g in backward(params, rig, sample, 2.0).items():
+                summed[name] += g
+        batched, losses = motionnet._batch_gradients(params, rig, dataset, 2.0, None)
+        assert max_relative_gap(batched, summed) < 1e-12
+        expected = [training_loss(params, rig, s, 2.0) for s in dataset]
+        np.testing.assert_allclose(losses, expected, rtol=1e-12, atol=0.0)
+
+    def test_out_of_range_style_in_batch_raises_value_error(self):
+        rig = small_rig()
+        dataset = full_width_samples(rig, 4)
+        bad = dataset[2]
+        dataset[2] = TrainingSample(bad.window, 3, bad.target_vertices)
+        with pytest.raises(ValueError, match="style_id"):
+            train(full_width_params(), rig, dataset, TrainConfig(epochs=1, batch_size=4))
+
+    def test_validation_loss_is_mean_of_sample_losses(self):
+        rig = small_rig()
+        samples = full_width_samples(rig, 9)
+        config = TrainConfig(epochs=1, batch_size=2, seed=3)
+        params, history = train(full_width_params(), rig, samples[:4], config,
+                                validation=samples[4:])
+        expected = np.mean([training_loss(params, rig, s, config.mouth_weight)
+                            for s in samples[4:]])
+        assert history.val_loss[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_batched_forward_matches_single_windows(self):
+        params = full_width_params()
+        rng = np.random.default_rng(8)
+        windows = rng.normal(0.0, 1.0, (20, 8, 392))
+        styles = rng.integers(0, 3, 20)
+        theta, _ = _run_forward(params, windows, styles, None)
+        single = np.stack([forward(params, w, int(s)).values for w, s in zip(windows, styles)])
+        np.testing.assert_allclose(theta, single, rtol=1e-12, atol=0.0)

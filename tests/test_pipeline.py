@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roboface.lbs import BlendCoefficients, BlendshapeBasis, LbsRig
-from roboface.motionnet import init_params
+from roboface.motionnet import init_params, named_arrays
 from roboface.pipeline import (
     FileSink,
     LoopbackSink,
@@ -422,3 +422,11 @@ class TestBench:
             assert report[stage]["fps"] > 0
             assert report[stage]["p99_ms"] >= report[stage]["p50_ms"]
         assert isinstance(report["over_budget"], int)
+
+    def test_train_section_leaves_params_unchanged(self, reference, params):
+        rig, config_r = reference
+        before = [a.tobytes() for _, a in named_arrays(params)]
+        report = bench(params, rig, config_r, n_frames=40, seed=0)
+        assert report["train"]["samples_per_s"] > 0
+        assert report["train"]["step_p50_ms"] > 0
+        assert [a.tobytes() for _, a in named_arrays(params)] == before
