@@ -410,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff-hz", type=float, default=7.0, dest="cutoff_hz")
     p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser("bench", help="model, full-tick and training throughput")
+    p = sub.add_parser(
+        "bench", help="model, tick, IK, synth, tracking and training throughput"
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--rig", required=True)
     p.add_argument("--rig-config", required=True)

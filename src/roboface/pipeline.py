@@ -14,18 +14,21 @@ from __future__ import annotations
 
 import copy
 import struct
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .formats import save_motion
 from .frontend import StreamingWindower, window_at
 from .lbs import LbsRig, MotionSequence
 from .motionnet import AdamState, ModelParams, TrainConfig, forward, train
 # transfer_coefficients stays importable from here: perfbench/tracing.py
 # wraps pipeline.transfer_coefficients to count per-tick transfer calls.
 from .retarget import transfer_coefficients, transfer_order  # noqa: F401
-from .rigsim import RigConfig, _kinematics
+from .rigsim import RigConfig, _kinematics, evaluate_tracking
 from .smoothing import FilterSpec, StreamingFilter, design, group_delay_frames
 from .synthdata import build_samples, make_logits, make_motion
 
@@ -153,6 +156,8 @@ class PipelineReport:
     frames: int
     over_budget: int
     unconverged_ticks: int
+    ik_iterations_p50: float
+    ik_iterations_max: int
     tick_p50_ms: float
     tick_p99_ms: float
     tick_max_ms: float
@@ -168,6 +173,8 @@ class PipelineReport:
             "frames": self.frames,
             "over_budget": self.over_budget,
             "unconverged_ticks": self.unconverged_ticks,
+            "ik_iterations_p50": self.ik_iterations_p50,
+            "ik_iterations_max": self.ik_iterations_max,
             "tick_p50_ms": self.tick_p50_ms,
             "tick_p99_ms": self.tick_p99_ms,
             "tick_max_ms": self.tick_max_ms,
@@ -221,13 +228,17 @@ class _Ticker:
         self.counter = 0
         self.unconverged_streak = 0
         self.unconverged_total = 0
+        self.ik_iterations: list[int] = []
 
     def tick(self, window) -> tuple[ServoFrame, np.ndarray]:
         theta = forward(self.params, window, self.config.style_id)
         smoothed = self.filter.step(theta.values)
         robot_theta = smoothed[self.transfer_order]
-        x, residual, converged, _ = self.solver.solve(robot_theta, x0=self.warm)
+        x, residual, converged, iterations = self.solver.solve(
+            robot_theta, x0=self.warm
+        )
         self.warm = x
+        self.ik_iterations.append(iterations)
         if converged:
             self.unconverged_streak = 0
         else:
@@ -305,6 +316,8 @@ def run_pipeline(
         frames=len(servo_frames),
         over_budget=int((times > config.frame_budget_ms).sum()),
         unconverged_ticks=ticker.unconverged_total,
+        ik_iterations_p50=float(np.median(ticker.ik_iterations)),
+        ik_iterations_max=max(ticker.ik_iterations),
         tick_p50_ms=float(np.percentile(times, 50)),
         tick_p99_ms=float(np.percentile(times, 99)),
         tick_max_ms=float(times.max()),
@@ -324,12 +337,16 @@ def bench(
     seed: int = 0,
 ) -> dict:
     """Deterministic throughput measurement for the model alone, the full
-    tick and training; latencies in milliseconds, rates per second.
+    tick, offline synthesis, tracking and training; latencies in
+    milliseconds, rates per second.
 
     Input is speech-like: seeded smooth ``make_motion`` tracks mapped to
     logits by ``make_logits``, so IK warm starts behave as on real streams.
-    Training runs one epoch of 16-sample ``train`` steps over the clip's
-    first 128 samples, on a copy of ``params`` that is then dropped.
+    The offline run does what ``roboface synth`` does after loading: ticks
+    into a servo file, then writes the motion file. ``evaluate_tracking``
+    then scores that motion. Training runs one epoch of 16-sample
+    ``train`` steps over the clip's first 128 samples, on a copy of
+    ``params`` that is then dropped.
     """
     config = config or PipelineConfig()
     motion = make_motion(
@@ -345,10 +362,20 @@ def bench(
         forward(params, window, config.style_id)
         model_ms[i] = 1000.0 * (time.perf_counter() - started)
 
-    run_started = time.perf_counter()
-    result = run_pipeline(config, params, robot_rig, robot_config, frames)
-    run_seconds = time.perf_counter() - run_started
+    with tempfile.TemporaryDirectory() as tmp:
+        run_started = time.perf_counter()
+        with FileSink(Path(tmp) / "bench.servo") as sink:
+            result = run_pipeline(
+                config, params, robot_rig, robot_config, frames, frame_sink=sink
+            )
+        run_seconds = time.perf_counter() - run_started
+        save_motion(Path(tmp) / "bench.lbsm", result.motion)
+        synth_seconds = time.perf_counter() - run_started
     report = result.report
+
+    track_started = time.perf_counter()
+    evaluate_tracking(robot_config, result.motion, robot_rig)
+    track_seconds = time.perf_counter() - track_started
 
     samples = build_samples(
         robot_rig, motion, logits, config.style_id, params.window_size
@@ -376,6 +403,13 @@ def bench(
             "p50_ms": report.tick_p50_ms,
             "p99_ms": report.tick_p99_ms,
         },
+        "ik": {
+            "iterations_p50": report.ik_iterations_p50,
+            "iterations_max": report.ik_iterations_max,
+            "unconverged_ticks": report.unconverged_ticks,
+        },
+        "synth": {"fps": n_frames / synth_seconds},
+        "tracking": {"fps": n_frames / track_seconds},
         "train": {
             "samples_per_s": len(samples) / (sum(step_ms) / 1000.0),
             "step_p50_ms": float(np.percentile(step_ms, 50)),

@@ -6,16 +6,19 @@ squares problem
 
     minimize ||neutral + E theta - target||^2   s.t.  0 <= theta <= 1.
 
-The solver is a projected-gradient method with exact line search for the
-quadratic objective, plus an exact solve on the free (non-bound) subspace
-each iteration to kill the slow zigzag pure projected gradient suffers on
-ill-conditioned bases. Both step types are clipped at the box and accepted
-only if the objective does not increase, so the iterate sequence is
-monotone by construction; an iteration that accepts neither ends the
-solve. The box is always [0, 1]. The B x B Gram matrix E^T E is computed
-once per rig (U >> B makes that the dominant saving). When the target is
-itself a linear image of coefficients, ``CoefficientBoxLeastSquares``
-takes those coefficients as the right-hand side and never forms the target.
+The solver is a primal active-set method over the box [0, 1], warm-started
+from the previous solution (the online active-set strategy of Ferreau,
+Bock and Diehl, 2008). For a fixed working set, meaning which coordinates
+sit at 0, which at 1 and which are free, the optimum is an affine function
+of the right-hand side (Bemporad et al., 2002), reached by one Newton step
+on the free coordinates. A step that would leave the box stops at its edge
+and binds the blocking coordinate; a full step is followed by releasing the
+bound whose gradient points most into the box. On a smooth stream the
+working set rarely changes, so a solve is one step from a cached inverse.
+The B x B Gram matrix E^T E is computed once per rig (U >> B makes that
+the dominant saving). When the target is itself a linear image of
+coefficients, ``CoefficientBoxLeastSquares`` takes those coefficients as
+the right-hand side and never forms the target.
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ class BoxLeastSquares:
     """min ||A x - y||^2 over the box [0, 1]^n, reusable across y.
 
     Construction precomputes A^T A; ``solve`` then runs in O(n^2) per
-    iteration regardless of A's row count. The objective is expanded as
+    iteration regardless of A's row count, plus one O(n^3) inverse each
+    time the working set differs from the previous iteration's (the
+    inverse of the last working set is kept). The objective is expanded as
     x^T (A^T A) x - 2 c^T x + const; ``_normal_equations`` derives the pair
     (c, const) from the right-hand side and ``_residual`` reports the final
     ||A x - y||^2, so a subclass can take the right-hand side in another
@@ -73,6 +78,9 @@ class BoxLeastSquares:
         self.gram = a.T @ a
         self.settings = settings or ProjectionSettings()
 
+    # (working-set key, ``_factor`` result) of the last working set solved.
+    _cached: tuple | None = None
+
     def _objective(self, x, c, const):
         return float(x @ (self.gram @ x) - 2.0 * (c @ x) + const)
 
@@ -84,89 +92,126 @@ class BoxLeastSquares:
             )
         return self.matrix.T @ y, float(y @ y)
 
-    def _residual(self, x: np.ndarray, y: np.ndarray, objective: float) -> float:
+    def _residual(self, x: np.ndarray, y: np.ndarray, c, const) -> float:
         r = self.matrix @ x - y
         return float(r @ r)
 
     def solve(self, y: np.ndarray, x0: np.ndarray | None = None, callback=None):
         """Returns (x, residual, converged, iterations).
 
-        ``x0`` warm-starts the iteration (clipped into the box). ``callback``
-        receives (iteration, objective) after every iteration. Convergence
-        is an infinity-norm test on the projected gradient. When neither
-        step lowers the objective (the numerical floor) or the iteration
-        cap is hit, the best iterate is returned with converged=False.
+        ``x0`` warm-starts the working set: clipped into the box, each
+        coordinate at 0 or 1 starts bound there and the rest start free.
+        Without ``x0`` the start is the unconstrained minimiser clipped into
+        the box. ``callback`` receives (iteration, objective) after every
+        iteration; the objective never rises. Converged means every bound
+        gradient points out of the box and every free gradient is zero, to
+        within ``tolerance``. When every bound holds but a free gradient
+        exceeds the tolerance, the Newton step is repeated while that
+        gradient shrinks; when it stops shrinking (the numerical floor) or
+        the iteration cap is hit, x is returned with converged=False.
         """
         s = self.settings
         g_mat = self.gram
         y = np.asarray(y, dtype=np.float64)
         c, const = self._normal_equations(y)
-        n = g_mat.shape[0]
+        n = c.size
 
-        x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, float), 0.0, 1.0)
-        f = self._objective(x, c, const)
+        if x0 is None:
+            _, _, inverse = self._factor(np.zeros(n, dtype=np.int8))
+            x = np.clip(inverse @ c, 0.0, 1.0)
+        else:
+            x = np.clip(np.asarray(x0, dtype=np.float64), 0.0, 1.0)
+        # Working set: -1 held at 0, +1 held at 1, 0 free.
+        side = (x >= 1.0).astype(np.int8) - (x <= 0.0)
+        grad = 2.0 * (g_mat @ x - c)
+        f = self._objective(x, c, const) if callback is not None else 0.0
         converged = False
         iterations = 0
+        floor = np.inf
 
         for iterations in range(1, s.max_iterations + 1):
-            grad = 2.0 * (g_mat @ x - c)
-            pg = np.where(_blocked(x, grad), 0.0, grad)
-            if np.abs(pg).max(initial=0.0) <= s.tolerance:
-                converged = True
-                break
-
-            moved = False
-
-            # Projected-gradient step, exact line search clipped at the box.
-            d = -pg
-            curv = d @ (g_mat @ d)
-            if curv > 0:
-                alpha = min((pg @ pg) / (2.0 * curv), _step_to_box(x, d))
-                cand = np.clip(x + alpha * d, 0.0, 1.0)
-                f_cand = self._objective(cand, c, const)
-                if f_cand <= f:
-                    x, f = cand, f_cand
-                    moved = True
-
-            # Exact solve on the free subspace, step clipped at the box.
-            free = ~_blocked(x, 2.0 * (g_mat @ x - c))
-            if free.any():
-                idx = np.flatnonzero(free)
-                rhs = c[idx] - g_mat[np.ix_(idx, ~free)] @ x[~free]
-                sub = g_mat[np.ix_(idx, idx)]
-                try:
-                    target = np.linalg.solve(sub, rhs)
-                except np.linalg.LinAlgError:
-                    target = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-                delta = target - x[idx]
-                if delta.any():
-                    beta = min(1.0, _step_to_box(x[idx], delta))
-                    cand = x.copy()
-                    cand[idx] = np.clip(x[idx] + beta * delta, 0.0, 1.0)
-                    f_cand = self._objective(cand, c, const)
-                    if f_cand <= f:
-                        x, f = cand, f_cand
-                        moved = True
-
+            free, sub, inverse = self._factor(side)
+            changed = False
+            if free.size:
+                # Newton step to the minimiser over the free coordinates.
+                x_free = x[free]
+                d = inverse @ grad[free] * -0.5
+                target = x_free + d
+                if 0.0 <= target.min() and target.max() <= 1.0:
+                    alpha = 1.0
+                    x[free] = target
+                else:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        to_edge = np.where(
+                            d > 0,
+                            (1.0 - x_free) / d,
+                            np.where(d < 0, -x_free / d, np.inf),
+                        )
+                    alpha = min(1.0, float(to_edge.min()))
+                    # Stop at the box edge; the blocking coordinates bind.
+                    x[free] = np.clip(x_free + alpha * d, 0.0, 1.0)
+                    blocking = to_edge <= alpha
+                    up = free[blocking & (d > 0)]
+                    down = free[blocking & (d < 0)]
+                    x[up] = 1.0
+                    x[down] = 0.0
+                    side[up] = 1
+                    side[down] = -1
+                    changed = bool(blocking.any())
+                if callback is not None:
+                    # Exact decrease of a quadratic along its Newton step.
+                    f -= alpha * (2.0 - alpha) * max(float(d @ (sub @ d)), 0.0)
+                grad = 2.0 * (g_mat @ x - c)
+            if not changed:
+                # Release the bound whose gradient points most into the box.
+                wrong = side * grad
+                worst = int(wrong.argmax())
+                changed = wrong[worst] > s.tolerance
+                if changed:
+                    side[worst] = 0
             if callback is not None:
                 callback(iterations, f)
-            if not moved:
+            if changed:
+                floor = np.inf
+                continue
+            # Every bound holds. A free gradient left by an inaccurate G_FF^-1
+            # shrinks with each repeated Newton step, down to rounding.
+            free_grad = np.abs(grad[free]).max(initial=0.0)
+            converged = free_grad <= s.tolerance
+            if converged or free_grad >= floor:
                 break
+            floor = free_grad
 
-        return x, self._residual(x, y, f), converged, iterations
+        return x, self._residual(x, y, c, const), bool(converged), iterations
 
+    def _factor(self, side: np.ndarray) -> tuple:
+        """(free, G_FF, G_FF^-1) for the working set ``side``.
 
-def _blocked(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Coordinates held at a bound by a gradient that points out of the box."""
-    return ((x <= 0.0) & (grad > 0)) | ((x >= 1.0) & (grad < 0))
-
-
-def _step_to_box(x: np.ndarray, d: np.ndarray) -> float:
-    """Largest t with x + t d still in [0, 1]^n (inf when d is all zero)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        to_hi = np.where(d > 0, (1.0 - x) / d, np.inf)
-        to_lo = np.where(d < 0, (0.0 - x) / d, np.inf)
-    return float(np.minimum(to_hi, to_lo).min())
+        G_FF^-1 is the pseudo-inverse when G_FF is singular to working
+        precision (condition number past 1 / (n eps), the cut-off of
+        ``np.linalg.lstsq``). Only the last working set is kept: the solves
+        of one stream mostly share it. ``solve`` runs the same operations
+        on the same arrays on a hit as on a miss, so its output does not
+        depend on the cache.
+        """
+        key = side.tobytes()
+        cached = self._cached
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        free = np.flatnonzero(side == 0)
+        sub = self.gram[np.ix_(free, free)]
+        try:
+            inverse = np.linalg.inv(sub)
+            cond = np.linalg.norm(sub, 1) * np.linalg.norm(inverse, 1)
+            # Written so that a NaN condition number counts as singular.
+            singular = not cond * free.size * np.finfo(float).eps < 1.0
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
+            inverse = np.linalg.pinv(sub)
+        factor = (free, sub, inverse)
+        self._cached = (key, factor)
+        return factor
 
 
 class CoefficientBoxLeastSquares(BoxLeastSquares):
@@ -201,8 +246,8 @@ class CoefficientBoxLeastSquares(BoxLeastSquares):
             )
         return theta @ self.basis_matrix, float(theta @ (self.basis_gram @ theta))
 
-    def _residual(self, x: np.ndarray, theta: np.ndarray, objective: float) -> float:
-        return max(objective, 0.0)
+    def _residual(self, x: np.ndarray, theta: np.ndarray, c, const) -> float:
+        return max(self._objective(x, c, const), 0.0)
 
 
 def project_to_basis(

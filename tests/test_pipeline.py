@@ -254,6 +254,20 @@ class TestRunPipeline:
         as_dict = report.to_dict()
         assert as_dict["lookahead_frames"] == report.lookahead_frames
         assert as_dict["frames"] == 10
+        assert 1 <= as_dict["ik_iterations_p50"] <= as_dict["ik_iterations_max"]
+
+    def test_ik_iterations_are_the_solver_counts(self, reference, params):
+        rig, config_r = reference
+        frames = random_logits(12, seed=4)
+        result = run_pipeline(PipelineConfig(), params, rig, config_r, frames)
+        kin = _kinematics(config_r, rig)
+        solver = kin.coefficient_solver_for(kin.landmark_vertices(), None)
+        warm, counts = None, []
+        for smoothed in result.motion.frames:
+            warm, _, _, iterations = solver.solve(smoothed, x0=warm)
+            counts.append(iterations)
+        assert result.report.ik_iterations_p50 == float(np.median(counts))
+        assert result.report.ik_iterations_max == max(counts)
 
     def test_identity_source_rig_matches_no_source(self, reference, params):
         rig, config_r = reference
@@ -422,6 +436,19 @@ class TestBench:
             assert report[stage]["fps"] > 0
             assert report[stage]["p99_ms"] >= report[stage]["p50_ms"]
         assert isinstance(report["over_budget"], int)
+
+    def test_reports_ik_synth_and_tracking(self, reference, params):
+        rig, config_r = reference
+        report = bench(params, rig, config_r, n_frames=30, seed=0)
+        ik = report["ik"]
+        assert 1 <= ik["iterations_p50"] <= ik["iterations_max"]
+        assert isinstance(ik["iterations_max"], int)
+        assert isinstance(ik["unconverged_ticks"], int)
+        assert 0 <= ik["unconverged_ticks"] <= 30
+        for stage in ("synth", "tracking"):
+            assert np.isfinite(report[stage]["fps"]) and report[stage]["fps"] > 0
+        # The synth run includes the tick run plus the motion file write.
+        assert report["synth"]["fps"] <= report["tick"]["fps"]
 
     def test_train_section_leaves_params_unchanged(self, reference, params):
         rig, config_r = reference

@@ -1,7 +1,12 @@
 """Coefficient extraction: solver correctness against brute-force oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roboface.lbs import (
     BlendCoefficients,
@@ -17,8 +22,10 @@ from roboface.retarget import (
     project_to_basis,
     transfer_coefficients,
 )
-from roboface.rigsim import build_reference_rig
-from roboface.synthdata import make_motion
+from roboface.motionnet import init_params
+from roboface.pipeline import PipelineConfig, run_pipeline
+from roboface.rigsim import _kinematics, build_reference_rig
+from roboface.synthdata import make_logits, make_motion
 
 
 def random_rig(v=200, b=8, seed=0):
@@ -50,6 +57,221 @@ def grid_search(matrix, y, step=1e-3):
     )
     i, j = np.unravel_index(np.argmin(f), f.shape)
     return np.array([axis[i], axis[j]])
+
+
+def oracle_solve(matrix, y, x0=None, settings=None):
+    """Reference box least squares by projected gradient, for comparison.
+
+    Each iteration takes a projected-gradient step with exact line search
+    and then an exact solve on the free subspace, both clipped at the box
+    and accepted only if the objective does not rise. Slow to converge
+    from a poor start, but shares no bookkeeping with the active-set
+    ``BoxLeastSquares.solve``. Returns (x, converged).
+    """
+    s = settings or ProjectionSettings()
+    g_mat = matrix.T @ matrix
+    c = matrix.T @ y
+    n = g_mat.shape[0]
+
+    def objective(x):
+        return float(x @ (g_mat @ x) - 2.0 * (c @ x) + y @ y)
+
+    def blocked(x, grad):
+        return ((x <= 0.0) & (grad > 0)) | ((x >= 1.0) & (grad < 0))
+
+    def step_to_box(x, d):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_hi = np.where(d > 0, (1.0 - x) / d, np.inf)
+            to_lo = np.where(d < 0, (0.0 - x) / d, np.inf)
+        return float(np.minimum(to_hi, to_lo).min())
+
+    x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, float), 0.0, 1.0)
+    f = objective(x)
+    for _ in range(s.max_iterations):
+        grad = 2.0 * (g_mat @ x - c)
+        pg = np.where(blocked(x, grad), 0.0, grad)
+        if np.abs(pg).max(initial=0.0) <= s.tolerance:
+            return x, True
+        moved = False
+        d = -pg
+        curv = d @ (g_mat @ d)
+        if curv > 0:
+            alpha = min((pg @ pg) / (2.0 * curv), step_to_box(x, d))
+            cand = np.clip(x + alpha * d, 0.0, 1.0)
+            f_cand = objective(cand)
+            if f_cand <= f:
+                x, f, moved = cand, f_cand, True
+        free = ~blocked(x, 2.0 * (g_mat @ x - c))
+        if free.any():
+            idx = np.flatnonzero(free)
+            rhs = c[idx] - g_mat[np.ix_(idx, ~free)] @ x[~free]
+            sub = g_mat[np.ix_(idx, idx)]
+            try:
+                target = np.linalg.solve(sub, rhs)
+            except np.linalg.LinAlgError:
+                target = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+            delta = target - x[idx]
+            if delta.any():
+                beta = min(1.0, step_to_box(x[idx], delta))
+                cand = x.copy()
+                cand[idx] = np.clip(x[idx] + beta * delta, 0.0, 1.0)
+                f_cand = objective(cand)
+                if f_cand <= f:
+                    x, f, moved = cand, f_cand, True
+        if not moved:
+            break
+    return x, False
+
+
+@st.composite
+def box_problems(draw):
+    """(A, y, x0, full_rank): a small box least-squares problem.
+
+    A is (m, n), of full column rank or of rank r < n (a product of thin
+    factors). The unconstrained optimum lies in [-0.5, 1.5]^n, so some
+    bounds bind. The warm start is absent, inside, on or outside the box.
+    """
+    n = draw(st.integers(1, 8))
+    full_rank = n == 1 or draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = n + draw(st.integers(2, 12))
+    if full_rank:
+        a = rng.normal(0.0, 1.0, (m, n))
+    else:
+        rank = draw(st.integers(1, n - 1))
+        a = rng.normal(0.0, 1.0, (m, rank)) @ rng.normal(0.0, 1.0, (rank, n))
+    y = a @ rng.uniform(-0.5, 1.5, n) + rng.normal(0.0, 0.1, m)
+    start = draw(st.sampled_from(["cold", "inside", "on", "outside"]))
+    x0 = {
+        "cold": None,
+        "inside": rng.uniform(0.05, 0.95, n),
+        "on": rng.integers(0, 2, n).astype(float),
+        "outside": rng.uniform(-2.0, 3.0, n),
+    }[start]
+    return a, y, x0, full_rank
+
+
+def kkt_violation(matrix, y, x):
+    """Largest KKT violation of x: free gradient, or bound gradient sign."""
+    grad = 2.0 * (matrix.T @ (matrix @ x - y))
+    free = (x > 0.0) & (x < 1.0)
+    wrong = np.where(x <= 0.0, -grad, np.where(x >= 1.0, grad, 0.0))
+    return max(np.abs(grad[free]).max(initial=0.0), wrong.max(initial=0.0))
+
+
+class TestActiveSetAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(box_problems())
+    def test_matches_projected_gradient_oracle(self, problem):
+        a, y, x0, full_rank = problem
+        x, residual, converged, _ = BoxLeastSquares(a).solve(y, x0=x0)
+        expected, oracle_converged = oracle_solve(a, y, x0)
+        assert converged
+        assert x.min() >= 0.0 and x.max() <= 1.0
+        r = a @ x - y
+        assert residual == float(r @ r)
+        if full_rank and oracle_converged:
+            np.testing.assert_allclose(x, expected, rtol=0, atol=1e-10)
+        else:
+            # A rank-deficient minimiser is not unique, and the oracle stalls
+            # on some problems: the solve must fit at least as well.
+            miss = a @ expected - y
+            assert residual <= float(miss @ miss) * (1 + 1e-12) + 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_problems())
+    def test_kkt_holds(self, problem):
+        a, y, x0, _ = problem
+        solver = BoxLeastSquares(a)
+        x, _, converged, _ = solver.solve(y, x0=x0)
+        assert converged
+        assert kkt_violation(a, y, x) <= solver.settings.tolerance
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_problems())
+    def test_callback_objective_never_rises(self, problem):
+        a, y, x0, _ = problem
+        seen = []
+        _, residual, _, iterations = BoxLeastSquares(a).solve(
+            y, x0=x0, callback=lambda i, f: seen.append((i, f))
+        )
+        assert [i for i, _ in seen] == list(range(1, iterations + 1))
+        values = [f for _, f in seen]
+        assert all(cur <= prev for prev, cur in zip(values, values[1:]))
+        assert values[-1] == pytest.approx(residual, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_problems())
+    def test_one_iteration_cap_reports_unconverged(self, problem):
+        a, y, x0, _ = problem
+        _, _, _, needed = BoxLeastSquares(a).solve(y, x0=x0)
+        capped = BoxLeastSquares(a, ProjectionSettings(max_iterations=1))
+        x, _, converged, iterations = capped.solve(y, x0=x0)
+        assert iterations == 1
+        assert x.min() >= 0.0 and x.max() <= 1.0
+        assert converged == (needed == 1)
+
+    def test_output_does_not_depend_on_the_factor_cache(self):
+        # Stream k pushes coordinate k past 1, so the streams' working sets
+        # differ but have the same size. Interleaving them evicts the cached
+        # inverse on every solve; each stream must still get the bits of a
+        # solver of its own.
+        rng = np.random.default_rng(20)
+        a = rng.normal(0.0, 1.0, (30, 6))
+        streams = []
+        for k in range(4):
+            thetas = rng.uniform(0.2, 0.8, (25, 6))
+            thetas[:, k] = 1.5
+            streams.append(thetas @ a.T)
+
+        def chain(solver, ys):
+            warm, out = None, []
+            for y in ys:
+                warm = solver.solve(y, x0=warm)[0]
+                out.append(warm)
+            return np.array(out).tobytes()
+
+        alone = [chain(BoxLeastSquares(a), ys) for ys in streams]
+
+        shared = BoxLeastSquares(a)
+        warms, outs = [None] * 4, [[] for _ in range(4)]
+        for t in range(25):
+            for k, ys in enumerate(streams):
+                warms[k] = shared.solve(ys[t], x0=warms[k])[0]
+                outs[k].append(warms[k])
+        assert [np.array(out).tobytes() for out in outs] == alone
+
+        results = [None] * 4
+
+        def worker(k):
+            results[k] = chain(shared, streams[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == alone
+
+    def test_cold_start_on_reference_rig_takes_at_most_five_iterations(self):
+        # The tick's coefficient problem, cold-started on every filtered
+        # model output of a reference stream.
+        rig, config = build_reference_rig(seed=0)
+        params = init_params(seed=0, window_size=8, hidden_size=64, style_count=4)
+        motion = make_motion(60, rig.blendshape_count, 25.0, np.random.default_rng(0))
+        logits = make_logits(motion, params.class_count, seed=0).frames
+        stream = run_pipeline(PipelineConfig(), params, rig, config, logits).motion
+        kin = _kinematics(config, rig)
+        solver = kin.coefficient_solver_for(kin.landmark_vertices(), None)
+        for theta in stream.frames:
+            _, _, converged, iterations = solver.solve(theta)
+            assert converged and iterations <= 5
 
 
 class TestProjectToBasis:
