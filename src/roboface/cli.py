@@ -35,7 +35,7 @@ from .motionnet import (
     save_model,
 )
 from .pipeline import FileSink, PipelineConfig, bench, run_pipeline
-from .retarget import ProjectionSettings, project_sequence
+from .retarget import project_sequence
 from .rigsim import build_reference_rig, evaluate_tracking, load_config, save_config
 from .smoothing import FilterSpec, design, filter_sequence, group_delay_frames
 from .synthdata import load_dataset, write_dataset
@@ -64,25 +64,13 @@ def _config_values(args, keys: tuple[str, ...]) -> dict:
 
 def _pipeline_config(args) -> PipelineConfig:
     values = _config_values(
-        args,
-        (
-            "tick_hz",
-            "style_id",
-            "filter_order",
-            "filter_cutoff_hz",
-            "max_unconverged_streak",
-        ),
+        args, ("tick_hz", "style_id", "filter_order", "filter_cutoff_hz")
     )
-    tick_hz = float(values.get("tick_hz", 25.0))
     return PipelineConfig(
-        tick_hz=tick_hz,
+        tick_hz=float(values.get("tick_hz", 25.0)),
         style_id=int(values.get("style_id", 0)),
-        filter_spec=FilterSpec(
-            order=int(values.get("filter_order", 5)),
-            cutoff_hz=float(values.get("filter_cutoff_hz", 7.0)),
-            sample_hz=tick_hz,
-        ),
-        max_unconverged_streak=int(values.get("max_unconverged_streak", 25)),
+        filter_order=int(values.get("filter_order", 5)),
+        filter_cutoff_hz=float(values.get("filter_cutoff_hz", 7.0)),
     )
 
 
@@ -145,10 +133,7 @@ def cmd_extract(args) -> int:
 def cmd_retarget(args) -> int:
     rig = load_rig(args.rig)
     frames, fps = load_dense_frames(args.frames)
-    settings = ProjectionSettings(
-        max_iterations=args.max_iterations, tolerance=args.tolerance
-    )
-    motion, residuals = project_sequence(frames, fps, rig, settings)
+    motion, residuals = project_sequence(frames, fps, rig)
     save_motion(args.out, motion)
     print(
         f"wrote {args.out}: {motion.frame_count} frames, residual "
@@ -322,8 +307,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filter-order", type=int, default=None, dest="filter_order")
     p.add_argument("--filter-cutoff-hz", type=float, default=None,
                    dest="filter_cutoff_hz")
-    p.add_argument("--max-unconverged-streak", type=int, default=None,
-                   dest="max_unconverged_streak")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--rig", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=cmd_retarget)
 
     p = sub.add_parser("train", help="fit the motion model on a dataset")

@@ -13,10 +13,11 @@ a wrapping frame counter, and a two's-complement checksum.
 from __future__ import annotations
 
 import copy
+import math
 import struct
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .retarget import transfer_coefficients, transfer_order  # noqa: F401
 from .rigsim import RigConfig, _kinematics, evaluate_tracking
 from .smoothing import FilterSpec, StreamingFilter, design, group_delay_frames
 from .synthdata import build_samples, make_logits, make_motion
+from .util import is_positive_finite
 
 SYNC_BYTE = 0xFA
 
@@ -122,31 +124,38 @@ class LoopbackSink:
 class PipelineConfig:
     """Runtime settings of the orchestrator.
 
-    The frame budget is not a setting: it is one tick period,
-    ``frame_budget_ms == 1000 / tick_hz``.
+    The four fields are the only settings; the rest follows from the tick
+    rate. The filter is designed at ``tick_hz`` (``filter_spec``), the
+    frame budget is one tick period (``frame_budget_ms == 1000 / tick_hz``),
+    and IK may fail to converge on at most one second of consecutive ticks
+    (``max_unconverged_streak == ceil(tick_hz)``) before the run aborts.
     """
 
     tick_hz: float = 25.0
     style_id: int = 0
-    filter_spec: FilterSpec = FilterSpec()
-    max_unconverged_streak: int = 25
+    filter_order: int = 5
+    filter_cutoff_hz: float = 7.0
 
     def __post_init__(self):
-        if self.tick_hz <= 0:
-            raise ValueError("tick_hz must be positive")
+        if not is_positive_finite(self.tick_hz):
+            raise ValueError(
+                f"tick_hz must be finite and positive, got {self.tick_hz}"
+            )
         if self.style_id < 0:
             raise ValueError("style_id must be nonnegative")
-        if self.filter_spec.sample_hz != self.tick_hz:
-            raise ValueError(
-                f"filter designed for {self.filter_spec.sample_hz} Hz, "
-                f"pipeline ticks at {self.tick_hz} Hz"
-            )
-        if self.max_unconverged_streak < 1:
-            raise ValueError("max_unconverged_streak must be at least 1")
+        self.filter_spec  # FilterSpec rejects a bad order or cutoff here
+
+    @property
+    def filter_spec(self) -> FilterSpec:
+        return FilterSpec(self.filter_order, self.filter_cutoff_hz, self.tick_hz)
 
     @property
     def frame_budget_ms(self) -> float:
         return 1000.0 / self.tick_hz
+
+    @property
+    def max_unconverged_streak(self) -> int:
+        return math.ceil(self.tick_hz)
 
 
 @dataclass(frozen=True)
@@ -169,19 +178,7 @@ class PipelineReport:
         return self.window_lookahead_frames + self.filter_delay_frames
 
     def to_dict(self) -> dict:
-        return {
-            "frames": self.frames,
-            "over_budget": self.over_budget,
-            "unconverged_ticks": self.unconverged_ticks,
-            "ik_iterations_p50": self.ik_iterations_p50,
-            "ik_iterations_max": self.ik_iterations_max,
-            "tick_p50_ms": self.tick_p50_ms,
-            "tick_p99_ms": self.tick_p99_ms,
-            "tick_max_ms": self.tick_max_ms,
-            "window_lookahead_frames": self.window_lookahead_frames,
-            "filter_delay_frames": self.filter_delay_frames,
-            "lookahead_frames": self.lookahead_frames,
-        }
+        return {**asdict(self), "lookahead_frames": self.lookahead_frames}
 
 
 @dataclass
@@ -195,11 +192,13 @@ class _Ticker:
     """Shared per-window step: model, filter, transfer, IK, pulse mapping.
 
     Everything after the model is linear in the 51 coefficients, so the
-    tick stays in coefficient space: one filter bank steps all channels,
-    the name transfer is a permutation resolved at construction, and IK
-    takes the robot coefficients directly (``Kinematics.coefficient_solver_for``)
-    instead of a landmark target. The heavy solver state is cached per
-    (config, rig), so a ticker per stream builds nothing heavy.
+    tick stays in coefficient space: one filter bank, designed at the tick
+    rate, steps all channels, the name transfer is a permutation resolved
+    at construction, and IK takes the robot coefficients directly
+    (``Kinematics.coefficient_solver``) instead of a landmark target. The
+    heavy solver state is cached per (config, rig), so a ticker per stream
+    builds nothing heavy. More than ``config.max_unconverged_streak``
+    consecutive unconverged IK solves raise ``RuntimeError``.
     """
 
     def __init__(self, config, params, robot_rig, robot_config, source_rig):
@@ -215,7 +214,7 @@ class _Ticker:
         self.transfer_order = transfer_order(source_rig or robot_rig, robot_rig)
 
         kin = _kinematics(robot_config, robot_rig)
-        self.solver = kin.coefficient_solver_for(kin.landmark_vertices(), None)
+        self.solver = kin.coefficient_solver
         self.ik_channels = kin.ik_channels
         self.channel_count = len(robot_config.channels)
         lows = np.array([ch.pulse_us[0] for ch in robot_config.channels])

@@ -32,7 +32,9 @@ from .lbs import BlendCoefficients, FaceMesh, LbsRig, MotionSequence
 
 @dataclass(frozen=True)
 class ProjectionSettings:
-    """Stopping rule for the least-squares solver; the box is always [0, 1]."""
+    """Stopping rule for the least-squares solver; the box is always [0, 1].
+    Only ``BoxLeastSquares`` takes one; every solver the chain builds uses
+    the defaults."""
 
     max_iterations: int = 500
     tolerance: float = 1e-8
@@ -253,7 +255,6 @@ class CoefficientBoxLeastSquares(BoxLeastSquares):
 def project_to_basis(
     target: FaceMesh,
     rig: LbsRig,
-    settings: ProjectionSettings | None = None,
     warm_start: np.ndarray | None = None,
     callback=None,
 ) -> ProjectionResult:
@@ -262,24 +263,19 @@ def project_to_basis(
         raise ValueError(
             f"target has {target.vertex_count} vertices, rig has {rig.vertex_count}"
         )
-    solver = _rig_solver(rig, settings)
+    solver = _rig_solver(rig)
     x, residual, converged, iters = solver.solve(
         target.positions - rig.mesh.positions, x0=warm_start, callback=callback
     )
     return ProjectionResult(BlendCoefficients(x), residual, converged, iters)
 
 
-def _rig_solver(rig: LbsRig, settings: ProjectionSettings | None) -> BoxLeastSquares:
-    """Per-rig solver cache keyed on the settings, Gram matrix built once."""
-    settings = settings or ProjectionSettings()
-    cache = getattr(rig, "_solver_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(rig, "_solver_cache", cache)
-    solver = cache.get(settings)
+def _rig_solver(rig: LbsRig) -> BoxLeastSquares:
+    """The rig's projection solver, kept on the rig: Gram matrix built once."""
+    solver = getattr(rig, "_solver", None)
     if solver is None:
-        solver = BoxLeastSquares(rig.basis.matrix.T, settings)
-        cache[settings] = solver
+        solver = BoxLeastSquares(rig.basis.matrix.T)
+        object.__setattr__(rig, "_solver", solver)
     return solver
 
 
@@ -287,7 +283,6 @@ def project_sequence(
     frames: np.ndarray,
     fps: float,
     rig: LbsRig,
-    settings: ProjectionSettings | None = None,
 ) -> tuple[MotionSequence, np.ndarray]:
     """Project every dense frame (T, 3V) onto the rig basis.
 
@@ -299,7 +294,7 @@ def project_sequence(
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != 3 * rig.vertex_count:
         raise ValueError("frames must be (T, 3V) matching the rig")
-    solver = _rig_solver(rig, settings)
+    solver = _rig_solver(rig)
     neutral = rig.mesh.positions
     coeffs = np.empty((frames.shape[0], rig.blendshape_count))
     residuals = np.empty(frames.shape[0])

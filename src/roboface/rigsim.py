@@ -18,7 +18,9 @@ pass head-pose through to the servos and stay out of IK.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +29,7 @@ import numpy as np
 from .arkit import CANONICAL_NAMES, REGIONS, region_of
 # apply_skinning stays importable here: perfbench/tracing.py wraps rigsim.apply_skinning.
 from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning  # noqa: F401
-from .retarget import BoxLeastSquares, CoefficientBoxLeastSquares, ProjectionSettings
+from .retarget import BoxLeastSquares, CoefficientBoxLeastSquares
 from .util import frozen_array, in_unit_interval
 
 CONTROL_POINT_KINDS = {
@@ -153,7 +155,15 @@ def save_config(path, config: RigConfig) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _is_index(value, size: float) -> bool:
+    """True for an int (not a bool) in [0, size)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
 def load_config(path) -> RigConfig:
+    """Read a ``save_config`` file. ``ValueError`` if ``vertex_count`` is not a
+    nonnegative integer or a skinning entry has an index that is not an
+    integer in range or a weight that is not finite."""
     doc = json.loads(Path(path).read_text())
     points = tuple(
         ControlPoint(
@@ -173,8 +183,18 @@ def load_config(path) -> RigConfig:
         )
         for c in doc["actuator_channels"]
     )
-    weights = np.zeros((doc["vertex_count"], len(points)))
+    vertex_count = doc["vertex_count"]
+    if not _is_index(vertex_count, math.inf):
+        raise ValueError(f"vertex_count {vertex_count!r} is not a nonnegative integer")
+    weights = np.zeros((vertex_count, len(points)))
     for v, c, w in doc["skinning_weights"]:
+        if not (_is_index(v, vertex_count) and _is_index(c, len(points))):
+            raise ValueError(
+                f"skinning entry {[v, c, w]!r}: vertex index must be an integer "
+                f"in [0, {vertex_count}), control-point index in [0, {len(points)})"
+            )
+        if not isinstance(w, (int, float)) or not math.isfinite(w):
+            raise ValueError(f"skinning entry {[v, c, w]!r}: weight must be finite")
         weights[v, c] = w
     return RigConfig(points, channels, weights)
 
@@ -212,6 +232,8 @@ def validate_config(config: RigConfig, rig: LbsRig) -> list[str]:
             f"({rig.vertex_count}, {len(config.control_points)})"
         )
     else:
+        if not np.isfinite(w).all():
+            problems.append("skinning weights contain non-finite entries")
         if w.min(initial=0.0) < 0:
             problems.append("skinning weights contain negative entries")
         if w.sum(axis=1).max(initial=0.0) > 1.0 + 1e-9:
@@ -253,7 +275,10 @@ class Kinematics:
 
     ``vertex_map`` is the (3U, channels) matrix taking u straight to vertex
     displacements; forward kinematics and inverse kinematics share it so
-    IK round-trips are exact up to solver tolerance.
+    IK round-trips are exact up to solver tolerance. IK solvers are built
+    on first use with the default stopping rule: one per vertex set
+    (``solver_for``), plus ``coefficient_solver`` over the landmark rows,
+    which the tick and ``evaluate_tracking`` share.
     """
 
     def __init__(self, config: RigConfig, rig: LbsRig):
@@ -318,34 +343,26 @@ class Kinematics:
     def coord_rows(self, vertices: np.ndarray) -> np.ndarray:
         return (3 * vertices[:, None] + np.arange(3)[None, :]).ravel()
 
-    def solver_for(
-        self, vertices: np.ndarray, settings: ProjectionSettings | None
-    ) -> BoxLeastSquares:
-        key = (vertices.tobytes(), settings)
+    def solver_for(self, vertices: np.ndarray) -> BoxLeastSquares:
+        """IK solver over the coordinate rows of ``vertices``, one per set."""
+        key = vertices.tobytes()
         solver = self._solvers.get(key)
         if solver is None:
             rows = self.coord_rows(vertices)
-            solver = BoxLeastSquares(
-                self.vertex_map[np.ix_(rows, self.ik_channels)],
-                settings or ProjectionSettings(),
-            )
+            solver = BoxLeastSquares(self.vertex_map[np.ix_(rows, self.ik_channels)])
             self._solvers[key] = solver
         return solver
 
-    def coefficient_solver_for(
-        self, vertices: np.ndarray, settings: ProjectionSettings | None
-    ) -> CoefficientBoxLeastSquares:
-        """``solver_for``'s problem with the target given as rig coefficients:
-        ``solve(theta)`` is ``solve(theta @ basis[:, rows])`` without the target."""
-        key = ("coefficients", vertices.tobytes(), settings)
-        solver = self._solvers.get(key)
-        if solver is None:
-            rows = self.coord_rows(vertices)
-            solver = CoefficientBoxLeastSquares(
-                self.solver_for(vertices, settings), self.rig.basis.matrix[:, rows]
-            )
-            self._solvers[key] = solver
-        return solver
+    @functools.cached_property
+    def coefficient_solver(self) -> CoefficientBoxLeastSquares:
+        """The landmark solver's problem with the target given as rig
+        coefficients: ``solve(theta)`` is ``solver_for(landmarks).solve(theta
+        @ basis[:, rows])`` without the target. Built on first use."""
+        vertices = self.landmark_vertices()
+        return CoefficientBoxLeastSquares(
+            self.solver_for(vertices),
+            self.rig.basis.matrix[:, self.coord_rows(vertices)],
+        )
 
 
 def _kinematics(config: RigConfig, rig: LbsRig) -> Kinematics:
@@ -403,7 +420,6 @@ def solve_ik(
     config: RigConfig,
     target,
     rig: LbsRig,
-    settings: ProjectionSettings | None = None,
     eval_vertices: np.ndarray | None = None,
     warm_start: np.ndarray | None = None,
     neck: np.ndarray | None = None,
@@ -435,7 +451,7 @@ def solve_ik(
                 f"target covers {positions.size // 3} vertices, evaluation "
                 f"set has {vertices.size}"
             )
-    solver = kin.solver_for(vertices, settings)
+    solver = kin.solver_for(vertices)
     x, residual, converged, iterations = solver.solve(
         positions - rig.mesh.positions[rows], x0=warm_start
     )
@@ -450,14 +466,14 @@ def evaluate_tracking(
     config: RigConfig,
     reference: MotionSequence,
     rig: LbsRig,
-    settings: ProjectionSettings | None = None,
     histogram_dir=None,
 ) -> dict:
     """How well the actuated face tracks a reference coefficient motion.
 
     Every frame is solved to actuator space from its coefficients by the
-    tick's warm-started coefficient solver and compared per landmark vertex
-    with theta @ basis over the landmark rows; no full mesh is skinned.
+    tick's solver (``Kinematics.coefficient_solver``), warm-started frame to
+    frame, and compared per landmark vertex with theta @ basis over the
+    landmark rows; no full mesh is skinned.
     Euclidean errors pool across frames into per-region median and quartile
     statistics: {region: {median_mm, q1_mm, q3_mm, frames}}.
     """
@@ -471,7 +487,7 @@ def evaluate_tracking(
         raise ValueError(f"rig is missing landmark groups: {missing}")
     vertices = kin.landmark_vertices()
     columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
-    solver = kin.coefficient_solver_for(vertices, settings)
+    solver = kin.coefficient_solver
 
     errors = np.empty((reference.frame_count, vertices.size))
     warm = None

@@ -1,12 +1,14 @@
 """End-to-end runs of every CLI subcommand on tiny inputs."""
 
+import argparse
+import dataclasses
 import json
 import wave
 
 import numpy as np
 import pytest
 
-from roboface.cli import main
+from roboface.cli import _add_pipeline_flags, _pipeline_config, build_parser, main
 from roboface.formats import (
     load_logits,
     load_motion,
@@ -15,6 +17,7 @@ from roboface.formats import (
     save_motion,
 )
 from roboface.lbs import MotionSequence, apply_skinning
+from roboface.pipeline import PipelineConfig
 from roboface.rigsim import load_config
 
 
@@ -189,6 +192,54 @@ class TestSynth:
                 "--rig-config", str(workspace["config"]),
                 "--out-servo", str(tmp_path / "x.bin"), "--config", str(cfg),
             ])
+
+
+class TestPipelineSettings:
+    """``synth`` and ``bench`` set exactly ``PipelineConfig``'s fields, by
+    flag or JSON key, so a value the config derives cannot become a knob."""
+
+    FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
+    DERIVED = {n for n, v in vars(PipelineConfig).items() if isinstance(v, property)}
+    VALUES = {"tick_hz": 50.0, "style_id": 1, "filter_order": 3,
+              "filter_cutoff_hz": 6.0}
+
+    @staticmethod
+    def subparser(command):
+        actions = build_parser()._subparsers._group_actions
+        return actions[0].choices[command]
+
+    def test_flag_dests_are_the_fields(self):
+        parser = argparse.ArgumentParser()
+        _add_pipeline_flags(parser)
+        dests = {a.dest for a in parser._actions} - {"help", "config"}
+        assert dests == self.FIELDS == set(self.VALUES)
+        assert self.DERIVED >= {"filter_spec", "max_unconverged_streak"}
+        for command in ("synth", "bench"):
+            own = {a.dest for a in self.subparser(command)._actions}
+            assert own >= self.FIELDS
+            assert not own & self.DERIVED
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    def test_flags_and_keys_set_every_field(self, command, tmp_path):
+        required = ["--model", "m", "--rig", "r", "--rig-config", "c"]
+        if command == "synth":
+            required += ["--logits", "l", "--out-servo", "s"]
+        parser = self.subparser(command)
+        expected = PipelineConfig(**self.VALUES)
+        flags = []
+        for name, value in self.VALUES.items():
+            flags += ["--" + name.replace("_", "-"), str(value)]
+        assert _pipeline_config(parser.parse_args(required + flags)) == expected
+
+        cfg = tmp_path / "pipe.json"
+        cfg.write_text(json.dumps(self.VALUES))
+        args = parser.parse_args(required + ["--config", str(cfg)])
+        assert _pipeline_config(args) == expected
+        for name in self.DERIVED:
+            cfg.write_text(json.dumps({name: 1}))
+            args = parser.parse_args(required + ["--config", str(cfg)])
+            with pytest.raises(SystemExit, match="unknown config keys"):
+                _pipeline_config(args)
 
 
 class TestSimulate:

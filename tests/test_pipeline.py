@@ -1,5 +1,7 @@
 """Servo wire format, sinks, and the offline/streaming orchestrator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,31 +153,34 @@ class TestPipelineConfig:
         config = PipelineConfig()
         assert config.tick_hz == 25.0
         assert config.frame_budget_ms == 40.0
+        assert config.filter_spec == FilterSpec(order=5, cutoff_hz=7.0, sample_hz=25.0)
+        assert config.max_unconverged_streak == 25
 
     def test_budget_is_one_tick_period(self):
-        for tick_hz in (25.0, 50.0, 30.0):
-            config = PipelineConfig(
-                tick_hz=tick_hz, filter_spec=FilterSpec(sample_hz=tick_hz)
-            )
+        for tick_hz in (25.0, 50.0, 30.0, 29.5):
+            config = PipelineConfig(tick_hz=tick_hz, filter_order=3)
             assert config.frame_budget_ms == 1000.0 / tick_hz
-        with pytest.raises(TypeError):
-            PipelineConfig(frame_budget_ms=40.0)
+            assert config.filter_spec == FilterSpec(3, 7.0, tick_hz)
+            assert config.max_unconverged_streak == math.ceil(tick_hz)
+        for derived in ("frame_budget_ms", "filter_spec", "max_unconverged_streak"):
+            with pytest.raises(TypeError):
+                PipelineConfig(**{derived: getattr(PipelineConfig(), derived)})
 
     def test_other_rates_allowed(self):
-        config = PipelineConfig(tick_hz=50.0, filter_spec=FilterSpec(sample_hz=50.0))
+        config = PipelineConfig(tick_hz=50.0)
         assert config.frame_budget_ms == 20.0
-
-    def test_filter_rate_must_match(self):
-        with pytest.raises(ValueError, match="[Ff]ilter"):
-            PipelineConfig(tick_hz=50.0, filter_spec=FilterSpec(sample_hz=25.0))
+        assert config.filter_spec.sample_hz == 50.0
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             PipelineConfig(style_id=-1)
-        with pytest.raises(ValueError):
-            PipelineConfig(max_unconverged_streak=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(tick_hz=0.0)
+        for tick_hz in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="tick_hz"):
+                PipelineConfig(tick_hz=tick_hz)
+        with pytest.raises(ValueError, match="order"):
+            PipelineConfig(filter_order=0)
+        with pytest.raises(ValueError, match="cutoff"):
+            PipelineConfig(tick_hz=10.0)
 
 
 class TestRunPipeline:
@@ -256,12 +261,24 @@ class TestRunPipeline:
         assert as_dict["frames"] == 10
         assert 1 <= as_dict["ik_iterations_p50"] <= as_dict["ik_iterations_max"]
 
+    def test_report_dict_key_order(self, reference, params):
+        """``synth --report`` writes the report's keys in this order."""
+        rig, config_r = reference
+        result = run_pipeline(PipelineConfig(), params, rig, config_r, random_logits(4))
+        as_dict = result.report.to_dict()
+        assert list(as_dict) == [
+            "frames", "over_budget", "unconverged_ticks", "ik_iterations_p50",
+            "ik_iterations_max", "tick_p50_ms", "tick_p99_ms", "tick_max_ms",
+            "window_lookahead_frames", "filter_delay_frames", "lookahead_frames",
+        ]
+        assert as_dict == {key: getattr(result.report, key) for key in as_dict}
+
     def test_ik_iterations_are_the_solver_counts(self, reference, params):
         rig, config_r = reference
         frames = random_logits(12, seed=4)
         result = run_pipeline(PipelineConfig(), params, rig, config_r, frames)
         kin = _kinematics(config_r, rig)
-        solver = kin.coefficient_solver_for(kin.landmark_vertices(), None)
+        solver = kin.coefficient_solver
         warm, counts = None, []
         for smoothed in result.motion.frames:
             warm, _, _, iterations = solver.solve(smoothed, x0=warm)
@@ -306,7 +323,7 @@ class TestRunPipeline:
         order = [reversed_names.index(name) for name in rig.basis.names]
         robot_theta = routed.motion.frames[0][order]
         target = robot_theta @ rig.basis.matrix[:, rows]
-        x, _, _, _ = kin.solver_for(vertices, None).solve(target)
+        x, _, _, _ = kin.solver_for(vertices).solve(target)
         u = np.zeros(len(config_r.channels))
         u[kin.ik_channels] = x
         lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
@@ -325,21 +342,28 @@ class TestRunPipeline:
         assert frame.frame_counter == 0
 
     def test_unconverged_streak_aborts(self, reference, params):
+        """IK may fail for one second of ticks; the next failure aborts."""
         rig, config_r = reference
+        converged = []
 
         class StubSolver:
             def solve(self, y, x0=None, callback=None):
-                return np.zeros(28), 1.0, False, 500
+                return np.zeros(28), 1.0, converged.pop(0), 500
 
-        config = PipelineConfig(max_unconverged_streak=3)
-        ticker = _Ticker(config, params, rig, config_r, None)
-        ticker.solver = StubSolver()
         window = random_logits(8, seed=4)
-        for _ in range(3):
-            ticker.tick(window)
-        with pytest.raises(RuntimeError, match="consecutive"):
-            ticker.tick(window)
-        assert ticker.unconverged_total == 4
+        for tick_hz, streak in ((25.0, 25), (50.0, 50)):
+            config = PipelineConfig(tick_hz=tick_hz)
+            ticker = _Ticker(config, params, rig, config_r, None)
+            ticker.solver = StubSolver()
+            # A full second of failures, a converged tick that resets the
+            # streak, then failures until the one past a second aborts.
+            converged[:] = [False] * streak + [True] + [False] * (streak + 1)
+            for _ in range(2 * streak + 1):
+                ticker.tick(window)
+            with pytest.raises(RuntimeError, match=f"on {streak + 1} consecutive"):
+                ticker.tick(window)
+            assert ticker.unconverged_total == 2 * streak + 1
+            assert not converged
 
     def test_rejects_bad_inputs(self, reference, params):
         rig, config_r = reference
@@ -413,7 +437,7 @@ class TestRunPipeline:
         kin = _kinematics(config_r, rig)
         vertices = kin.landmark_vertices()
         columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
-        solver = kin.solver_for(vertices, None)
+        solver = kin.solver_for(vertices)
         lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
         span = np.array([ch.pulse_us[1] for ch in config_r.channels]) - lows
         warm = None

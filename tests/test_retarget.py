@@ -268,7 +268,7 @@ class TestActiveSetAgainstOracle:
         logits = make_logits(motion, params.class_count, seed=0).frames
         stream = run_pipeline(PipelineConfig(), params, rig, config, logits).motion
         kin = _kinematics(config, rig)
-        solver = kin.coefficient_solver_for(kin.landmark_vertices(), None)
+        solver = kin.coefficient_solver
         for theta in stream.frames:
             _, _, converged, iterations = solver.solve(theta)
             assert converged and iterations <= 5

@@ -1,6 +1,7 @@
 """Kinematics simulator tests: forward map, online IK, tracking report."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -276,7 +277,7 @@ def landmark_space_tracking(rig, config, reference):
     kin = _kinematics(config, rig)
     vertices = kin.landmark_vertices()
     rows = kin.coord_rows(vertices)
-    solver = kin.solver_for(vertices, None)
+    solver = kin.solver_for(vertices)
     errors = np.empty((reference.frame_count, vertices.size))
     warm = None
     for t in range(reference.frame_count):
@@ -468,6 +469,58 @@ class TestConfigIo:
         b = forward_kinematics(loaded, u, rig)
         np.testing.assert_allclose(a.positions, b.positions, atol=1e-12)
 
+    @staticmethod
+    def load_edited(tmp_path, edit):
+        """Load the toy config after ``edit`` changed its JSON document."""
+        _, config, _ = toy_setup()
+        path = tmp_path / "rig.json"
+        save_config(path, config)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return load_config(path)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_rejects_negative_index(self, tmp_path, slot):
+        def edit(doc):
+            doc["skinning_weights"][0][slot] = -1
+
+        with pytest.raises(ValueError, match="index"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("slot, size", [(0, 12), (1, 2)])
+    def test_rejects_index_out_of_range(self, tmp_path, slot, size):
+        def edit(doc):
+            doc["skinning_weights"][0][slot] = size
+
+        with pytest.raises(ValueError, match="index"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("index", [1.0, "1", True, None])
+    def test_rejects_non_integer_index(self, tmp_path, slot, index):
+        def edit(doc):
+            doc["skinning_weights"][0][slot] = index
+
+        with pytest.raises(ValueError, match="index"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), "0.5"])
+    def test_rejects_non_finite_weight(self, tmp_path, weight):
+        def edit(doc):
+            doc["skinning_weights"][0][2] = weight
+
+        with pytest.raises(ValueError, match="weight"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("count", [-1, 2.5, 12.0, "12", True, None])
+    def test_rejects_bad_vertex_count(self, tmp_path, count):
+        def edit(doc):
+            doc["vertex_count"] = count
+
+        with pytest.raises(ValueError, match="vertex_count"):
+            self.load_edited(tmp_path, edit)
+
 
 class TestValidateConfig:
     def test_detects_kind_miscount(self, reference):
@@ -496,6 +549,16 @@ class TestValidateConfig:
             RigConfig(config.control_points, config.channels, weights), rig
         )
         assert any("negative" in p for p in problems)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_detects_non_finite_weights(self, reference, bad):
+        rig, config = reference
+        weights = config.weights.copy()
+        weights[0, 0] = bad
+        problems = validate_config(
+            RigConfig(config.control_points, config.channels, weights), rig
+        )
+        assert any("non-finite" in p for p in problems)
 
     def test_detects_bound_violating_gains(self, reference):
         rig, config = reference
@@ -541,14 +604,13 @@ class TestCoefficientSolver:
         kin = _kinematics(config, rig)
         vertices = kin.landmark_vertices()
         columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
-        return (kin.solver_for(vertices, None),
-                kin.coefficient_solver_for(vertices, None), columns)
+        return kin.solver_for(vertices), kin.coefficient_solver, columns
 
     def test_cached_and_shares_landmark_solver_state(self, reference, setup):
         rig, config = reference
         full, coeff, _ = setup
         kin = _kinematics(config, rig)
-        assert kin.coefficient_solver_for(kin.landmark_vertices(), None) is coeff
+        assert kin.coefficient_solver is coeff
         assert coeff.matrix is full.matrix and coeff.gram is full.gram
 
     def test_matches_full_space_solve(self, setup):
