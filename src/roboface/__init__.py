@@ -39,7 +39,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .retarget import (
-    ProjectionSettings,
     project_sequence,
     project_to_basis,
     transfer_coefficients,
@@ -68,7 +67,6 @@ __all__ = [
     "PhonemeLogitStream",
     "PipelineConfig",
     "PipelineResult",
-    "ProjectionSettings",
     "RigConfig",
     "ServoFrame",
     "StreamingWindower",

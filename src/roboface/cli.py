@@ -7,6 +7,7 @@ settings from a JSON config file; explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import wave
@@ -63,14 +64,13 @@ def _config_values(args, keys: tuple[str, ...]) -> dict:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    values = _config_values(
-        args, ("tick_hz", "style_id", "filter_order", "filter_cutoff_hz")
-    )
+    """``PipelineConfig`` from the flags and JSON keys named after its fields.
+    Each value set is cast to the type of its field's default; a field set
+    by neither keeps ``PipelineConfig``'s default."""
+    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+    values = _config_values(args, tuple(fields))
     return PipelineConfig(
-        tick_hz=float(values.get("tick_hz", 25.0)),
-        style_id=int(values.get("style_id", 0)),
-        filter_order=int(values.get("filter_order", 5)),
-        filter_cutoff_hz=float(values.get("filter_cutoff_hz", 7.0)),
+        **{name: type(fields[name].default)(v) for name, v in values.items()}
     )
 
 

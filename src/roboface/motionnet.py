@@ -28,6 +28,8 @@ from .frontend import CLASS_COUNT
 from .lbs import BlendCoefficients, LbsRig, MotionSequence
 
 _FORMAT_VERSION = 1
+_BETA1 = 0.9
+_BETA2 = 0.99
 _ADAM_EPS = 1e-8
 
 
@@ -388,8 +390,6 @@ def backward(
 class TrainConfig:
     learning_rate: float = 1e-4
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.99
     epochs: int = 200
     batch_size: int = 16
     dropout_rate: float = 0.1
@@ -401,9 +401,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.weight_decay < 0.0:
             raise ValueError("weight_decay must be nonnegative")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.epochs < 1:
@@ -438,16 +435,16 @@ class TrainHistory:
 def _adam_step(params, grads, state, config):
     state.step += 1
     t = state.step
-    correct1 = 1.0 - config.beta1 ** t
-    correct2 = 1.0 - config.beta2 ** t
+    correct1 = 1.0 - _BETA1 ** t
+    correct2 = 1.0 - _BETA2 ** t
     for name, array in named_arrays(params):
         g = grads[name]
         m = state.first[name]
         v = state.second[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
         update = (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
         array -= config.learning_rate * (update + config.weight_decay * array)
 

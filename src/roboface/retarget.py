@@ -18,7 +18,9 @@ working set rarely changes, so a solve is one step from a cached inverse.
 The B x B Gram matrix E^T E is computed once per rig (U >> B makes that
 the dominant saving). When the target is itself a linear image of
 coefficients, ``CoefficientBoxLeastSquares`` takes those coefficients as
-the right-hand side and never forms the target.
+the right-hand side and never forms the target. Every solve, of every
+solver, stops by one rule: ``MAX_ITERATIONS`` iterations at most and
+gradients within ``TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -30,20 +32,9 @@ import numpy as np
 from .lbs import BlendCoefficients, FaceMesh, LbsRig, MotionSequence
 
 
-@dataclass(frozen=True)
-class ProjectionSettings:
-    """Stopping rule for the least-squares solver; the box is always [0, 1].
-    Only ``BoxLeastSquares`` takes one; every solver the chain builds uses
-    the defaults."""
-
-    max_iterations: int = 500
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+# Stopping rule of every solve; the box is always [0, 1].
+MAX_ITERATIONS = 500
+TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,20 +56,21 @@ class BoxLeastSquares:
     Construction precomputes A^T A; ``solve`` then runs in O(n^2) per
     iteration regardless of A's row count, plus one O(n^3) inverse each
     time the working set differs from the previous iteration's (the
-    inverse of the last working set is kept). The objective is expanded as
-    x^T (A^T A) x - 2 c^T x + const; ``_normal_equations`` derives the pair
-    (c, const) from the right-hand side and ``_residual`` reports the final
-    ||A x - y||^2, so a subclass can take the right-hand side in another
-    form (see ``CoefficientBoxLeastSquares``) and reuse the iteration.
+    inverse of the last working set is kept). Every solve stops by the
+    module's rule, ``MAX_ITERATIONS`` and ``TOLERANCE``. The objective is
+    expanded as x^T (A^T A) x - 2 c^T x + const; ``_normal_equations``
+    derives the pair (c, const) from the right-hand side and ``_residual``
+    reports the final ||A x - y||^2, so a subclass can take the right-hand
+    side in another form (see ``CoefficientBoxLeastSquares``) and reuse the
+    iteration.
     """
 
-    def __init__(self, matrix: np.ndarray, settings: ProjectionSettings | None = None):
+    def __init__(self, matrix: np.ndarray):
         a = np.ascontiguousarray(matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("matrix must be 2-D and non-empty")
         self.matrix = a
         self.gram = a.T @ a
-        self.settings = settings or ProjectionSettings()
 
     # (working-set key, ``_factor`` result) of the last working set solved.
     _cached: tuple | None = None
@@ -98,41 +90,38 @@ class BoxLeastSquares:
         r = self.matrix @ x - y
         return float(r @ r)
 
-    def solve(self, y: np.ndarray, x0: np.ndarray | None = None, callback=None):
+    def solve(self, y: np.ndarray, x0: np.ndarray | None = None):
         """Returns (x, residual, converged, iterations).
 
         ``x0`` warm-starts the working set: clipped into the box, each
         coordinate at 0 or 1 starts bound there and the rest start free.
         Without ``x0`` the start is the unconstrained minimiser clipped into
-        the box. ``callback`` receives (iteration, objective) after every
-        iteration; the objective never rises. Converged means every bound
-        gradient points out of the box and every free gradient is zero, to
-        within ``tolerance``. When every bound holds but a free gradient
-        exceeds the tolerance, the Newton step is repeated while that
-        gradient shrinks; when it stops shrinking (the numerical floor) or
-        the iteration cap is hit, x is returned with converged=False.
+        the box. Converged means every bound gradient points out of the box
+        and every free gradient is zero, to within ``TOLERANCE``. When every
+        bound holds but a free gradient exceeds the tolerance, the Newton
+        step is repeated while that gradient shrinks; when it stops
+        shrinking (the numerical floor) or ``MAX_ITERATIONS`` is hit, x is
+        returned with converged=False.
         """
-        s = self.settings
         g_mat = self.gram
         y = np.asarray(y, dtype=np.float64)
         c, const = self._normal_equations(y)
         n = c.size
 
         if x0 is None:
-            _, _, inverse = self._factor(np.zeros(n, dtype=np.int8))
+            _, inverse = self._factor(np.zeros(n, dtype=np.int8))
             x = np.clip(inverse @ c, 0.0, 1.0)
         else:
             x = np.clip(np.asarray(x0, dtype=np.float64), 0.0, 1.0)
         # Working set: -1 held at 0, +1 held at 1, 0 free.
         side = (x >= 1.0).astype(np.int8) - (x <= 0.0)
         grad = 2.0 * (g_mat @ x - c)
-        f = self._objective(x, c, const) if callback is not None else 0.0
         converged = False
         iterations = 0
         floor = np.inf
 
-        for iterations in range(1, s.max_iterations + 1):
-            free, sub, inverse = self._factor(side)
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            free, inverse = self._factor(side)
             changed = False
             if free.size:
                 # Newton step to the minimiser over the free coordinates.
@@ -140,7 +129,6 @@ class BoxLeastSquares:
                 d = inverse @ grad[free] * -0.5
                 target = x_free + d
                 if 0.0 <= target.min() and target.max() <= 1.0:
-                    alpha = 1.0
                     x[free] = target
                 else:
                     with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,26 +148,21 @@ class BoxLeastSquares:
                     side[up] = 1
                     side[down] = -1
                     changed = bool(blocking.any())
-                if callback is not None:
-                    # Exact decrease of a quadratic along its Newton step.
-                    f -= alpha * (2.0 - alpha) * max(float(d @ (sub @ d)), 0.0)
                 grad = 2.0 * (g_mat @ x - c)
             if not changed:
                 # Release the bound whose gradient points most into the box.
                 wrong = side * grad
                 worst = int(wrong.argmax())
-                changed = wrong[worst] > s.tolerance
+                changed = wrong[worst] > TOLERANCE
                 if changed:
                     side[worst] = 0
-            if callback is not None:
-                callback(iterations, f)
             if changed:
                 floor = np.inf
                 continue
             # Every bound holds. A free gradient left by an inaccurate G_FF^-1
             # shrinks with each repeated Newton step, down to rounding.
             free_grad = np.abs(grad[free]).max(initial=0.0)
-            converged = free_grad <= s.tolerance
+            converged = free_grad <= TOLERANCE
             if converged or free_grad >= floor:
                 break
             floor = free_grad
@@ -187,7 +170,7 @@ class BoxLeastSquares:
         return x, self._residual(x, y, c, const), bool(converged), iterations
 
     def _factor(self, side: np.ndarray) -> tuple:
-        """(free, G_FF, G_FF^-1) for the working set ``side``.
+        """(free, G_FF^-1) for the working set ``side``.
 
         G_FF^-1 is the pseudo-inverse when G_FF is singular to working
         precision (condition number past 1 / (n eps), the cut-off of
@@ -211,7 +194,7 @@ class BoxLeastSquares:
             singular = True
         if singular:
             inverse = np.linalg.pinv(sub)
-        factor = (free, sub, inverse)
+        factor = (free, inverse)
         self._cached = (key, factor)
         return factor
 
@@ -223,8 +206,8 @@ class CoefficientBoxLeastSquares(BoxLeastSquares):
     Precomputing M = basis @ A (B x n) and basis @ basis^T (B x B) gives
     c = theta M and ||y||^2 = theta^T (basis basis^T) theta, so the
     rows-long target y is never formed. The residual is the final objective
-    itself, clamped at 0 against rounding. ``matrix``, ``gram`` and
-    ``settings`` are the landmark solver's own objects.
+    itself, clamped at 0 against rounding. ``matrix`` and ``gram`` are the
+    landmark solver's own objects.
     """
 
     def __init__(self, landmark_solver: BoxLeastSquares, basis: np.ndarray):
@@ -236,7 +219,6 @@ class CoefficientBoxLeastSquares(BoxLeastSquares):
             )
         self.matrix = landmark_solver.matrix
         self.gram = landmark_solver.gram
-        self.settings = landmark_solver.settings
         self.basis_matrix = basis @ self.matrix
         self.basis_gram = basis @ basis.T
 
@@ -256,7 +238,6 @@ def project_to_basis(
     target: FaceMesh,
     rig: LbsRig,
     warm_start: np.ndarray | None = None,
-    callback=None,
 ) -> ProjectionResult:
     """Coefficients whose skinned pose best matches ``target`` (box [0,1])."""
     if target.vertex_count != rig.vertex_count:
@@ -265,7 +246,7 @@ def project_to_basis(
         )
     solver = _rig_solver(rig)
     x, residual, converged, iters = solver.solve(
-        target.positions - rig.mesh.positions, x0=warm_start, callback=callback
+        target.positions - rig.mesh.positions, x0=warm_start
     )
     return ProjectionResult(BlendCoefficients(x), residual, converged, iters)
 

@@ -160,10 +160,29 @@ def _is_index(value, size: float) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
 
 
+def _pulse_fault(name: str, pulse_us) -> str | None:
+    """Why ``pulse_us`` is not two finite widths a servo frame can carry
+    (16 bits each), or None when it is."""
+    if (
+        isinstance(pulse_us, (list, tuple))
+        and len(pulse_us) == 2
+        and all(
+            isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p <= 0xFFFF
+            for p in pulse_us
+        )
+    ):
+        return None
+    return (
+        f"channel {name!r} has pulse_us {pulse_us!r}; it needs two finite "
+        "widths in [0, 65535] us"
+    )
+
+
 def load_config(path) -> RigConfig:
     """Read a ``save_config`` file. ``ValueError`` if ``vertex_count`` is not a
-    nonnegative integer or a skinning entry has an index that is not an
-    integer in range or a weight that is not finite."""
+    nonnegative integer, a skinning entry has an index that is not an
+    integer in range or a weight that is not finite, or a channel's
+    ``pulse_us`` is not two finite widths in [0, 65535]."""
     doc = json.loads(Path(path).read_text())
     points = tuple(
         ControlPoint(
@@ -175,6 +194,10 @@ def load_config(path) -> RigConfig:
         )
         for p in doc["control_points"]
     )
+    for c in doc["actuator_channels"]:
+        fault = _pulse_fault(c["name"], c["pulse_us"])
+        if fault is not None:
+            raise ValueError(fault)
     channels = tuple(
         ActuatorChannel(
             name=c["name"],
@@ -217,7 +240,10 @@ def validate_config(config: RigConfig, rig: LbsRig) -> list[str]:
         )
     ids = {cp.id for cp in config.control_points}
     for ch in config.channels:
-        if ch.pulse_us[0] == ch.pulse_us[1]:
+        fault = _pulse_fault(ch.name, ch.pulse_us)
+        if fault is not None:
+            problems.append(fault)
+        elif ch.pulse_us[0] == ch.pulse_us[1]:
             problems.append(f"channel {ch.name!r} has a degenerate pulse range")
         for cp, dof, _ in ch.gains:
             if cp not in ids:
@@ -275,10 +301,11 @@ class Kinematics:
 
     ``vertex_map`` is the (3U, channels) matrix taking u straight to vertex
     displacements; forward kinematics and inverse kinematics share it so
-    IK round-trips are exact up to solver tolerance. IK solvers are built
-    on first use with the default stopping rule: one per vertex set
-    (``solver_for``), plus ``coefficient_solver`` over the landmark rows,
-    which the tick and ``evaluate_tracking`` share.
+    IK round-trips are exact up to solver tolerance. Both IK solvers work
+    over the landmark union's coordinate rows and are built on first use:
+    ``landmark_solver`` takes a landmark position target (``solve_ik``) and
+    ``coefficient_solver``, built on it, takes rig coefficients (the tick
+    and ``evaluate_tracking``).
     """
 
     def __init__(self, config: RigConfig, rig: LbsRig):
@@ -331,10 +358,9 @@ class Kinematics:
             [i for i in range(len(names)) if i not in set(self.neck_channels)],
             dtype=np.int64,
         )
-        self._solvers: dict = {}
 
     def landmark_vertices(self) -> np.ndarray:
-        """Sorted union of the rig's landmark groups (the default IK target set)."""
+        """Sorted union of the rig's landmark groups (the IK target set)."""
         groups = [idx for idx in self.rig.landmark_groups.values() if idx.size]
         if not groups:
             raise ValueError("rig defines no landmark groups")
@@ -343,25 +369,21 @@ class Kinematics:
     def coord_rows(self, vertices: np.ndarray) -> np.ndarray:
         return (3 * vertices[:, None] + np.arange(3)[None, :]).ravel()
 
-    def solver_for(self, vertices: np.ndarray) -> BoxLeastSquares:
-        """IK solver over the coordinate rows of ``vertices``, one per set."""
-        key = vertices.tobytes()
-        solver = self._solvers.get(key)
-        if solver is None:
-            rows = self.coord_rows(vertices)
-            solver = BoxLeastSquares(self.vertex_map[np.ix_(rows, self.ik_channels)])
-            self._solvers[key] = solver
-        return solver
+    @functools.cached_property
+    def landmark_solver(self) -> BoxLeastSquares:
+        """IK solver over the landmark union's coordinate rows. Built on
+        first use."""
+        rows = self.coord_rows(self.landmark_vertices())
+        return BoxLeastSquares(self.vertex_map[np.ix_(rows, self.ik_channels)])
 
     @functools.cached_property
     def coefficient_solver(self) -> CoefficientBoxLeastSquares:
         """The landmark solver's problem with the target given as rig
-        coefficients: ``solve(theta)`` is ``solver_for(landmarks).solve(theta
-        @ basis[:, rows])`` without the target. Built on first use."""
-        vertices = self.landmark_vertices()
+        coefficients: ``solve(theta)`` is ``landmark_solver.solve(theta @
+        basis[:, rows])`` without the target. Built on first use."""
         return CoefficientBoxLeastSquares(
-            self.solver_for(vertices),
-            self.rig.basis.matrix[:, self.coord_rows(vertices)],
+            self.landmark_solver,
+            self.rig.basis.matrix[:, self.coord_rows(self.landmark_vertices())],
         )
 
 
@@ -420,22 +442,20 @@ def solve_ik(
     config: RigConfig,
     target,
     rig: LbsRig,
-    eval_vertices: np.ndarray | None = None,
     warm_start: np.ndarray | None = None,
     neck: np.ndarray | None = None,
 ) -> IkResult:
     """Actuator command whose forward kinematics best matches the target.
 
-    ``target`` is a FaceMesh (sliced to the evaluation vertices) or a flat
-    position array over exactly those vertices. The defaults evaluate on
-    the rig's landmark union. Neck channels are excluded from the solve and
-    set from ``neck`` (default 0). ``warm_start`` carries the previous
-    frame's non-neck solution into the solver.
+    The match is taken over the rig's landmark union
+    (``Kinematics.landmark_solver``). ``target`` is a FaceMesh (sliced to
+    the landmark vertices) or a flat position array over exactly those
+    vertices. Neck channels are excluded from the solve and set from
+    ``neck`` (default 0). ``warm_start`` carries the previous frame's
+    non-neck solution into the solver.
     """
     kin = _kinematics(config, rig)
-    vertices = kin.landmark_vertices() if eval_vertices is None else np.asarray(
-        eval_vertices, dtype=np.int64
-    )
+    vertices = kin.landmark_vertices()
     rows = kin.coord_rows(vertices)
     if isinstance(target, FaceMesh):
         if target.vertex_count != rig.vertex_count:
@@ -451,8 +471,7 @@ def solve_ik(
                 f"target covers {positions.size // 3} vertices, evaluation "
                 f"set has {vertices.size}"
             )
-    solver = kin.solver_for(vertices)
-    x, residual, converged, iterations = solver.solve(
+    x, residual, converged, iterations = kin.landmark_solver.solve(
         positions - rig.mesh.positions[rows], x0=warm_start
     )
     u = np.zeros(len(config.channels))

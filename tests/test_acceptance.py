@@ -293,12 +293,12 @@ def test_criterion_07_ik_round_trip(reference):
         u_true = np.zeros(len(config.channels))
         u_true[kin.ik_channels] = rng.uniform(0.2, 0.8, kin.ik_channels.size)
         target = forward_kinematics(config, u_true, rig).positions[rows]
-        state, residual = solve_ik(config, target, rig, eval_vertices=vertices)
+        state, residual = solve_ik(config, target, rig)
         worst = max(worst, np.abs(state.values - u_true).max())
     assert worst <= 1e-6
 
     blown = rig.mesh.positions[rows] + 80.0
-    state, residual = solve_ik(config, blown, rig, eval_vertices=vertices)
+    state, residual = solve_ik(config, blown, rig)
     saturated = np.sum(
         (state.values[kin.ik_channels] <= 1e-12)
         | (state.values[kin.ik_channels] >= 1.0 - 1e-12)

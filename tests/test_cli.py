@@ -241,6 +241,11 @@ class TestPipelineSettings:
             with pytest.raises(SystemExit, match="unknown config keys"):
                 _pipeline_config(args)
 
+    def test_nothing_set_gives_the_defaults(self):
+        required = ["--model", "m", "--rig", "r", "--rig-config", "c"]
+        args = self.subparser("bench").parse_args(required)
+        assert _pipeline_config(args) == PipelineConfig()
+
 
 class TestSimulate:
     def test_report_regions(self, workspace, tmp_path):

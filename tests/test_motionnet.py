@@ -259,13 +259,12 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
         assert (cfg.learning_rate, cfg.weight_decay) == (1e-4, 1e-4)
-        assert (cfg.beta1, cfg.beta2) == (0.9, 0.99)
         assert (cfg.epochs, cfg.dropout_rate, cfg.mouth_weight) == (200, 0.1, 1.0)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             TrainConfig(beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)

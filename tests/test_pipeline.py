@@ -323,7 +323,7 @@ class TestRunPipeline:
         order = [reversed_names.index(name) for name in rig.basis.names]
         robot_theta = routed.motion.frames[0][order]
         target = robot_theta @ rig.basis.matrix[:, rows]
-        x, _, _, _ = kin.solver_for(vertices).solve(target)
+        x, _, _, _ = kin.landmark_solver.solve(target)
         u = np.zeros(len(config_r.channels))
         u[kin.ik_channels] = x
         lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
@@ -347,7 +347,7 @@ class TestRunPipeline:
         converged = []
 
         class StubSolver:
-            def solve(self, y, x0=None, callback=None):
+            def solve(self, y, x0=None):
                 return np.zeros(28), 1.0, converged.pop(0), 500
 
         window = random_logits(8, seed=4)
@@ -437,7 +437,7 @@ class TestRunPipeline:
         kin = _kinematics(config_r, rig)
         vertices = kin.landmark_vertices()
         columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
-        solver = kin.solver_for(vertices)
+        solver = kin.landmark_solver
         lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
         span = np.array([ch.pulse_us[1] for ch in config_r.channels]) - lows
         warm = None

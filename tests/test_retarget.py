@@ -1,5 +1,6 @@
 """Coefficient extraction: solver correctness against brute-force oracles."""
 
+import inspect
 import sys
 import threading
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roboface
+from roboface import retarget
 from roboface.lbs import (
     BlendCoefficients,
     BlendshapeBasis,
@@ -16,15 +19,16 @@ from roboface.lbs import (
     apply_skinning,
 )
 from roboface.retarget import (
+    MAX_ITERATIONS,
+    TOLERANCE,
     BoxLeastSquares,
-    ProjectionSettings,
     project_sequence,
     project_to_basis,
     transfer_coefficients,
 )
 from roboface.motionnet import init_params
 from roboface.pipeline import PipelineConfig, run_pipeline
-from roboface.rigsim import _kinematics, build_reference_rig
+from roboface.rigsim import _kinematics, build_reference_rig, solve_ik
 from roboface.synthdata import make_logits, make_motion
 
 
@@ -59,16 +63,16 @@ def grid_search(matrix, y, step=1e-3):
     return np.array([axis[i], axis[j]])
 
 
-def oracle_solve(matrix, y, x0=None, settings=None):
+def oracle_solve(matrix, y, x0=None):
     """Reference box least squares by projected gradient, for comparison.
 
     Each iteration takes a projected-gradient step with exact line search
     and then an exact solve on the free subspace, both clipped at the box
     and accepted only if the objective does not rise. Slow to converge
     from a poor start, but shares no bookkeeping with the active-set
-    ``BoxLeastSquares.solve``. Returns (x, converged).
+    ``BoxLeastSquares.solve``, and stops by the same rule. Returns
+    (x, converged).
     """
-    s = settings or ProjectionSettings()
     g_mat = matrix.T @ matrix
     c = matrix.T @ y
     n = g_mat.shape[0]
@@ -87,10 +91,10 @@ def oracle_solve(matrix, y, x0=None, settings=None):
 
     x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, float), 0.0, 1.0)
     f = objective(x)
-    for _ in range(s.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         grad = 2.0 * (g_mat @ x - c)
         pg = np.where(blocked(x, grad), 0.0, grad)
-        if np.abs(pg).max(initial=0.0) <= s.tolerance:
+        if np.abs(pg).max(initial=0.0) <= TOLERANCE:
             return x, True
         moved = False
         d = -pg
@@ -182,31 +186,18 @@ class TestActiveSetAgainstOracle:
     @given(box_problems())
     def test_kkt_holds(self, problem):
         a, y, x0, _ = problem
-        solver = BoxLeastSquares(a)
-        x, _, converged, _ = solver.solve(y, x0=x0)
+        x, _, converged, _ = BoxLeastSquares(a).solve(y, x0=x0)
         assert converged
-        assert kkt_violation(a, y, x) <= solver.settings.tolerance
-
-    @settings(max_examples=300, deadline=None)
-    @given(box_problems())
-    def test_callback_objective_never_rises(self, problem):
-        a, y, x0, _ = problem
-        seen = []
-        _, residual, _, iterations = BoxLeastSquares(a).solve(
-            y, x0=x0, callback=lambda i, f: seen.append((i, f))
-        )
-        assert [i for i, _ in seen] == list(range(1, iterations + 1))
-        values = [f for _, f in seen]
-        assert all(cur <= prev for prev, cur in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(residual, rel=1e-9, abs=1e-9)
+        assert kkt_violation(a, y, x) <= TOLERANCE
 
     @settings(max_examples=300, deadline=None)
     @given(box_problems())
     def test_one_iteration_cap_reports_unconverged(self, problem):
         a, y, x0, _ = problem
         _, _, _, needed = BoxLeastSquares(a).solve(y, x0=x0)
-        capped = BoxLeastSquares(a, ProjectionSettings(max_iterations=1))
-        x, _, converged, iterations = capped.solve(y, x0=x0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retarget, "MAX_ITERATIONS", 1)
+            x, _, converged, iterations = BoxLeastSquares(a).solve(y, x0=x0)
         assert iterations == 1
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert converged == (needed == 1)
@@ -305,14 +296,6 @@ class TestProjectToBasis:
             expected = grid_search(matrix, y)
             np.testing.assert_allclose(x, expected, atol=2e-3)
 
-    def test_objective_monotone(self):
-        rig = random_rig(seed=4)
-        rng = np.random.default_rng(4)
-        target = FaceMesh(rig.mesh.positions + rng.normal(0, 5, 3 * rig.vertex_count))
-        values = []
-        project_to_basis(target, rig, callback=lambda i, f: values.append(f))
-        assert all(b <= a for a, b in zip(values, values[1:]))
-
     def test_result_always_inside_box(self):
         rig = random_rig(seed=5)
         rng = np.random.default_rng(5)
@@ -321,14 +304,14 @@ class TestProjectToBasis:
         assert theta.values.min() >= 0.0 and theta.values.max() <= 1.0
         assert residual > 0.0
 
-    def test_iteration_cap_flags_unconverged(self):
+    def test_iteration_cap_flags_unconverged(self, monkeypatch):
         rng = np.random.default_rng(6)
         # Nearly collinear columns, forced to quit after one iteration.
         base = rng.normal(0, 1, 40)
         matrix = np.column_stack([base, base + 1e-6 * rng.normal(0, 1, 40)])
-        solver = BoxLeastSquares(
-            matrix, ProjectionSettings(max_iterations=1, tolerance=1e-14)
-        )
+        monkeypatch.setattr(retarget, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(retarget, "TOLERANCE", 1e-14)
+        solver = BoxLeastSquares(matrix)
         x, _, converged, iterations = solver.solve(matrix @ np.array([0.5, 0.5]))
         assert iterations == 1
         assert x.min() >= 0.0 and x.max() <= 1.0
@@ -347,6 +330,17 @@ class TestProjectToBasis:
         x, residual, converged, _ = BoxLeastSquares(matrix).solve(y)
         assert converged
         assert residual <= 1e-18
+
+
+def test_solvers_take_no_stopping_rule_callback_or_vertex_set():
+    # The stopping rule is MAX_ITERATIONS and TOLERANCE, and IK is solved
+    # over the landmark union; no entry point takes a value to change either.
+    for fn in (BoxLeastSquares.__init__, BoxLeastSquares.solve, project_to_basis,
+               solve_ik):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"settings", "callback", "eval_vertices"}, fn
+    assert not hasattr(roboface, "ProjectionSettings")
+    assert "ProjectionSettings" not in roboface.__all__
 
 
 class TestTransfer:

@@ -1,5 +1,6 @@
 """Kinematics simulator tests: forward map, online IK, tracking report."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -24,6 +25,17 @@ from roboface.rigsim import (
     validate_config,
     _kinematics,
 )
+
+
+# pulse_us values that are not two finite widths in [0, 65535] us.
+BAD_PULSES = [
+    [float("nan"), 2400.0],
+    [600.0, float("inf")],
+    [-1.0, 2400.0],
+    [600.0, 70000.0],
+    [600.0],
+    [600.0, 1500.0, 2400.0],
+]
 
 
 @pytest.fixture(scope="module")
@@ -213,9 +225,8 @@ class TestSolveIk:
         rig, config, weights = toy_setup()
         m = toy_fk_matrix(weights)
         u0 = np.array([0.4, 0.6])
-        eval_vertices = np.arange(12)
         target = rig.mesh.positions + m @ u0
-        result = solve_ik(config, target, rig, eval_vertices=eval_vertices)
+        result = solve_ik(config, target, rig)
         np.testing.assert_allclose(result.state.values, u0, atol=1e-8)
 
     def test_size_mismatch_errors(self):
@@ -223,7 +234,7 @@ class TestSolveIk:
         with pytest.raises(ValueError, match="vertices"):
             solve_ik(config, FaceMesh(np.zeros(9)), rig)
         with pytest.raises(ValueError, match="evaluation"):
-            solve_ik(config, np.zeros(7), rig, eval_vertices=np.arange(12))
+            solve_ik(config, np.zeros(7), rig)
 
     def test_warm_start_same_solution(self, reference):
         rig, config = reference
@@ -277,7 +288,7 @@ def landmark_space_tracking(rig, config, reference):
     kin = _kinematics(config, rig)
     vertices = kin.landmark_vertices()
     rows = kin.coord_rows(vertices)
-    solver = kin.solver_for(vertices)
+    solver = kin.landmark_solver
     errors = np.empty((reference.frame_count, vertices.size))
     warm = None
     for t in range(reference.frame_count):
@@ -521,6 +532,20 @@ class TestConfigIo:
         with pytest.raises(ValueError, match="vertex_count"):
             self.load_edited(tmp_path, edit)
 
+    @pytest.mark.parametrize("pulse_us", BAD_PULSES)
+    def test_rejects_bad_pulse_us(self, tmp_path, pulse_us):
+        def edit(doc):
+            doc["actuator_channels"][1]["pulse_us"] = pulse_us
+
+        with pytest.raises(ValueError, match="channel 'slide' has pulse_us"):
+            self.load_edited(tmp_path, edit)
+
+    def test_accepts_pulse_us_at_the_16_bit_edges(self, tmp_path):
+        def edit(doc):
+            doc["actuator_channels"][1]["pulse_us"] = [0, 65535]
+
+        assert self.load_edited(tmp_path, edit).channels[1].pulse_us == (0.0, 65535.0)
+
 
 class TestValidateConfig:
     def test_detects_kind_miscount(self, reference):
@@ -559,6 +584,19 @@ class TestValidateConfig:
             RigConfig(config.control_points, config.channels, weights), rig
         )
         assert any("non-finite" in p for p in problems)
+
+    @pytest.mark.parametrize("pulse_us", BAD_PULSES)
+    def test_detects_bad_pulse_us(self, reference, pulse_us):
+        rig, config = reference
+        bad = dataclasses.replace(config.channels[0], pulse_us=pulse_us)
+        problems = validate_config(
+            RigConfig(config.control_points, (bad,) + config.channels[1:], config.weights),
+            rig,
+        )
+        assert problems == [
+            f"channel {bad.name!r} has pulse_us {bad.pulse_us!r}; it needs two "
+            "finite widths in [0, 65535] us"
+        ]
 
     def test_detects_bound_violating_gains(self, reference):
         rig, config = reference
@@ -604,7 +642,7 @@ class TestCoefficientSolver:
         kin = _kinematics(config, rig)
         vertices = kin.landmark_vertices()
         columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
-        return kin.solver_for(vertices), kin.coefficient_solver, columns
+        return kin.landmark_solver, kin.coefficient_solver, columns
 
     def test_cached_and_shares_landmark_solver_state(self, reference, setup):
         rig, config = reference
