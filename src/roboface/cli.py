@@ -74,6 +74,27 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
+# The CLI name of each ``TrainConfig`` field not spelled like the field.
+_TRAIN_FLAG_NAMES = {"dropout_rate": "dropout"}
+# The keys ``train`` reads: one per ``TrainConfig`` field, then the model
+# shape and the validation split.
+_TRAIN_KEYS = tuple(
+    _TRAIN_FLAG_NAMES.get(f.name, f.name) for f in dataclasses.fields(TrainConfig)
+) + ("hidden", "window", "val_fraction")
+
+
+def _train_config(values: dict) -> TrainConfig:
+    """``TrainConfig`` from merged flag and JSON values keyed by CLI name.
+    Each value set is cast to the type of its field's default; a field set
+    by neither keeps ``TrainConfig``'s default."""
+    kwargs = {}
+    for f in dataclasses.fields(TrainConfig):
+        key = _TRAIN_FLAG_NAMES.get(f.name, f.name)
+        if key in values:
+            kwargs[f.name] = type(f.default)(values[key])
+    return TrainConfig(**kwargs)
+
+
 def _read_wav(path) -> tuple[np.ndarray, int]:
     """Mono float PCM in [-1, 1] plus the sample rate; stereo is averaged."""
     with wave.open(str(path), "rb") as handle:
@@ -133,7 +154,10 @@ def cmd_extract(args) -> int:
 def cmd_retarget(args) -> int:
     rig = load_rig(args.rig)
     frames, fps = load_dense_frames(args.frames)
-    motion, residuals = project_sequence(frames, fps, rig)
+    try:
+        motion, residuals = project_sequence(frames, fps, rig)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
     save_motion(args.out, motion)
     print(
         f"wrote {args.out}: {motion.frame_count} frames, residual "
@@ -146,14 +170,8 @@ def cmd_train(args) -> int:
     from .motionnet import train
 
     rig = load_rig(args.rig)
-    values = _config_values(
-        args,
-        (
-            "epochs", "learning_rate", "weight_decay", "dropout",
-            "mouth_weight", "batch_size", "seed", "hidden", "window",
-            "val_fraction",
-        ),
-    )
+    values = _config_values(args, _TRAIN_KEYS)
+    config = _train_config(values)
     window = int(values.get("window", 8))
     samples, style_count = load_dataset(args.data, rig, window)
     if args.resume:
@@ -165,7 +183,7 @@ def cmd_train(args) -> int:
         adam = adam if adam is not None else AdamState.zeros_like(params)
     else:
         params = init_params(
-            seed=int(values.get("seed", 0)),
+            seed=config.seed,
             window_size=window,
             hidden_size=int(values.get("hidden", 64)),
             style_count=style_count,
@@ -180,15 +198,6 @@ def cmd_train(args) -> int:
         raise SystemExit(f"val_fraction {val_fraction} leaves no training data")
     train_set, val_set = samples[:split], samples[split:]
 
-    config = TrainConfig(
-        learning_rate=float(values.get("learning_rate", 1e-4)),
-        weight_decay=float(values.get("weight_decay", 1e-4)),
-        epochs=int(values.get("epochs", 200)),
-        batch_size=int(values.get("batch_size", 16)),
-        dropout_rate=float(values.get("dropout", 0.1)),
-        mouth_weight=float(values.get("mouth_weight", 1.0)),
-        seed=int(values.get("seed", 0)),
-    )
     params, history = train(params, rig, train_set, config, val_set, adam)
     save_model(args.out, params, adam)
 

@@ -268,15 +268,18 @@ def human_decode(rig: LbsRig, theta) -> np.ndarray:
     """Frozen linear decoder: coefficients -> absolute vertex positions.
 
     Matrix form of the skinning sum, so training can treat the human rig
-    as a fixed affine output layer.
+    as a fixed affine output layer. ``theta`` is one pose (B,) or a stack
+    of poses (T, B), which decodes as one matrix-matrix product to (T, 3V).
     """
     vals = theta.values if isinstance(theta, BlendCoefficients) else np.asarray(theta)
-    if vals.shape != (rig.blendshape_count,):
+    if vals.ndim not in (1, 2) or vals.shape[-1] != rig.blendshape_count:
         raise ValueError(
-            f"coefficient vector has shape {vals.shape}, rig has "
+            f"coefficients have shape {vals.shape}, rig has "
             f"{rig.blendshape_count} blendshapes"
         )
-    return vals @ rig.basis.matrix + rig.mesh.positions
+    out = vals @ rig.basis.matrix
+    out += rig.mesh.positions
+    return out
 
 
 def _coordinate_weights(mouth_mask, mouth_weight: float, size: int) -> np.ndarray:

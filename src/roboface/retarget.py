@@ -36,6 +36,10 @@ from .lbs import BlendCoefficients, FaceMesh, LbsRig, MotionSequence
 MAX_ITERATIONS = 500
 TOLERANCE = 1e-8
 
+# Frames ``project_sequence`` takes per matrix-matrix product; its extra
+# memory is a few (CHUNK_FRAMES, 3V) arrays.
+CHUNK_FRAMES = 16
+
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -58,11 +62,13 @@ class BoxLeastSquares:
     time the working set differs from the previous iteration's (the
     inverse of the last working set is kept). Every solve stops by the
     module's rule, ``MAX_ITERATIONS`` and ``TOLERANCE``. The objective is
-    expanded as x^T (A^T A) x - 2 c^T x + const; ``_normal_equations``
-    derives the pair (c, const) from the right-hand side and ``_residual``
-    reports the final ||A x - y||^2, so a subclass can take the right-hand
+    expanded as x^T (A^T A) x - 2 c^T x + const, and ``solve`` runs three
+    parts: ``_normal_equations`` derives the pair (c, const) from the
+    right-hand side, ``_active_set`` iterates on c alone, and ``_residual``
+    reports the final ||A x - y||^2. So a subclass can take the right-hand
     side in another form (see ``CoefficientBoxLeastSquares``) and reuse the
-    iteration.
+    iteration, and ``project_sequence`` can form c and the residuals of
+    many right-hand sides as matrix-matrix products.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -93,6 +99,19 @@ class BoxLeastSquares:
     def solve(self, y: np.ndarray, x0: np.ndarray | None = None):
         """Returns (x, residual, converged, iterations).
 
+        ``_normal_equations``, then ``_active_set`` from ``x0``, then
+        ``_residual``; see ``_active_set`` for the warm start and the
+        meaning of converged.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        c, const = self._normal_equations(y)
+        x, converged, iterations = self._active_set(c, x0)
+        return x, self._residual(x, y, c, const), converged, iterations
+
+    def _active_set(self, c: np.ndarray, x0: np.ndarray | None):
+        """The active-set iteration on x^T (A^T A) x - 2 c^T x; returns
+        (x, converged, iterations).
+
         ``x0`` warm-starts the working set: clipped into the box, each
         coordinate at 0 or 1 starts bound there and the rest start free.
         Without ``x0`` the start is the unconstrained minimiser clipped into
@@ -104,8 +123,6 @@ class BoxLeastSquares:
         returned with converged=False.
         """
         g_mat = self.gram
-        y = np.asarray(y, dtype=np.float64)
-        c, const = self._normal_equations(y)
         n = c.size
 
         if x0 is None:
@@ -167,7 +184,7 @@ class BoxLeastSquares:
                 break
             floor = free_grad
 
-        return x, self._residual(x, y, c, const), bool(converged), iterations
+        return x, bool(converged), iterations
 
     def _factor(self, side: np.ndarray) -> tuple:
         """(free, G_FF^-1) for the working set ``side``.
@@ -268,21 +285,38 @@ def project_sequence(
     """Project every dense frame (T, 3V) onto the rig basis.
 
     One sequential chain: each solve warm-starts from the previous frame's
-    solution, so the result is ``project_to_basis`` run frame by frame and
-    does not depend on the machine. Returns the coefficient motion and the
-    per-frame residuals (mm^2).
+    solution, so the result does not depend on the machine. Frames go
+    ``CHUNK_FRAMES`` at a time: a chunk's normal equations Y A and its
+    residual rows X A^T - Y are one matrix-matrix product each, and its
+    rows run the active-set iteration in order. The result equals
+    ``project_to_basis`` run frame by frame to rounding (the products sum
+    in another order), and the extra memory is a few chunks whatever the
+    clip length. A NaN or inf frame is rejected before any solve. Returns
+    the coefficient motion and the per-frame residuals (mm^2).
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != 3 * rig.vertex_count:
         raise ValueError("frames must be (T, 3V) matching the rig")
+    count = frames.shape[0]
+    for start in range(0, count, CHUNK_FRAMES):
+        finite = np.isfinite(frames[start:start + CHUNK_FRAMES]).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"frame {start + int(finite.argmin())} holds NaN or inf")
     solver = _rig_solver(rig)
+    a = solver.matrix
     neutral = rig.mesh.positions
-    coeffs = np.empty((frames.shape[0], rig.blendshape_count))
-    residuals = np.empty(frames.shape[0])
+    coeffs = np.empty((count, rig.blendshape_count))
+    residuals = np.empty(count)
     warm = None
-    for t, frame in enumerate(frames):
-        warm, residuals[t], _, _ = solver.solve(frame - neutral, x0=warm)
-        coeffs[t] = warm
+    for start in range(0, count, CHUNK_FRAMES):
+        y = frames[start:start + CHUNK_FRAMES] - neutral
+        x = coeffs[start:start + len(y)]
+        for i, c in enumerate(y @ a):
+            warm, _, _ = solver._active_set(c, warm)
+            x[i] = warm
+        r = x @ a.T
+        r -= y
+        residuals[start:start + len(y)] = np.einsum("ij,ij->i", r, r)
     return MotionSequence(fps, coeffs), residuals
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .formats import load_logits, load_motion, save_logits, save_motion
-from .frontend import PhonemeLogitStream, window_at
+from .frontend import PhonemeLogitStream, make_windows
 from .lbs import LbsRig, MotionSequence
 from .motionnet import TrainingSample, human_decode
 
@@ -67,7 +67,9 @@ def build_samples(
     window_size: int,
 ) -> list[TrainingSample]:
     """Per-frame training pairs: a centered logit window against the skinned
-    landmark target for that frame's coefficients."""
+    landmark target for that frame's coefficients. The windows come from
+    one ``make_windows`` and the targets from one ``human_decode`` of the
+    whole clip; each sample holds a row of each."""
     if motion.frame_count != logits.frame_count:
         raise ValueError(
             f"motion has {motion.frame_count} frames, logits "
@@ -75,12 +77,12 @@ def build_samples(
         )
     if motion.fps != logits.rate_hz:
         raise ValueError("motion and logits must share one frame rate")
-    samples = []
-    for t in range(motion.frame_count):
-        window = window_at(logits.frames, t, window_size)
-        target = human_decode(rig, motion.frames[t])
-        samples.append(TrainingSample(window, style_id, target))
-    return samples
+    windows = make_windows(logits, window_size)
+    targets = human_decode(rig, motion.frames)
+    return [
+        TrainingSample(window, style_id, target)
+        for window, target in zip(windows, targets)
+    ]
 
 
 def write_dataset(

@@ -8,7 +8,15 @@ import wave
 import numpy as np
 import pytest
 
-from roboface.cli import _add_pipeline_flags, _pipeline_config, build_parser, main
+from roboface.cli import (
+    _TRAIN_KEYS,
+    _add_pipeline_flags,
+    _config_values,
+    _pipeline_config,
+    _train_config,
+    build_parser,
+    main,
+)
 from roboface.formats import (
     load_logits,
     load_motion,
@@ -17,6 +25,7 @@ from roboface.formats import (
     save_motion,
 )
 from roboface.lbs import MotionSequence, apply_skinning
+from roboface.motionnet import TrainConfig
 from roboface.pipeline import PipelineConfig
 from roboface.rigsim import load_config
 
@@ -136,6 +145,21 @@ class TestRetarget:
         # Storage is f32, so recovery is tight but not at solver precision.
         assert np.abs(recovered.frames - theta).max() < 1e-3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_frame(self, workspace, tmp_path, bad):
+        rig = load_rig(workspace["rig"])
+        dense = np.tile(rig.mesh.positions, (3, 1))
+        dense[2, 4] = bad
+        dense_path = tmp_path / "frames.dnsf"
+        save_dense_frames(dense_path, dense, 25.0)
+        out = tmp_path / "recovered.lbsm"
+        with pytest.raises(SystemExit, match="frame 2 holds NaN or inf"):
+            main([
+                "retarget", "--frames", str(dense_path), "--rig",
+                str(workspace["rig"]), "--out", str(out),
+            ])
+        assert not out.exists()
+
 
 class TestSynth:
     def test_offline_matches_streaming(self, workspace, tmp_path):
@@ -245,6 +269,41 @@ class TestPipelineSettings:
         required = ["--model", "m", "--rig", "r", "--rig-config", "c"]
         args = self.subparser("bench").parse_args(required)
         assert _pipeline_config(args) == PipelineConfig()
+
+
+class TestTrainSettings:
+    """``train`` sets every ``TrainConfig`` field by flag or JSON key, named
+    after the field except ``dropout`` for ``dropout_rate``, and leaves a
+    field set by neither at ``TrainConfig``'s default."""
+
+    REQUIRED = ["train", "--rig", "r", "--data", "d", "--out", "o"]
+    VALUES = {"learning_rate": 3e-3, "weight_decay": 0.0, "epochs": 7,
+              "batch_size": 5, "dropout": 0.25, "mouth_weight": 2.5, "seed": 9}
+    EXPECTED = TrainConfig(learning_rate=3e-3, weight_decay=0.0, epochs=7,
+                           batch_size=5, dropout_rate=0.25, mouth_weight=2.5,
+                           seed=9)
+
+    def config(self, argv):
+        args = build_parser().parse_args(self.REQUIRED + argv)
+        return _train_config(_config_values(args, _TRAIN_KEYS))
+
+    def test_nothing_set_gives_the_defaults(self):
+        assert self.config([]) == TrainConfig()
+
+    def test_flags_and_keys_set_every_field(self, tmp_path):
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(self.EXPECTED, f.name) != f.default, f.name
+        flags = []
+        for name, value in self.VALUES.items():
+            flags += ["--" + name.replace("_", "-"), str(value)]
+        assert self.config(flags) == self.EXPECTED
+
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(self.VALUES))
+        assert self.config(["--config", str(cfg)]) == self.EXPECTED
+        cfg.write_text(json.dumps({"dropout_rate": 0.25}))
+        with pytest.raises(SystemExit, match="unknown config keys"):
+            self.config(["--config", str(cfg)])
 
 
 class TestSimulate:

@@ -147,6 +147,18 @@ class TestHumanDecode:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="blendshapes"):
             human_decode(tiny_rig(), np.zeros(4))
+        with pytest.raises(ValueError, match="blendshapes"):
+            human_decode(tiny_rig(), np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="blendshapes"):
+            human_decode(tiny_rig(), np.zeros((2, 5, 3)))
+
+    def test_stack_decodes_each_row(self):
+        rig = tiny_rig()
+        thetas = np.random.default_rng(12).uniform(0.0, 1.0, (7, 3))
+        decoded = human_decode(rig, thetas)
+        assert decoded.shape == (7, 3 * rig.vertex_count)
+        for theta, row in zip(thetas, decoded):
+            assert np.abs(row - human_decode(rig, theta)).max() < 1e-12
 
 
 def two_loop_loss(pred, target, mask, mouth_weight):

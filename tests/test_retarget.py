@@ -3,6 +3,7 @@
 import inspect
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,20 +395,74 @@ class TestProjectSequence:
         assert residuals.max() <= 1e-10
 
     def test_equals_warm_started_per_frame_chain(self):
-        # A noisy reference-rig clip on which restarting the warm-start chain
-        # at its midpoint changes the output bits, so a split chain shows.
+        # Noisy reference-rig clips on which restarting the warm-start chain
+        # at a chunk edge changes the output bits, so a split chain shows.
+        # 41 frames leave a partial last chunk.
         rig, _ = build_reference_rig(seed=0)
+        for count in (48, 41):
+            self.check_chain(rig, count)
+
+    @staticmethod
+    def check_chain(rig, count):
         rng = np.random.default_rng(1)
-        tracks = make_motion(48, rig.blendshape_count, 25.0, rng).frames
+        tracks = make_motion(count, rig.blendshape_count, 25.0, rng).frames
         frames = tracks @ rig.basis.matrix + rig.mesh.positions
         frames += rng.normal(0.0, 0.05, frames.shape)
-        warm, expected, expected_residuals = None, [], []
+        solver = retarget._rig_solver(rig)
+        a = solver.matrix
+        # The same normal-equation rows and residual rows, a chunk at a time,
+        # through one unbroken warm-started chain of the iteration.
+        chain, chain_residuals, warm = [], [], None
+        for start in range(0, count, retarget.CHUNK_FRAMES):
+            y = frames[start:start + retarget.CHUNK_FRAMES] - rig.mesh.positions
+            rows = []
+            for c in y @ a:
+                warm, _, _ = solver._active_set(c, warm)
+                rows.append(warm)
+            r = np.array(rows) @ a.T - y
+            chain += rows
+            chain_residuals += list(np.einsum("ij,ij->i", r, r))
+        per_frame, per_frame_residuals, warm = [], [], None
         for frame in frames:
             result = project_to_basis(FaceMesh(frame), rig, warm_start=warm)
             warm = result.coefficients.values
-            expected.append(warm)
-            expected_residuals.append(result.residual)
+            per_frame.append(warm)
+            per_frame_residuals.append(result.residual)
         for _ in range(2):
             seq, residuals = project_sequence(frames, 25.0, rig)
-            assert seq.frames.tobytes() == np.array(expected).tobytes()
-            assert residuals.tobytes() == np.array(expected_residuals).tobytes()
+            assert seq.frames.tobytes() == np.array(chain).tobytes()
+            assert residuals.tobytes() == np.array(chain_residuals).tobytes()
+            # The products sum in another order than one solve per frame.
+            assert np.abs(seq.frames - np.array(per_frame)).max() <= 1e-12
+            np.testing.assert_allclose(residuals, per_frame_residuals, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_frame_before_any_solve(self, bad, monkeypatch):
+        rig = random_rig(v=60, b=5, seed=16)
+        frames = np.tile(rig.mesh.positions, (40, 1))
+        frames[19, 7] = bad
+        frames[33, 0] = np.nan
+        calls = []
+        monkeypatch.setattr(
+            BoxLeastSquares, "_active_set", lambda *args: calls.append(args)
+        )
+        with pytest.raises(ValueError, match="frame 19 holds NaN or inf"):
+            project_sequence(frames, 25.0, rig)
+        assert calls == []
+
+    def test_memory_stays_a_few_chunks(self):
+        # The 200-frame reference-rig clip is 23 MB and a chunk 1.8 MB: a
+        # whole-clip temporary would take the traced peak far past 8 MB.
+        rig, _ = build_reference_rig(seed=0)
+        rng = np.random.default_rng(2)
+        tracks = make_motion(200, rig.blendshape_count, 25.0, rng).frames
+        frames = tracks @ rig.basis.matrix + rig.mesh.positions
+        project_sequence(frames[:2], 25.0, rig)  # the rig's solver, built once
+        tracemalloc.start()
+        try:
+            seq, _ = project_sequence(frames, 25.0, rig)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seq.frame_count == 200
+        assert peak < 8e6
