@@ -14,7 +14,6 @@ from .lbs import (
     LbsRig,
     MotionSequence,
     apply_skinning,
-    validate_rig,
     vertex_delta,
 )
 from .motionnet import (
@@ -26,7 +25,6 @@ from .motionnet import (
     init_params,
     load_model,
     save_model,
-    synth_augment_blinks,
     train,
 )
 from .pipeline import (
@@ -93,9 +91,7 @@ __all__ = [
     "run_pipeline",
     "save_model",
     "solve_ik",
-    "synth_augment_blinks",
     "train",
     "transfer_coefficients",
-    "validate_rig",
     "vertex_delta",
 ]

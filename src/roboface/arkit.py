@@ -66,9 +66,6 @@ CANONICAL_NAMES: tuple[str, ...] = (
 
 CHANNEL_COUNT = len(CANONICAL_NAMES)
 
-# Eyelid channels targeted by blink augmentation.
-BLINK_NAMES: tuple[str, ...] = ("eyeBlinkLeft", "eyeBlinkRight")
-
 # Facial regions used for evaluation masks and landmark grouping.
 REGIONS: tuple[str, ...] = ("eye", "brow", "nose", "cheek", "mouth", "jaw")
 
@@ -89,10 +86,3 @@ def region_of(name: str) -> str:
             return region
     raise ValueError(f"unknown blendshape channel {name!r}")
 
-
-def canonical_index(name: str) -> int:
-    """Index of a channel in the canonical ordering."""
-    try:
-        return CANONICAL_NAMES.index(name)
-    except ValueError:
-        raise ValueError(f"unknown blendshape channel {name!r}") from None

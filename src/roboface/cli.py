@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import wave
@@ -76,11 +77,17 @@ def _pipeline_config(args) -> PipelineConfig:
 
 # The CLI name of each ``TrainConfig`` field not spelled like the field.
 _TRAIN_FLAG_NAMES = {"dropout_rate": "dropout"}
+# The CLI name of each ``init_params`` model-shape argument ``train`` sets.
+_SHAPE_FLAG_NAMES = {"window_size": "window", "hidden_size": "hidden"}
 # The keys ``train`` reads: one per ``TrainConfig`` field, then the model
 # shape and the validation split.
-_TRAIN_KEYS = tuple(
-    _TRAIN_FLAG_NAMES.get(f.name, f.name) for f in dataclasses.fields(TrainConfig)
-) + ("hidden", "window", "val_fraction")
+_TRAIN_KEYS = (
+    tuple(
+        _TRAIN_FLAG_NAMES.get(f.name, f.name) for f in dataclasses.fields(TrainConfig)
+    )
+    + tuple(_SHAPE_FLAG_NAMES.values())
+    + ("val_fraction",)
+)
 
 
 def _train_config(values: dict) -> TrainConfig:
@@ -93,6 +100,17 @@ def _train_config(values: dict) -> TrainConfig:
         if key in values:
             kwargs[f.name] = type(f.default)(values[key])
     return TrainConfig(**kwargs)
+
+
+def _model_shape(values: dict) -> dict:
+    """``init_params``' window and hidden sizes from merged flag and JSON
+    values keyed by CLI name; a size set by neither keeps ``init_params``'
+    default."""
+    params = inspect.signature(init_params).parameters
+    return {
+        name: int(values.get(key, params[name].default))
+        for name, key in _SHAPE_FLAG_NAMES.items()
+    }
 
 
 def _read_wav(path) -> tuple[np.ndarray, int]:
@@ -172,7 +190,8 @@ def cmd_train(args) -> int:
     rig = load_rig(args.rig)
     values = _config_values(args, _TRAIN_KEYS)
     config = _train_config(values)
-    window = int(values.get("window", 8))
+    shape = _model_shape(values)
+    window = shape["window_size"]
     samples, style_count = load_dataset(args.data, rig, window)
     if args.resume:
         params, adam = load_model(args.resume)
@@ -184,8 +203,7 @@ def cmd_train(args) -> int:
     else:
         params = init_params(
             seed=config.seed,
-            window_size=window,
-            hidden_size=int(values.get("hidden", 64)),
+            **shape,
             style_count=style_count,
             output_size=rig.blendshape_count,
             class_count=samples[0].window.shape[1],

@@ -113,8 +113,6 @@ def save_rig(path, rig: LbsRig) -> None:
         _f32_bytes(rig.mesh.positions),
     ]
     for disp in rig.basis.displacements:
-        if disp.size != 3 * u:
-            raise ValueError("cannot save a rig with mismatched displacement fields")
         parts.append(_f32_bytes(disp))
     for name in rig.basis.names:
         parts.append(_string_bytes(name))

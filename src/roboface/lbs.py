@@ -11,9 +11,9 @@ deterministic. All coordinates are millimeters. Types are immutable after
 construction (their arrays are frozen), so every operation here is a pure
 function and safe to share across threads.
 
-Construction keeps structural checks light; ``validate_rig`` is the full
-report-only consistency check, so malformed rigs can be represented and
-diagnosed instead of half-rejected.
+Every rig rule is enforced once, by the constructors, so a rig read from a
+file and one built in code pass the same check: an inconsistent rig raises
+``ValueError`` where it is made instead of failing deep inside a solver.
 """
 
 from __future__ import annotations
@@ -65,15 +65,35 @@ class BlendshapeBasis:
     """Named displacement fields over one mesh topology.
 
     ``displacements[b]`` is a flat (3*V,) offset that moves the face from
-    neutral to the full expression of channel ``names[b]``.
+    neutral to the full expression of channel ``names[b]``. Construction
+    raises ``ValueError`` unless there is at least one field, one unique
+    name per field, and every field is 1-D, finite and of one length.
     """
 
     names: tuple[str, ...]
     displacements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
+        names = tuple(self.names)
         fields = tuple(_frozen(np.asarray(d)) for d in self.displacements)
+        if not fields:
+            raise ValueError("basis has no displacement fields")
+        if len(names) != len(fields):
+            raise ValueError(
+                f"{len(names)} blendshape names but {len(fields)} displacement fields"
+            )
+        if len(set(names)) != len(names):
+            dup = sorted({n for n in names if names.count(n) > 1})
+            raise ValueError(f"duplicate blendshape names {dup}")
+        for name, disp in zip(names, fields):
+            if disp.ndim != 1 or disp.size != fields[0].size:
+                raise ValueError(
+                    f"displacement field {name!r} has shape {disp.shape}, "
+                    f"expected ({fields[0].size},)"
+                )
+            if not np.isfinite(disp).all():
+                raise ValueError(f"displacement field {name!r} has non-finite values")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "displacements", fields)
 
     @property
@@ -82,21 +102,8 @@ class BlendshapeBasis:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Stacked (B, 3*V) displacement matrix. Requires equal field lengths."""
-        if not self.displacements:
-            raise ValueError("basis has no displacement fields")
-        sizes = {d.size for d in self.displacements}
-        if len(sizes) != 1:
-            raise ValueError("displacement fields have inconsistent lengths")
-        if len(self.displacements) != len(self.names):
-            raise ValueError("blendshape name count does not match field count")
+        """Stacked (B, 3*V) displacement matrix."""
         return _frozen(np.vstack(self.displacements))
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no blendshape named {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -120,12 +127,6 @@ class BlendCoefficients:
     def zeros(cls, count: int) -> "BlendCoefficients":
         return cls(np.zeros(count))
 
-    @classmethod
-    def one_hot(cls, count: int, index: int, value: float = 1.0) -> "BlendCoefficients":
-        v = np.zeros(count)
-        v[index] = value
-        return cls(v)
-
 
 @dataclass(frozen=True)
 class LbsRig:
@@ -135,6 +136,11 @@ class LbsRig:
     weight during training. ``landmark_groups`` holds one vertex index set per
     facial region (eye, brow, nose, cheek, mouth, jaw) for region-wise error
     reporting and as the default inverse-kinematics target set.
+
+    Construction raises ``ValueError`` unless the displacement fields are 3V
+    long, every mouth-mask and landmark index is in [0, V), and every
+    landmark group is named after one of ``arkit.REGIONS``. An empty mouth
+    mask is allowed; it is the field's default.
     """
 
     mesh: FaceMesh
@@ -143,12 +149,26 @@ class LbsRig:
     landmark_groups: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        v = self.mesh.vertex_count
+        size = self.basis.displacements[0].size  # the basis fixes one length
+        if size != 3 * v:
+            raise ValueError(
+                f"displacement fields have length {size}, mesh needs {3 * v}"
+            )
         mask = _frozen(np.asarray(self.mouth_mask), dtype=np.int64)
+        if ((mask < 0) | (mask >= v)).any():
+            raise ValueError("mouth mask indexes vertices outside the mesh")
         object.__setattr__(self, "mouth_mask", mask)
-        groups = {
-            name: _frozen(np.asarray(idx), dtype=np.int64)
-            for name, idx in self.landmark_groups.items()
-        }
+        groups = {}
+        for region, idx in self.landmark_groups.items():
+            if region not in REGIONS:
+                raise ValueError(
+                    f"unknown landmark group {region!r}; expected one of {REGIONS}"
+                )
+            idx = _frozen(np.asarray(idx), dtype=np.int64)
+            if ((idx < 0) | (idx >= v)).any():
+                raise ValueError(f"landmark group {region!r} indexes outside the mesh")
+            groups[region] = idx
         object.__setattr__(self, "landmark_groups", groups)
 
     @property
@@ -185,9 +205,6 @@ class MotionSequence:
     def blendshape_count(self) -> int:
         return self.frames.shape[1]
 
-    def coefficients_at(self, t: int) -> BlendCoefficients:
-        return BlendCoefficients(self.frames[t])
-
 
 def _theta_values(theta, blendshape_count: int) -> np.ndarray:
     vals = theta.values if isinstance(theta, BlendCoefficients) else np.asarray(theta, dtype=np.float64)
@@ -212,11 +229,6 @@ def vertex_delta(rig: LbsRig, theta) -> np.ndarray:
     for b in range(vals.size):
         if vals[b] != 0.0:
             disp = rig.basis.displacements[b]
-            if disp.size != n:
-                raise ValueError(
-                    f"displacement field {rig.basis.names[b]!r} has length "
-                    f"{disp.size}, mesh needs {n}"
-                )
             if delta is None:
                 delta = vals[b] * disp
             else:
@@ -235,49 +247,3 @@ def apply_skinning(rig: LbsRig, theta) -> FaceMesh:
         return FaceMesh(rig.mesh.positions, rig.mesh.triangles)
     return FaceMesh(rig.mesh.positions + vertex_delta(rig, vals), rig.mesh.triangles)
 
-
-def validate_rig(rig: LbsRig) -> list[str]:
-    """Check rig invariants and report violations. Empty list means valid.
-
-    Report-only: never raises, even on badly malformed rigs.
-    """
-    problems: list[str] = []
-    mesh = rig.mesh
-    basis = rig.basis
-    v = mesh.vertex_count
-
-    if not np.isfinite(mesh.positions).all():
-        problems.append("mesh has non-finite coordinates")
-
-    if len(basis.names) != len(basis.displacements):
-        problems.append(
-            f"{len(basis.names)} blendshape names but "
-            f"{len(basis.displacements)} displacement fields"
-        )
-    seen: set[str] = set()
-    for name in basis.names:
-        if name in seen:
-            problems.append(f"duplicate blendshape name {name!r}")
-        seen.add(name)
-    for b, disp in enumerate(basis.displacements):
-        name = basis.names[b] if b < len(basis.names) else f"#{b}"
-        if disp.size != 3 * v:
-            problems.append(
-                f"displacement field {name!r} has length {disp.size}, "
-                f"expected {3 * v}"
-            )
-        elif not np.isfinite(disp).all():
-            problems.append(f"displacement field {name!r} has non-finite values")
-
-    if rig.mouth_mask.size == 0:
-        problems.append("mouth mask is empty")
-    elif rig.mouth_mask.min() < 0 or rig.mouth_mask.max() >= v:
-        problems.append("mouth mask indexes vertices outside the mesh")
-
-    for region, idx in rig.landmark_groups.items():
-        if region not in REGIONS:
-            problems.append(f"unexpected landmark group {region!r}")
-        if idx.size and (idx.min() < 0 or idx.max() >= v):
-            problems.append(f"landmark group {region!r} indexes outside the mesh")
-
-    return problems

@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .arkit import BLINK_NAMES, CHANNEL_COUNT, canonical_index
+from .arkit import CHANNEL_COUNT
 from .formats import _Reader, _check_header
 from .frontend import CLASS_COUNT
-from .lbs import BlendCoefficients, LbsRig, MotionSequence
+from .lbs import BlendCoefficients, LbsRig
 
 _FORMAT_VERSION = 1
 _BETA1 = 0.9
@@ -548,55 +548,3 @@ def load_model(path) -> tuple[ModelParams, AdamState | None]:
                 moments[name][...] = r.f64_array(array.size).reshape(array.shape)
     return params, state
 
-
-# ---------------------------------------------------------------------------
-# Blink augmentation
-# ---------------------------------------------------------------------------
-
-
-def synth_augment_blinks(
-    seq: MotionSequence,
-    rate_hz: float,
-    seed: int,
-    channels: tuple[int, ...] | None = None,
-) -> MotionSequence:
-    """Overlay raised-cosine eyelid pulses at Poisson-distributed times.
-
-    The pulse spans ~200 ms of playback with an odd frame count so its
-    center frame hits exactly 1.0; blinks combine with existing values by
-    elementwise max, every other channel passes through untouched.
-    """
-    if rate_hz < 0.0:
-        raise ValueError("blink rate must be nonnegative")
-    if channels is None:
-        if seq.blendshape_count != CHANNEL_COUNT:
-            raise ValueError(
-                "sequence does not use the canonical channel layout; "
-                "pass eyelid channel indices explicitly"
-            )
-        channels = tuple(canonical_index(n) for n in BLINK_NAMES)
-    if rate_hz == 0.0:
-        return MotionSequence(seq.fps, seq.frames)
-    pulse_len = max(3, int(round(0.2 * seq.fps)))
-    if pulse_len % 2 == 0:
-        pulse_len += 1
-    ramp = np.arange(pulse_len) / (pulse_len - 1)
-    pulse = 0.5 * (1.0 - np.cos(2.0 * np.pi * ramp))
-    pulse[pulse_len // 2] = 1.0  # pin the analytic peak against rounding
-
-    rng = np.random.default_rng(seed)
-    duration_s = seq.frame_count / seq.fps
-    count = rng.poisson(rate_hz * duration_s)
-    starts = np.sort(rng.uniform(0.0, duration_s, count))
-    frames = seq.frames.copy()
-    for t0 in starts:
-        begin = int(t0 * seq.fps)
-        end = min(begin + pulse_len, seq.frame_count)
-        span = end - begin
-        if span <= 0:
-            continue
-        for channel in channels:
-            frames[begin:end, channel] = np.maximum(
-                frames[begin:end, channel], pulse[:span]
-            )
-    return MotionSequence(seq.fps, frames)

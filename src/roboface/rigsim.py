@@ -32,26 +32,13 @@ from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinni
 from .retarget import BoxLeastSquares, CoefficientBoxLeastSquares
 from .util import frozen_array, in_unit_interval
 
-CONTROL_POINT_KINDS = {
-    "brow": 4,
-    "eyelid": 4,
-    "eyeball": 2,
-    "nose": 2,
-    "cheek": 2,
-    "mouth": 6,
-    "jaw": 1,
-}
-CONTROL_POINT_COUNT = 21
-FACIAL_CHANNELS = 24
-JAW_CHANNELS = 4
-NECK_CHANNELS = 3
-CHANNEL_COUNT = FACIAL_CHANNELS + JAW_CHANNELS + NECK_CHANNELS
 DOF_PER_POINT = 6
 
 
 @dataclass(frozen=True)
 class ControlPoint:
-    """One bounded-motion rig site."""
+    """One bounded-motion rig site. ``bounds`` is (6, 2): per dof the finite
+    [min, max] range, min <= max, or construction raises ``ValueError``."""
 
     id: str
     kind: str
@@ -66,24 +53,52 @@ class ControlPoint:
         object.__setattr__(self, "bounds", bounds)
         if self.rest_position.shape != (3,) or self.rest_orientation.shape != (3,):
             raise ValueError("rest pose needs 3 position and 3 orientation values")
+        if not np.isfinite(bounds).all():
+            raise ValueError(f"control point {self.id!r} has non-finite bounds")
+        if (bounds[:, 0] > bounds[:, 1]).any():
+            raise ValueError(f"control point {self.id!r} has min > max bounds")
 
 
 @dataclass(frozen=True)
 class ActuatorChannel:
     """One servo channel: gain triplets (control-point id, dof, value) plus
-    the pulse-width calibration (microseconds at u=0 and u=1)."""
+    the pulse-width calibration (microseconds at u=0 and u=1).
+
+    Construction raises ``ValueError`` unless ``pulse_us`` is two distinct
+    finite widths in [0, 65535] (a servo frame carries 16 bits each) and
+    every gain has a dof in [0, 6) and a finite value.
+    """
 
     name: str
     pulse_us: tuple[float, float]
     gains: tuple[tuple[str, int, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "pulse_us", tuple(float(p) for p in self.pulse_us))
-        object.__setattr__(
-            self,
-            "gains",
-            tuple((str(cp), int(dof), float(g)) for cp, dof, g in self.gains),
-        )
+        pulse_us = self.pulse_us
+        if not (
+            isinstance(pulse_us, (list, tuple))
+            and len(pulse_us) == 2
+            and all(
+                isinstance(p, (int, float))
+                and not isinstance(p, bool)
+                and 0 <= p <= 0xFFFF
+                for p in pulse_us
+            )
+        ):
+            raise ValueError(
+                f"channel {self.name!r} has pulse_us {pulse_us!r}; it needs two "
+                "finite widths in [0, 65535] us"
+            )
+        if pulse_us[0] == pulse_us[1]:
+            raise ValueError(f"channel {self.name!r} has a degenerate pulse range")
+        gains = tuple((str(cp), int(dof), float(g)) for cp, dof, g in self.gains)
+        for cp, dof, g in gains:
+            if not 0 <= dof < DOF_PER_POINT:
+                raise ValueError(f"channel {self.name!r} uses invalid dof {dof}")
+            if not math.isfinite(g):
+                raise ValueError(f"channel {self.name!r} has gain {g} on {cp!r}")
+        object.__setattr__(self, "pulse_us", tuple(float(p) for p in pulse_us))
+        object.__setattr__(self, "gains", gains)
 
 
 @dataclass(frozen=True)
@@ -106,16 +121,65 @@ class ActuatorState:
 
 @dataclass(frozen=True)
 class RigConfig:
-    """Control points, actuator map, and vertex skinning weights."""
+    """Control points, actuator map, and vertex skinning weights.
+
+    Construction raises ``ValueError`` unless:
+    - control-point ids are unique and every gain names one of them;
+    - ``weights`` is (U, points): finite, nonnegative, each row summing to
+      at most 1 + 1e-9, and each point touching at least one vertex;
+    - the actuator image stays inside the boxes: for every u in [0, 1]^n
+      each dof's value, bounded by the sums of its negative and of its
+      positive gains, lies within that dof's bounds. This is the rule the
+      skinning model sets for the actuation topology, and it makes forward
+      kinematics the one linear map that IK solves against.
+    How many points of each kind, or how many channels, is free.
+    """
 
     control_points: tuple[ControlPoint, ...]
     channels: tuple[ActuatorChannel, ...]
     weights: np.ndarray  # (U, control_point_count), nonnegative
 
     def __post_init__(self):
-        object.__setattr__(self, "control_points", tuple(self.control_points))
+        points = tuple(self.control_points)
+        object.__setattr__(self, "control_points", points)
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "weights", frozen_array(self.weights))
+        ids = [cp.id for cp in points]
+        if len(set(ids)) != len(ids):
+            dup = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValueError(f"duplicate control point ids {dup}")
+        for ch in self.channels:
+            for cp, _, _ in ch.gains:
+                if cp not in ids:
+                    raise ValueError(f"channel {ch.name!r} drives unknown point {cp!r}")
+
+        w = self.weights
+        if w.ndim != 2 or w.shape[1] != len(points):
+            raise ValueError(
+                f"weights have shape {w.shape}, expected one column for each "
+                f"of {len(points)} control points"
+            )
+        if not np.isfinite(w).all():
+            raise ValueError("skinning weights contain non-finite entries")
+        if (w < 0).any():
+            raise ValueError("skinning weights contain negative entries")
+        if w.sum(axis=1).max(initial=0.0) > 1.0 + 1e-9:
+            raise ValueError("some vertex weight rows sum above 1")
+        idle = np.flatnonzero(~(w > 0).any(axis=0))
+        if idle.size:
+            raise ValueError(f"control point {ids[idle[0]]!r} influences no vertex")
+
+        g = _gain_matrix(self)
+        bounds = np.array([cp.bounds for cp in points]).reshape(-1, 2)
+        outside = (np.minimum(g, 0.0).sum(axis=1) < bounds[:, 0]) | (
+            np.maximum(g, 0.0).sum(axis=1) > bounds[:, 1]
+        )
+        if outside.any():
+            d = int(np.flatnonzero(outside)[0])
+            raise ValueError(
+                f"actuator image exceeds bounds on {ids[d // DOF_PER_POINT]!r} "
+                f"dof {d % DOF_PER_POINT}"
+            )
 
     def point_index(self, cp_id: str) -> int:
         for i, cp in enumerate(self.control_points):
@@ -160,29 +224,13 @@ def _is_index(value, size: float) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
 
 
-def _pulse_fault(name: str, pulse_us) -> str | None:
-    """Why ``pulse_us`` is not two finite widths a servo frame can carry
-    (16 bits each), or None when it is."""
-    if (
-        isinstance(pulse_us, (list, tuple))
-        and len(pulse_us) == 2
-        and all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p <= 0xFFFF
-            for p in pulse_us
-        )
-    ):
-        return None
-    return (
-        f"channel {name!r} has pulse_us {pulse_us!r}; it needs two finite "
-        "widths in [0, 65535] us"
-    )
-
-
 def load_config(path) -> RigConfig:
     """Read a ``save_config`` file. ``ValueError`` if ``vertex_count`` is not a
-    nonnegative integer, a skinning entry has an index that is not an
-    integer in range or a weight that is not finite, or a channel's
-    ``pulse_us`` is not two finite widths in [0, 65535]."""
+    nonnegative integer, or a skinning entry has an index that is not an
+    integer in range or a weight that is not a finite number. Every other
+    rule is the constructors' (``ControlPoint``, ``ActuatorChannel``,
+    ``RigConfig``), which raise ``ValueError`` as for a config built in
+    code."""
     doc = json.loads(Path(path).read_text())
     points = tuple(
         ControlPoint(
@@ -194,14 +242,10 @@ def load_config(path) -> RigConfig:
         )
         for p in doc["control_points"]
     )
-    for c in doc["actuator_channels"]:
-        fault = _pulse_fault(c["name"], c["pulse_us"])
-        if fault is not None:
-            raise ValueError(fault)
     channels = tuple(
         ActuatorChannel(
             name=c["name"],
-            pulse_us=tuple(c["pulse_us"]),
+            pulse_us=c["pulse_us"],
             gains=tuple((g["cp"], g["dof"], g["value"]) for g in c["gains"]),
         )
         for c in doc["actuator_channels"]
@@ -220,71 +264,6 @@ def load_config(path) -> RigConfig:
             raise ValueError(f"skinning entry {[v, c, w]!r}: weight must be finite")
         weights[v, c] = w
     return RigConfig(points, channels, weights)
-
-
-def validate_config(config: RigConfig, rig: LbsRig) -> list[str]:
-    """Report-only consistency check of a config against its rig."""
-    problems: list[str] = []
-    counts: dict[str, int] = {}
-    for cp in config.control_points:
-        counts[cp.kind] = counts.get(cp.kind, 0) + 1
-        if (cp.bounds[:, 0] > cp.bounds[:, 1]).any():
-            problems.append(f"control point {cp.id!r} has min > max bounds")
-    if counts != CONTROL_POINT_KINDS:
-        problems.append(
-            f"control point kinds {counts} do not match {CONTROL_POINT_KINDS}"
-        )
-    if len(config.channels) != CHANNEL_COUNT:
-        problems.append(
-            f"{len(config.channels)} actuator channels, expected {CHANNEL_COUNT}"
-        )
-    ids = {cp.id for cp in config.control_points}
-    for ch in config.channels:
-        fault = _pulse_fault(ch.name, ch.pulse_us)
-        if fault is not None:
-            problems.append(fault)
-        elif ch.pulse_us[0] == ch.pulse_us[1]:
-            problems.append(f"channel {ch.name!r} has a degenerate pulse range")
-        for cp, dof, _ in ch.gains:
-            if cp not in ids:
-                problems.append(f"channel {ch.name!r} drives unknown point {cp!r}")
-            if not 0 <= dof < DOF_PER_POINT:
-                problems.append(f"channel {ch.name!r} uses invalid dof {dof}")
-
-    w = config.weights
-    if w.shape != (rig.vertex_count, len(config.control_points)):
-        problems.append(
-            f"weights have shape {w.shape}, expected "
-            f"({rig.vertex_count}, {len(config.control_points)})"
-        )
-    else:
-        if not np.isfinite(w).all():
-            problems.append("skinning weights contain non-finite entries")
-        if w.min(initial=0.0) < 0:
-            problems.append("skinning weights contain negative entries")
-        if w.sum(axis=1).max(initial=0.0) > 1.0 + 1e-9:
-            problems.append("some vertex weight rows sum above 1")
-        for c, cp in enumerate(config.control_points):
-            if not (w[:, c] > 0).any():
-                problems.append(f"control point {cp.id!r} influences no vertex")
-
-    # The actuator image must stay inside the B6DOF boxes: interval
-    # arithmetic over u in [0,1]^n bounds each dof by its signed gain sums.
-    try:
-        g = _gain_matrix(config)
-    except KeyError:
-        g = None
-    if g is not None and len(config.control_points) == CONTROL_POINT_COUNT:
-        lo = np.minimum(g, 0.0).sum(axis=1)
-        hi = np.maximum(g, 0.0).sum(axis=1)
-        bounds = np.vstack([cp.bounds for cp in config.control_points])
-        bad = (lo < bounds[:, 0]) | (hi > bounds[:, 1])
-        for d in np.flatnonzero(bad):
-            cp = config.control_points[d // DOF_PER_POINT]
-            problems.append(
-                f"actuator image exceeds bounds on {cp.id!r} dof {d % DOF_PER_POINT}"
-            )
-    return problems
 
 
 def _gain_matrix(config: RigConfig) -> np.ndarray:
@@ -315,10 +294,6 @@ class Kinematics:
                 f"rig has {rig.vertex_count}"
             )
         self.rig = rig
-        self.gain = _gain_matrix(config)
-        bounds = np.vstack([cp.bounds for cp in config.control_points])
-        self.dof_lower = bounds[:, 0].copy()
-        self.dof_upper = bounds[:, 1].copy()
 
         verts = rig.mesh.vertices()
         n_cp = len(config.control_points)
@@ -326,8 +301,6 @@ class Kinematics:
         for c, cp in enumerate(config.control_points):
             w = config.weights[:, c]
             touched = np.flatnonzero(w)
-            if touched.size == 0:
-                continue
             r = verts[touched] - cp.rest_position
             wt = w[touched]
             base = c * DOF_PER_POINT
@@ -347,8 +320,7 @@ class Kinematics:
             dof_map[rows, base : base + DOF_PER_POINT] = block.reshape(
                 -1, DOF_PER_POINT
             )
-        self.dof_map = dof_map
-        self.vertex_map = dof_map @ self.gain
+        self.vertex_map = dof_map @ _gain_matrix(config)
 
         names = [ch.name for ch in config.channels]
         self.neck_channels = np.array(
@@ -403,9 +375,10 @@ def _kinematics(config: RigConfig, rig: LbsRig) -> Kinematics:
 def forward_kinematics(config: RigConfig, u, rig: LbsRig) -> FaceMesh:
     """Skin deformation for one actuator command.
 
-    u = 0 returns the rig's neutral mesh bitwise. Control-point DOF values
-    are clamped into their bounds before skinning; a validated config never
-    has that clamp engage for u inside the box.
+    The one linear map ``Kinematics.vertex_map`` that IK solves against:
+    neutral + vertex_map @ u, and u = 0 returns the rig's neutral mesh
+    bitwise. Nothing is clamped: ``RigConfig`` guarantees that every u in
+    [0, 1]^n keeps each control-point dof inside its bounds.
     """
     kin = _kinematics(config, rig)
     vals = u.values if isinstance(u, ActuatorState) else np.asarray(u, dtype=np.float64)
@@ -418,13 +391,7 @@ def forward_kinematics(config: RigConfig, u, rig: LbsRig) -> FaceMesh:
         raise ValueError("actuator values must be finite and lie in [0, 1]")
     if not vals.any():
         return FaceMesh(rig.mesh.positions, rig.mesh.triangles)
-    d = kin.gain @ vals
-    clamped = np.clip(d, kin.dof_lower, kin.dof_upper)
-    if np.array_equal(clamped, d):
-        delta = kin.vertex_map @ vals
-    else:
-        delta = kin.dof_map @ clamped
-    return FaceMesh(rig.mesh.positions + delta, rig.mesh.triangles)
+    return FaceMesh(rig.mesh.positions + kin.vertex_map @ vals, rig.mesh.triangles)
 
 
 @dataclass(frozen=True)

@@ -160,10 +160,6 @@ class StreamingFilter:
         out = np.minimum(np.maximum(u + self._offset, 0.0), 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def reset(self) -> None:
-        self._state = None
-        self._offset = None
-
 
 def filter_sequence(cascade: BiquadCascade, seq: MotionSequence) -> MotionSequence:
     """Filter every coefficient channel causally; fps must match the design.

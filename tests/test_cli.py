@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import inspect
 import json
 import wave
 
@@ -25,7 +26,7 @@ from roboface.formats import (
     save_motion,
 )
 from roboface.lbs import MotionSequence, apply_skinning
-from roboface.motionnet import TrainConfig
+from roboface.motionnet import TrainConfig, init_params, load_model
 from roboface.pipeline import PipelineConfig
 from roboface.rigsim import load_config
 
@@ -107,6 +108,19 @@ class TestTrain:
             "--resume", str(workspace["model"]), "--epochs", "1",
         ]) == 0
         assert out.stat().st_size > 0
+
+    def test_model_shape_defaults_are_init_params(self, workspace, tmp_path):
+        # Neither --window/--hidden nor a config key: init_params' defaults.
+        out = tmp_path / "default_shape.mnet"
+        assert main([
+            "train", "--rig", str(workspace["rig"]),
+            "--data", str(workspace["data"]), "--out", str(out),
+            "--epochs", "1",
+        ]) == 0
+        params, _ = load_model(out)
+        defaults = inspect.signature(init_params).parameters
+        assert params.window_size == defaults["window_size"].default
+        assert params.hidden_size == defaults["hidden_size"].default
 
 
 class TestExtract:

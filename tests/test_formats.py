@@ -19,6 +19,7 @@ from roboface.formats import (
     save_motion,
     save_rig,
 )
+from roboface.arkit import REGIONS
 from roboface.lbs import (
     BlendshapeBasis,
     FaceMesh,
@@ -120,6 +121,83 @@ class TestRigFile:
         assert raw[:4] == b"LBSR"
         version, u, b = struct.unpack_from("<III", raw, 4)
         assert (version, u, b) == (1, 12, 3)
+
+
+def raw_rig_file(path, neutral, fields, names, mask, groups):
+    """Write the .lbsrig layout field by field, so the file can hold what no
+    ``LbsRig`` can: the loader, not the writer, is under test."""
+
+    def string(text):
+        raw = text.encode("utf-8")
+        return struct.pack("<H", len(raw)) + raw
+
+    def indices(idx):
+        return struct.pack("<I", len(idx)) + np.asarray(idx, dtype="<u4").tobytes()
+
+    parts = [b"LBSR", struct.pack("<III", 1, neutral.size // 3, len(fields))]
+    parts.append(np.asarray(neutral, dtype="<f4").tobytes())
+    parts += [np.asarray(d, dtype="<f4").tobytes() for d in fields]
+    parts += [string(n) for n in names]
+    parts.append(indices(mask))
+    for region, idx in groups:
+        parts += [string(region), indices(idx)]
+    path.write_bytes(b"".join(parts))
+
+
+class TestRigFileRules:
+    """``load_rig`` applies the rig's construction rules to what it reads."""
+
+    @staticmethod
+    def parts():
+        rig = small_rig()
+        groups = [(r, rig.landmark_groups.get(r, [])) for r in REGIONS]
+        return {
+            "neutral": rig.mesh.positions,
+            "fields": list(rig.basis.displacements),
+            "names": list(rig.basis.names),
+            "mask": rig.mouth_mask,
+            "groups": groups,
+        }
+
+    def load(self, tmp_path, **parts):
+        path = tmp_path / "r.lbsrig"
+        raw_rig_file(path, **parts)
+        return load_rig(path)
+
+    def test_unedited_parts_load(self, tmp_path):
+        rig = self.load(tmp_path, **self.parts())
+        assert rig.basis.names == small_rig().basis.names
+
+    def test_out_of_range_landmark_index(self, tmp_path):
+        parts = self.parts()
+        parts["groups"][REGIONS.index("jaw")] = ("jaw", [7, 12])
+        with pytest.raises(ValueError, match="jaw"):
+            self.load(tmp_path, **parts)
+
+    def test_out_of_range_mouth_index(self, tmp_path):
+        parts = self.parts()
+        parts["mask"] = [4, 12]
+        with pytest.raises(ValueError, match="mouth mask"):
+            self.load(tmp_path, **parts)
+
+    def test_nan_displacement(self, tmp_path):
+        parts = self.parts()
+        parts["fields"][1] = parts["fields"][1].copy()
+        parts["fields"][1][7] = np.nan
+        with pytest.raises(ValueError, match="mouthSmileLeft"):
+            self.load(tmp_path, **parts)
+
+    def test_duplicated_blendshape_name(self, tmp_path):
+        parts = self.parts()
+        parts["names"][2] = parts["names"][0]
+        with pytest.raises(ValueError, match="duplicate"):
+            self.load(tmp_path, **parts)
+
+    def test_unknown_region_name(self, tmp_path):
+        parts = self.parts()
+        parts["groups"][0] = ("forehead", [0])
+        with pytest.raises(ValueError, match="forehead"):
+            self.load(tmp_path, **parts)
 
 
 class TestLogitFile:

@@ -1,4 +1,4 @@
-"""Skinning core: identity, basis extraction, linearity, validation."""
+"""Skinning core: identity, basis extraction, linearity, construction rules."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from roboface.lbs import (
     LbsRig,
     MotionSequence,
     apply_skinning,
-    validate_rig,
     vertex_delta,
 )
 
@@ -64,8 +63,7 @@ class TestApplySkinning:
 
     def test_one_hot_extracts_displacement_field(self):
         for k in (0, 3, RIG.blendshape_count - 1):
-            theta = BlendCoefficients.one_hot(RIG.blendshape_count, k)
-            out = apply_skinning(RIG, theta)
+            out = apply_skinning(RIG, one_hot(k))
             diff = out.positions - RIG.mesh.positions
             assert np.array_equal(diff, rig_field(k))
 
@@ -97,6 +95,12 @@ def rig_field(k):
     return RIG.basis.displacements[k]
 
 
+def one_hot(k, count=RIG.blendshape_count):
+    theta = np.zeros(count)
+    theta[k] = 1.0
+    return BlendCoefficients(theta)
+
+
 class TestVertexDelta:
     def test_zeros_give_zero_array(self):
         d = vertex_delta(RIG, np.zeros(RIG.blendshape_count))
@@ -104,7 +108,7 @@ class TestVertexDelta:
 
     def test_one_hot_gives_field_bitwise(self):
         for k in range(RIG.blendshape_count):
-            d = vertex_delta(RIG, BlendCoefficients.one_hot(RIG.blendshape_count, k))
+            d = vertex_delta(RIG, one_hot(k))
             assert d.tobytes() == rig_field(k).tobytes()
 
     def test_random_theta_matches_independent_loop(self):
@@ -136,44 +140,62 @@ class TestVertexDelta:
 
 
 class TestValidateRig:
+    """Construction enforces every rig rule; a bad rig raises where it is made."""
+
     def test_well_formed_rig_is_clean(self):
-        assert validate_rig(RIG) == []
+        LbsRig(RIG.mesh, RIG.basis, RIG.mouth_mask, RIG.landmark_groups)
 
     def test_short_displacement_field_named(self):
-        basis = BlendshapeBasis(
-            RIG.basis.names,
-            RIG.basis.displacements[:-1]
-            + (RIG.basis.displacements[-1][:-1],),
-        )
-        bad = LbsRig(RIG.mesh, basis, RIG.mouth_mask, RIG.landmark_groups)
-        problems = validate_rig(bad)
-        assert len(problems) == 1
-        assert RIG.basis.names[-1] in problems[0]
+        with pytest.raises(ValueError, match=RIG.basis.names[-1]):
+            BlendshapeBasis(
+                RIG.basis.names,
+                RIG.basis.displacements[:-1] + (RIG.basis.displacements[-1][:-1],),
+            )
+
+    def test_fields_shorter_than_mesh_flagged(self):
+        short = tuple(d[:-3] for d in RIG.basis.displacements)
+        with pytest.raises(ValueError, match="mesh needs"):
+            LbsRig(RIG.mesh, BlendshapeBasis(RIG.basis.names, short))
 
     def test_duplicate_name_flagged(self):
         names = (RIG.basis.names[0],) + RIG.basis.names[1:-1] + (RIG.basis.names[0],)
-        bad = LbsRig(
-            RIG.mesh,
-            BlendshapeBasis(names, RIG.basis.displacements),
-            RIG.mouth_mask,
-            RIG.landmark_groups,
-        )
-        problems = validate_rig(bad)
-        assert len(problems) == 1
-        assert RIG.basis.names[0] in problems[0]
+        with pytest.raises(ValueError, match=f"duplicate.*{RIG.basis.names[0]}"):
+            BlendshapeBasis(names, RIG.basis.displacements)
 
-    def test_empty_mouth_mask_flagged(self):
-        bad = LbsRig(RIG.mesh, RIG.basis)
-        assert any("mouth mask" in p for p in validate_rig(bad))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_flagged(self, bad):
+        fields = list(RIG.basis.displacements)
+        fields[2] = fields[2].copy()
+        fields[2][5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            BlendshapeBasis(RIG.basis.names, tuple(fields))
+
+    def test_name_and_field_counts_must_match(self):
+        with pytest.raises(ValueError, match="names"):
+            BlendshapeBasis(RIG.basis.names[:-1], RIG.basis.displacements)
+        with pytest.raises(ValueError, match="no displacement fields"):
+            BlendshapeBasis((), ())
+
+    def test_empty_mouth_mask_is_the_default(self):
+        assert LbsRig(RIG.mesh, RIG.basis).mouth_mask.size == 0
+
+    @pytest.mark.parametrize("index", [-1, RIG.vertex_count])
+    def test_out_of_range_mouth_mask_flagged(self, index):
+        with pytest.raises(ValueError, match="mouth mask"):
+            LbsRig(RIG.mesh, RIG.basis, np.array([0, index]))
 
     def test_out_of_range_landmarks_flagged(self):
-        bad = LbsRig(
-            RIG.mesh,
-            RIG.basis,
-            RIG.mouth_mask,
-            {"jaw": np.array([RIG.vertex_count])},
-        )
-        assert any("jaw" in p for p in validate_rig(bad))
+        with pytest.raises(ValueError, match="jaw"):
+            LbsRig(
+                RIG.mesh,
+                RIG.basis,
+                RIG.mouth_mask,
+                {"jaw": np.array([RIG.vertex_count])},
+            )
+
+    def test_unknown_landmark_group_flagged(self):
+        with pytest.raises(ValueError, match="chin"):
+            LbsRig(RIG.mesh, RIG.basis, RIG.mouth_mask, {"chin": np.array([0])})
 
 
 class TestTypes:
@@ -197,16 +219,10 @@ class TestTypes:
     def test_motion_sequence_checks(self):
         seq = MotionSequence(25.0, np.zeros((4, 6)))
         assert seq.frame_count == 4 and seq.blendshape_count == 6
-        assert len(seq.coefficients_at(0)) == 6
         with pytest.raises(ValueError, match="fps"):
             MotionSequence(0.0, np.zeros((1, 2)))
         with pytest.raises(ValueError):
             MotionSequence(25.0, np.full((2, 2), 1.5))
-
-    def test_basis_index_of(self):
-        assert RIG.basis.index_of("shape03") == 3
-        with pytest.raises(KeyError):
-            RIG.basis.index_of("nope")
 
 
 class TestNonFiniteRejected:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from roboface import motionnet
-from roboface.arkit import BLINK_NAMES, canonical_index
-from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning
+from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, apply_skinning
 from roboface.motionnet import (
     AdamState,
     TrainConfig,
@@ -20,7 +19,6 @@ from roboface.motionnet import (
     loss,
     named_arrays,
     save_model,
-    synth_augment_blinks,
     train,
     training_loss,
 )
@@ -377,65 +375,6 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
-
-
-class TestBlinks:
-    def base_sequence(self, frames=200, channels=51):
-        return MotionSequence(25.0, np.zeros((frames, channels)))
-
-    def test_rate_zero_is_identity(self):
-        seq = self.base_sequence()
-        out = synth_augment_blinks(seq, 0.0, seed=0)
-        assert out.frames.tobytes() == seq.frames.tobytes()
-
-    def test_same_seed_same_output(self):
-        seq = self.base_sequence()
-        a = synth_augment_blinks(seq, 1.0, seed=4)
-        b = synth_augment_blinks(seq, 1.0, seed=4)
-        assert a.frames.tobytes() == b.frames.tobytes()
-
-    def test_pulse_peak_is_exactly_one(self):
-        seq = self.base_sequence(frames=500)
-        out = synth_augment_blinks(seq, 2.0, seed=1)
-        for name in BLINK_NAMES:
-            assert out.frames[:, canonical_index(name)].max() == 1.0
-
-    def test_other_channels_untouched(self):
-        rng = np.random.default_rng(6)
-        frames = rng.uniform(0.0, 1.0, (120, 51))
-        seq = MotionSequence(25.0, frames)
-        out = synth_augment_blinks(seq, 3.0, seed=2)
-        blink_cols = {canonical_index(n) for n in BLINK_NAMES}
-        for c in range(51):
-            if c not in blink_cols:
-                assert out.frames[:, c].tobytes() == frames[:, c].tobytes()
-
-    def test_pulse_shape_on_quiet_track(self):
-        # A single blink on a zero track reads back the raised cosine.
-        seq = MotionSequence(25.0, np.zeros((2000, 51)))
-        out = synth_augment_blinks(seq, 0.05, seed=9)
-        col = out.frames[:, canonical_index("eyeBlinkLeft")]
-        peaks = np.flatnonzero(col == 1.0)
-        assert peaks.size >= 1
-        k = peaks[0]
-        np.testing.assert_allclose(col[k - 1], 0.5, atol=1e-12)
-        np.testing.assert_allclose(col[k + 1], 0.5, atol=1e-12)
-        assert col[k - 2] == 0.0 and col[k + 2] == 0.0
-
-    def test_custom_channel_indices(self):
-        seq = MotionSequence(25.0, np.zeros((300, 3)))
-        out = synth_augment_blinks(seq, 2.0, seed=3, channels=(1,))
-        assert out.frames[:, 1].max() == 1.0
-        assert not out.frames[:, 0].any() and not out.frames[:, 2].any()
-
-    def test_non_canonical_layout_needs_channels(self):
-        seq = MotionSequence(25.0, np.zeros((10, 3)))
-        with pytest.raises(ValueError, match="channel"):
-            synth_augment_blinks(seq, 1.0, seed=0)
-
-    def test_negative_rate_errors(self):
-        with pytest.raises(ValueError, match="rate"):
-            synth_augment_blinks(self.base_sequence(), -1.0, seed=0)
 
 
 class TestTrainingSampleChecks:

@@ -3,13 +3,14 @@
 import dataclasses
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from roboface.arkit import CANONICAL_NAMES, REGIONS, region_of
-from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, validate_rig
+from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence
 from roboface.rigsim import (
     ActuatorChannel,
     ActuatorState,
@@ -22,7 +23,6 @@ from roboface.rigsim import (
     load_config,
     save_config,
     solve_ik,
-    validate_config,
     _kinematics,
 )
 
@@ -112,27 +112,26 @@ class TestForwardKinematics:
             mesh.positions - rig.mesh.positions, m @ u, atol=1e-12
         )
 
-    def test_clamp_keeps_dofs_in_bounds(self):
-        # Bounds tighter than the gain image: the dof must saturate at 0.5.
-        rig, config, weights = toy_setup()
+    def test_image_outside_bounds_rejected(self):
+        # Bounds tighter than the gain image: the lift dof would reach 2.0 at
+        # u = 1, past its 0.5 bound, so the config cannot be built and forward
+        # kinematics never needs to clamp.
+        _, config, weights = toy_setup()
         bounds = np.tile([-0.5, 0.5], (6, 1))
-        tight = RigConfig(
-            (
-                ControlPoint(
-                    id="cpA",
-                    kind="mouth",
-                    rest_position=config.control_points[0].rest_position,
-                    bounds=bounds,
+        with pytest.raises(ValueError, match="exceeds bounds on 'cpA' dof 1"):
+            RigConfig(
+                (
+                    ControlPoint(
+                        id="cpA",
+                        kind="mouth",
+                        rest_position=config.control_points[0].rest_position,
+                        bounds=bounds,
+                    ),
+                    config.control_points[1],
                 ),
-                config.control_points[1],
-            ),
-            config.channels,
-            weights,
-        )
-        u = np.array([1.0, 0.0])  # unclamped lift dof would be 2.0
-        mesh = forward_kinematics(tight, u, rig)
-        delta = (mesh.positions - rig.mesh.positions).reshape(-1, 3)
-        np.testing.assert_allclose(delta[:6, 1], weights[:6, 0] * 0.5, atol=1e-12)
+                config.channels,
+                weights,
+            )
 
     def test_accepts_actuator_state(self):
         rig, config, _ = toy_setup()
@@ -411,6 +410,20 @@ class TestReferenceRig:
         assert tuple(rig.basis.names) == CANONICAL_NAMES
         assert len(config.control_points) == 21
         assert len(config.channels) == 31
+        kinds = [cp.kind for cp in config.control_points]
+        assert {k: kinds.count(k) for k in kinds} == {
+            "brow": 4,
+            "eyelid": 4,
+            "eyeball": 2,
+            "nose": 2,
+            "cheek": 2,
+            "mouth": 6,
+            "jaw": 1,
+        }
+        prefixes = [ch.name.split("_")[0] for ch in config.channels]
+        neck = prefixes.count("neck")
+        jaw = prefixes.count("jaw")
+        assert (len(prefixes) - jaw - neck, jaw, neck) == (24, 4, 3)
 
     def test_channel_split(self, reference):
         _, config = reference
@@ -419,9 +432,10 @@ class TestReferenceRig:
         assert all(not ch.gains for ch in neck)
 
     def test_validates_clean(self, reference):
+        # Rebuilding from the parts reruns every construction rule.
         rig, config = reference
-        assert validate_rig(rig) == []
-        assert validate_config(config, rig) == []
+        LbsRig(rig.mesh, rig.basis, rig.mouth_mask, rig.landmark_groups)
+        RigConfig(config.control_points, config.channels, config.weights)
 
     def test_full_rank_systems(self, reference):
         # Both the blendshape basis and the non-neck actuator image must be
@@ -438,8 +452,8 @@ class TestReferenceRig:
     def test_region_energy_concentration(self, reference):
         # Each shape's squared displacement lives mostly on its own region.
         rig, _ = reference
-        for name in CANONICAL_NAMES:
-            disp = rig.basis.displacements[rig.basis.index_of(name)].reshape(-1, 3)
+        for name, field in zip(rig.basis.names, rig.basis.displacements):
+            disp = field.reshape(-1, 3)
             energy = (disp * disp).sum(axis=1)
             own = energy[rig.landmark_groups[region_of(name)]].sum()
             assert own >= 0.80 * energy.sum(), name
@@ -548,58 +562,82 @@ class TestConfigIo:
 
 
 class TestValidateConfig:
-    def test_detects_kind_miscount(self, reference):
-        rig, config = reference
-        dropped = RigConfig(
-            config.control_points[:-1], config.channels, config.weights[:, :-1]
-        )
-        problems = validate_config(dropped, rig)
-        assert any("kinds" in p for p in problems)
+    """Construction enforces every config rule; a bad config raises where it
+    is made, whether built in code or read by ``load_config``."""
 
     def test_detects_unknown_gain_target(self, reference):
-        rig, config = reference
+        _, config = reference
         channels = config.channels[:-1] + (
             ActuatorChannel("bad", (600.0, 2400.0), (("nosuch", 0, 1.0),)),
         )
-        problems = validate_config(
-            RigConfig(config.control_points, channels, config.weights), rig
-        )
-        assert any("nosuch" in p for p in problems)
+        with pytest.raises(ValueError, match="nosuch"):
+            RigConfig(config.control_points, channels, config.weights)
+
+    def test_detects_duplicate_point_id(self, reference):
+        _, config = reference
+        first, second = config.control_points[:2]
+        twin = dataclasses.replace(second, id=first.id)
+        points = (first, twin) + config.control_points[2:]
+        with pytest.raises(ValueError, match="duplicate control point ids"):
+            RigConfig(points, config.channels, config.weights)
 
     def test_detects_negative_weights(self, reference):
-        rig, config = reference
+        _, config = reference
         weights = config.weights.copy()
         weights[0, 0] = -0.1
-        problems = validate_config(
-            RigConfig(config.control_points, config.channels, weights), rig
-        )
-        assert any("negative" in p for p in problems)
+        with pytest.raises(ValueError, match="negative"):
+            RigConfig(config.control_points, config.channels, weights)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_detects_non_finite_weights(self, reference, bad):
-        rig, config = reference
+        _, config = reference
         weights = config.weights.copy()
         weights[0, 0] = bad
-        problems = validate_config(
-            RigConfig(config.control_points, config.channels, weights), rig
-        )
-        assert any("non-finite" in p for p in problems)
+        with pytest.raises(ValueError, match="non-finite"):
+            RigConfig(config.control_points, config.channels, weights)
+
+    def test_detects_weight_shape_and_rows(self):
+        _, config, weights = toy_setup()
+        with pytest.raises(ValueError, match="one column"):
+            RigConfig(config.control_points, config.channels, weights[:, :1])
+        heavy = weights.copy()
+        heavy[0, 1] = 0.5  # row 0 already gives cpA 1.0
+        with pytest.raises(ValueError, match="sum above 1"):
+            RigConfig(config.control_points, config.channels, heavy)
+        idle = weights.copy()
+        idle[:, 1] = 0.0
+        with pytest.raises(ValueError, match="'cpB' influences no vertex"):
+            RigConfig(config.control_points, config.channels, idle)
 
     @pytest.mark.parametrize("pulse_us", BAD_PULSES)
     def test_detects_bad_pulse_us(self, reference, pulse_us):
-        rig, config = reference
-        bad = dataclasses.replace(config.channels[0], pulse_us=pulse_us)
-        problems = validate_config(
-            RigConfig(config.control_points, (bad,) + config.channels[1:], config.weights),
-            rig,
-        )
-        assert problems == [
-            f"channel {bad.name!r} has pulse_us {bad.pulse_us!r}; it needs two "
+        _, config = reference
+        name = config.channels[0].name
+        message = (
+            f"channel {name!r} has pulse_us {pulse_us!r}; it needs two "
             "finite widths in [0, 65535] us"
-        ]
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(config.channels[0], pulse_us=pulse_us)
+
+    def test_detects_degenerate_pulse_range(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            ActuatorChannel("flat", (1500.0, 1500.0))
+
+    @pytest.mark.parametrize(
+        "gain, match",
+        [
+            (("cpA", 6, 1.0), "dof 6"),
+            (("cpA", -1, 1.0), "dof -1"),
+            (("cpA", 0, float("nan")), "gain nan"),
+        ],
+    )
+    def test_detects_bad_gain(self, gain, match):
+        with pytest.raises(ValueError, match=match):
+            ActuatorChannel("bad", (600.0, 2400.0), (gain,))
 
     def test_detects_bound_violating_gains(self, reference):
-        rig, config = reference
+        _, config = reference
         cp0 = config.control_points[0]
         shrunk = ControlPoint(
             id=cp0.id,
@@ -607,30 +645,38 @@ class TestValidateConfig:
             rest_position=cp0.rest_position,
             bounds=np.tile([-0.01, 0.01], (6, 1)),
         )
-        problems = validate_config(
+        with pytest.raises(ValueError, match="exceeds bounds"):
             RigConfig(
                 (shrunk,) + config.control_points[1:], config.channels, config.weights
-            ),
-            rig,
-        )
-        assert any("exceeds bounds" in p for p in problems)
+            )
 
     def test_detects_inverted_bounds(self, reference):
-        rig, config = reference
+        _, config = reference
         cp0 = config.control_points[0]
-        flipped = ControlPoint(
-            id=cp0.id,
-            kind=cp0.kind,
-            rest_position=cp0.rest_position,
-            bounds=np.column_stack([np.full(6, 1.0), np.full(6, -1.0)]),
+        with pytest.raises(ValueError, match="min > max"):
+            ControlPoint(
+                id=cp0.id,
+                kind=cp0.kind,
+                rest_position=cp0.rest_position,
+                bounds=np.column_stack([np.full(6, 1.0), np.full(6, -1.0)]),
+            )
+
+    def test_detects_non_finite_bounds(self, reference):
+        cp0 = reference[1].control_points[0]
+        bounds = cp0.bounds.copy()
+        bounds[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite bounds"):
+            dataclasses.replace(cp0, bounds=bounds)
+
+    def test_other_topologies_are_legal(self, reference):
+        # Kind and channel counts describe the reference robot, not a valid
+        # rig: a config without the last point and its gains still builds.
+        _, config = reference
+        last = config.control_points[-1].id
+        channels = tuple(
+            ch for ch in config.channels if all(cp != last for cp, _, _ in ch.gains)
         )
-        problems = validate_config(
-            RigConfig(
-                (flipped,) + config.control_points[1:], config.channels, config.weights
-            ),
-            rig,
-        )
-        assert any("min > max" in p for p in problems)
+        RigConfig(config.control_points[:-1], channels, config.weights[:, :-1])
 
 
 class TestCoefficientSolver:
