@@ -102,15 +102,24 @@ def _train_config(values: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+def _default(fn, name: str):
+    """``fn``'s default for parameter ``name``, so flags never restate it."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _model_shape(values: dict) -> dict:
     """``init_params``' window and hidden sizes from merged flag and JSON
     values keyed by CLI name; a size set by neither keeps ``init_params``'
     default."""
-    params = inspect.signature(init_params).parameters
     return {
-        name: int(values.get(key, params[name].default))
+        name: int(values.get(key, _default(init_params, name)))
         for name, key in _SHAPE_FLAG_NAMES.items()
     }
+
+
+# The CLI name of each ``write_dataset`` setting ``make-data`` reads.
+_DATA_FLAG_NAMES = {"clip_count": "clips", "frame_count": "frames", "fps": "fps",
+                    "class_count": "classes", "style_count": "styles", "seed": "seed"}
 
 
 def _read_wav(path) -> tuple[np.ndarray, int]:
@@ -144,12 +153,7 @@ def cmd_make_data(args) -> int:
     manifest = write_dataset(
         args.out,
         rig,
-        clip_count=args.clips,
-        frame_count=args.frames,
-        fps=args.fps,
-        class_count=args.classes,
-        style_count=args.styles,
-        seed=args.seed,
+        **{name: getattr(args, flag) for name, flag in _DATA_FLAG_NAMES.items()},
     )
     print(f"wrote {args.clips} clips x {args.frames} frames to {manifest}")
     return 0
@@ -252,7 +256,6 @@ def cmd_synth(args) -> int:
             rig_config,
             stream.frames,
             source_rig=source_rig,
-            mode=args.mode,
             frame_sink=sink,
         )
     if args.out_motion:
@@ -346,18 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-rig", help="generate the deterministic reference rig")
     p.add_argument("--out-rig", required=True)
     p.add_argument("--out-config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_default(build_reference_rig, "seed"))
     p.set_defaults(func=cmd_make_rig)
 
     p = sub.add_parser("make-data", help="generate a synthetic training dataset")
     p.add_argument("--rig", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--clips", type=int, default=4)
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--fps", type=float, default=25.0)
-    p.add_argument("--classes", type=int, default=392)
-    p.add_argument("--styles", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    for name, flag in _DATA_FLAG_NAMES.items():
+        default = _default(write_dataset, name)
+        p.add_argument("--" + flag, type=type(default), default=default)
     p.set_defaults(func=cmd_make_data)
 
     p = sub.add_parser("extract", help="audio file to phoneme-logit stream")
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-servo", required=True)
     p.add_argument("--out-motion", default=None)
     p.add_argument("--report", default=None)
-    p.add_argument("--mode", choices=("offline", "streaming"), default="offline")
     p.add_argument("--source-rig", default=None,
                    help="rig naming the model's coefficient space")
     _add_pipeline_flags(p)
@@ -414,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth", help="low-pass filter a coefficient motion")
     p.add_argument("--motion", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--cutoff-hz", type=float, default=7.0, dest="cutoff_hz")
+    p.add_argument("--order", type=int, default=FilterSpec.order)
+    p.add_argument("--cutoff-hz", type=float, default=FilterSpec.cutoff_hz,
+                   dest="cutoff_hz")
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser(
@@ -424,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--rig", required=True)
     p.add_argument("--rig-config", required=True)
-    p.add_argument("--frames", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--frames", type=int, default=_default(bench, "n_frames"))
+    p.add_argument("--seed", type=int, default=_default(bench, "seed"))
     p.add_argument("--out", default=None)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_bench)

@@ -51,10 +51,6 @@ class PhonemeLogitStream:
     def class_count(self) -> int:
         return self.frames.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.frame_count / self.rate_hz
-
 
 def resample(stream: PhonemeLogitStream, target_hz: float) -> PhonemeLogitStream:
     """Linear interpolation per logit channel onto a target_hz frame grid.
@@ -98,10 +94,7 @@ def make_windows(stream: PhonemeLogitStream, k: int) -> np.ndarray:
 
 def window_at(stream_frames: np.ndarray, t: int, k: int) -> np.ndarray:
     """One centered window over a (T, classes) frame array; edge-replicated.
-
-    Matches make_windows(stream, k)[t]; usable incrementally by streaming
-    consumers that only have frames up to t + K/2 - 1.
-    """
+    Matches make_windows(stream, k)[t]."""
     return stream_frames[_window_indices(t, k, stream_frames.shape[0])]
 
 

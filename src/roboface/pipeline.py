@@ -1,13 +1,13 @@
 """Real-time orchestration: logits -> model -> filter -> IK -> servo frames.
 
-One tick function implements the whole 25 Hz chain; the offline and
-streaming drivers differ only in how logit windows are produced, which is
-what guarantees bitwise-identical servo byte streams between the two
-modes. After the model the tick works on the blendshape coefficients
-alone: filter bank, name permutation and IK from coefficients; no
-landmark-space target is built. Non-finite logits are rejected before the
-first tick. The serial wire format frames 31 pulse widths with a sync byte,
-a wrapping frame counter, and a two's-complement checksum.
+One tick function implements the whole 25 Hz chain, and one window source
+feeds it: every logit frame goes through a ``StreamingWindower``, so a
+run's servo bytes depend only on its frames. After the model the tick
+works on the blendshape coefficients alone: filter bank, name permutation
+and IK from coefficients; no landmark-space target is built. Non-finite
+logits are rejected before the first tick. The serial wire format frames
+31 pulse widths with a sync byte, a wrapping frame counter, and a
+two's-complement checksum.
 """
 
 from __future__ import annotations
@@ -257,17 +257,12 @@ class _Ticker:
         return frame, smoothed
 
 
-def _window_source(frames: np.ndarray, k: int, mode: str):
-    if mode == "offline":
-        for t in range(frames.shape[0]):
-            yield window_at(frames, t, k)
-    elif mode == "streaming":
-        windower = StreamingWindower(k, frames.shape[1])
-        for frame in frames:
-            yield from windower.push(frame)
-        yield from windower.finish()
-    else:
-        raise ValueError(f"mode must be 'offline' or 'streaming', got {mode!r}")
+def _windows(frames: np.ndarray, k: int):
+    """Each frame's centered window, in frame order."""
+    windower = StreamingWindower(k, frames.shape[1])
+    for frame in frames:
+        yield from windower.push(frame)
+    yield from windower.finish()
 
 
 def run_pipeline(
@@ -286,7 +281,13 @@ def run_pipeline(
     input frame yields exactly one servo frame. ``source_rig`` names the
     model's coefficient space when it differs from the robot rig. Slow
     ticks are counted against the budget, never dropped.
+
+    ``mode`` selects nothing: both values run the same windower. It stays,
+    and any other value raises ``ValueError``, only because the benchmark
+    in ``perfbench/`` passes it.
     """
+    if mode not in ("offline", "streaming"):
+        raise ValueError(f"mode must be 'offline' or 'streaming', got {mode!r}")
     frames = np.asarray(logit_frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("logit_frames must be a non-empty (T, classes) array")
@@ -301,7 +302,7 @@ def run_pipeline(
     servo_frames = []
     smoothed_rows = []
     tick_ms = []
-    for window in _window_source(frames, params.window_size, mode):
+    for window in _windows(frames, params.window_size):
         started = time.perf_counter()
         frame, smoothed = ticker.tick(window)
         data = encode_frame(frame)

@@ -12,8 +12,9 @@ skinning weights with small-angle rotations:
 Keeping forward kinematics exactly linear in u (tendon small-displacement
 approximation) lets online inverse kinematics reuse the box-constrained
 least-squares engine with a precomputed Gram matrix, which is what makes
-the 40 ms frame budget reachable. Neck channels carry no skin gain; they
-pass head-pose through to the servos and stay out of IK.
+the 40 ms frame budget reachable. A channel with no skin gain (on the
+reference rig, the three neck channels) moves no vertex: whatever its
+name, it passes head pose through to its servo and stays out of IK.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,8 +67,9 @@ class ActuatorChannel:
     the pulse-width calibration (microseconds at u=0 and u=1).
 
     Construction raises ``ValueError`` unless ``pulse_us`` is two distinct
-    finite widths in [0, 65535] (a servo frame carries 16 bits each) and
-    every gain has a dof in [0, 6) and a finite value.
+    real widths in [0, 65535] (a servo frame carries 16 bits each) and
+    every gain has an integer dof in [0, 6) and a finite value. Bools are
+    neither widths nor dofs; numpy numbers are both.
     """
 
     name: str
@@ -79,7 +82,7 @@ class ActuatorChannel:
             isinstance(pulse_us, (list, tuple))
             and len(pulse_us) == 2
             and all(
-                isinstance(p, (int, float))
+                isinstance(p, numbers.Real)
                 and not isinstance(p, bool)
                 and 0 <= p <= 0xFFFF
                 for p in pulse_us
@@ -91,14 +94,14 @@ class ActuatorChannel:
             )
         if pulse_us[0] == pulse_us[1]:
             raise ValueError(f"channel {self.name!r} has a degenerate pulse range")
-        gains = tuple((str(cp), int(dof), float(g)) for cp, dof, g in self.gains)
+        gains = tuple((str(cp), dof, float(g)) for cp, dof, g in self.gains)
         for cp, dof, g in gains:
-            if not 0 <= dof < DOF_PER_POINT:
-                raise ValueError(f"channel {self.name!r} uses invalid dof {dof}")
+            if not _is_index(dof, DOF_PER_POINT):
+                raise ValueError(f"channel {self.name!r} uses invalid dof {dof!r}")
             if not math.isfinite(g):
                 raise ValueError(f"channel {self.name!r} has gain {g} on {cp!r}")
         object.__setattr__(self, "pulse_us", tuple(float(p) for p in pulse_us))
-        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "gains", tuple((cp, int(d), g) for cp, d, g in gains))
 
 
 @dataclass(frozen=True)
@@ -220,8 +223,12 @@ def save_config(path, config: RigConfig) -> None:
 
 
 def _is_index(value, size: float) -> bool:
-    """True for an int (not a bool) in [0, size)."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+    """True for an integer (not a bool) in [0, size)."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and 0 <= value < size
+    )
 
 
 def load_config(path) -> RigConfig:
@@ -280,8 +287,10 @@ class Kinematics:
 
     ``vertex_map`` is the (3U, channels) matrix taking u straight to vertex
     displacements; forward kinematics and inverse kinematics share it so
-    IK round-trips are exact up to solver tolerance. Both IK solvers work
-    over the landmark union's coordinate rows and are built on first use:
+    IK round-trips are exact up to solver tolerance. ``ik_channels`` have
+    a nonzero ``_gain_matrix`` column; the rest, ``neck_channels``, move
+    no vertex and stay out of IK. Both IK solvers work over the landmark
+    union's coordinate rows and are built on first use:
     ``landmark_solver`` takes a landmark position target (``solve_ik``) and
     ``coefficient_solver``, built on it, takes rig coefficients (the tick
     and ``evaluate_tracking``).
@@ -320,16 +329,11 @@ class Kinematics:
             dof_map[rows, base : base + DOF_PER_POINT] = block.reshape(
                 -1, DOF_PER_POINT
             )
-        self.vertex_map = dof_map @ _gain_matrix(config)
-
-        names = [ch.name for ch in config.channels]
-        self.neck_channels = np.array(
-            [i for i, n in enumerate(names) if n.startswith("neck")], dtype=np.int64
-        )
-        self.ik_channels = np.array(
-            [i for i in range(len(names)) if i not in set(self.neck_channels)],
-            dtype=np.int64,
-        )
+        gain = _gain_matrix(config)
+        self.vertex_map = dof_map @ gain
+        skin = gain.any(axis=0)
+        self.ik_channels = np.flatnonzero(skin)
+        self.neck_channels = np.flatnonzero(~skin)
 
     def landmark_vertices(self) -> np.ndarray:
         """Sorted union of the rig's landmark groups (the IK target set)."""
@@ -417,9 +421,10 @@ def solve_ik(
     The match is taken over the rig's landmark union
     (``Kinematics.landmark_solver``). ``target`` is a FaceMesh (sliced to
     the landmark vertices) or a flat position array over exactly those
-    vertices. Neck channels are excluded from the solve and set from
-    ``neck`` (default 0). ``warm_start`` carries the previous frame's
-    non-neck solution into the solver.
+    vertices. Neck channels, those with no skin gain
+    (``Kinematics.neck_channels``), are excluded from the solve and set
+    from ``neck`` (default 0). ``warm_start`` carries the previous frame's
+    solution over ``Kinematics.ik_channels`` into the solver.
     """
     kin = _kinematics(config, rig)
     vertices = kin.landmark_vertices()

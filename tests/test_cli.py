@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import re
 import wave
 
 import numpy as np
@@ -27,8 +28,10 @@ from roboface.formats import (
 )
 from roboface.lbs import MotionSequence, apply_skinning
 from roboface.motionnet import TrainConfig, init_params, load_model
-from roboface.pipeline import PipelineConfig
-from roboface.rigsim import load_config
+from roboface.pipeline import PipelineConfig, bench
+from roboface.rigsim import build_reference_rig, load_config
+from roboface.smoothing import FilterSpec
+from roboface.synthdata import write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -176,16 +179,12 @@ class TestRetarget:
 
 
 class TestSynth:
-    def test_offline_matches_streaming(self, workspace, tmp_path):
-        common = [
-            "synth", "--logits", str(workspace["logits"]),
-            "--model", str(workspace["model"]), "--rig", str(workspace["rig"]),
-            "--rig-config", str(workspace["config"]),
-        ]
-        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        assert main(common + ["--out-servo", str(a), "--mode", "offline"]) == 0
-        assert main(common + ["--out-servo", str(b), "--mode", "streaming"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_help_lists_no_mode(self, capsys):
+        # Every run feeds one windower, so there is no window source to pick.
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        text = capsys.readouterr().out
+        assert "--logits" in text and not re.search(r"--mode\b", text)
 
     def test_writes_motion_and_report(self, workspace, tmp_path):
         servo = tmp_path / "servo.bin"
@@ -318,6 +317,42 @@ class TestTrainSettings:
         cfg.write_text(json.dumps({"dropout_rate": 0.25}))
         with pytest.raises(SystemExit, match="unknown config keys"):
             self.config(["--config", str(cfg)])
+
+
+class TestLibraryDefaults:
+    """A flag that restates a library default reads it from its owner: the
+    parser default equals the owner's, value and type."""
+
+    CASES = [
+        ("make-rig", ["--out-rig", "r", "--out-config", "c"],
+         {"seed": (build_reference_rig, "seed")}),
+        ("make-data", ["--rig", "r", "--out", "o"],
+         {"clips": (write_dataset, "clip_count"),
+          "frames": (write_dataset, "frame_count"),
+          "fps": (write_dataset, "fps"),
+          "classes": (write_dataset, "class_count"),
+          "styles": (write_dataset, "style_count"),
+          "seed": (write_dataset, "seed")}),
+        ("smooth", ["--motion", "m", "--out", "o"],
+         {"order": (FilterSpec, "order"), "cutoff_hz": (FilterSpec, "cutoff_hz")}),
+        ("bench", ["--model", "m", "--rig", "r", "--rig-config", "c"],
+         {"frames": (bench, "n_frames"), "seed": (bench, "seed")}),
+    ]
+
+    @staticmethod
+    def owner_default(owner, name):
+        if dataclasses.is_dataclass(owner):
+            return {f.name: f.default for f in dataclasses.fields(owner)}[name]
+        return inspect.signature(owner).parameters[name].default
+
+    @pytest.mark.parametrize("command, required, owners", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_parser_defaults_are_the_owners(self, command, required, owners):
+        args = build_parser().parse_args([command] + required)
+        for dest, (owner, name) in owners.items():
+            expected = self.owner_default(owner, name)
+            assert getattr(args, dest) == expected, dest
+            assert type(getattr(args, dest)) is type(expected), dest
 
 
 class TestSimulate:

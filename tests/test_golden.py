@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import roboface
+from roboface import pipeline
 from roboface.motionnet import init_params
 from roboface.pipeline import LoopbackSink, PipelineConfig, decode_frame, run_pipeline
 from roboface.rigsim import build_reference_rig
@@ -187,3 +188,69 @@ def test_servo_bytes_do_not_depend_on_blas_threads():
     first, second = (bytes.fromhex(run["servo"]) for run in runs)
     assert second == first, servo_diff(first, second)
     assert sha256(first) == SERVO_SHA256, servo_diff(GOLDEN_SERVO.read_bytes(), first)
+
+
+@pytest.mark.parametrize("mode", ["offline", "streaming"])
+def test_every_window_comes_from_the_windower(mode, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the tick cut a window with window_at")
+
+    monkeypatch.setattr(pipeline, "window_at", refuse)
+    data, _ = reference_servo(mode)
+    assert sha256(data) == SERVO_SHA256, servo_diff(GOLDEN_SERVO.read_bytes(), data)
+
+
+# OPENBLAS_CORETYPE -> the /proc/cpuinfo flags, any of which lets this CPU run
+# its kernels; Linux names SSE3 "pni".
+CORE_TYPES = {
+    "Prescott": ("sse3", "pni"),
+    "Haswell": ("avx2",),
+    "SkylakeX": ("avx512f",),
+}
+
+
+def cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+def loads_openblas() -> bool:
+    try:
+        with open("/proc/self/maps") as maps:
+            return any("openblas" in line.lower() for line in maps)
+    except OSError:
+        return False
+
+
+def test_servo_bytes_do_not_depend_on_blas_kernels():
+    if not loads_openblas():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    flags = cpu_flags()
+    core_types = [name for name, need in CORE_TYPES.items() if flags & set(need)]
+    if not core_types:
+        pytest.skip("this CPU runs none of the OpenBLAS kernels checked")
+    src = Path(roboface.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    path = [str(src), str(tests)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    for core_type in core_types:
+        env = dict(os.environ, OPENBLAS_CORETYPE=core_type)
+        env["PYTHONPATH"] = os.pathsep.join(path)
+        out = subprocess.run(
+            [sys.executable, "-c", _CHILD],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        data = bytes.fromhex(json.loads(out.stdout.strip().splitlines()[-1])["servo"])
+        assert sha256(data) == SERVO_SHA256, (
+            f"OPENBLAS_CORETYPE={core_type}\n"
+            + servo_diff(GOLDEN_SERVO.read_bytes(), data)
+        )

@@ -220,6 +220,25 @@ class TestSolveIk:
             result.state.values[kin.neck_channels], [0.3, 0.6, 0.9]
         )
 
+    def test_gainless_channel_is_set_from_neck_whatever_its_name(self):
+        # The IK/neck split follows the gains: a channel with no skin gain
+        # stays out of the solve even when its name is not "neck...".
+        rig, config, weights = toy_setup()
+        spare = ActuatorChannel("spare", (600.0, 2400.0))
+        config = RigConfig(config.control_points, config.channels + (spare,), weights)
+        target = rig.mesh.positions + toy_fk_matrix(weights) @ [0.4, 0.6]
+        result = solve_ik(config, target, rig, neck=np.array([0.7]))
+        np.testing.assert_allclose(result.state.values, [0.4, 0.6, 0.7], atol=1e-8)
+
+    def test_skinned_channel_named_neck_is_solved(self):
+        rig, config, weights = toy_setup()
+        nod = dataclasses.replace(config.channels[1], name="neck_nod")
+        config = RigConfig(config.control_points, (config.channels[0], nod), weights)
+        u0 = np.array([0.4, 0.6])
+        result = solve_ik(config, forward_kinematics(config, u0, rig), rig)
+        np.testing.assert_allclose(result.state.values, u0, atol=1e-8)
+        assert Kinematics(config, rig).neck_channels.size == 0
+
     def test_flat_target_over_eval_vertices(self):
         rig, config, weights = toy_setup()
         m = toy_fk_matrix(weights)
@@ -431,6 +450,13 @@ class TestReferenceRig:
         assert len(neck) == 3
         assert all(not ch.gains for ch in neck)
 
+    def test_kinematics_split_is_the_gainless_channels(self, reference):
+        rig, config = reference
+        kin = Kinematics(config, rig)
+        np.testing.assert_array_equal(kin.ik_channels, np.arange(28))
+        np.testing.assert_array_equal(kin.neck_channels, [28, 29, 30])
+        assert kin.ik_channels.dtype == kin.neck_channels.dtype == np.int64
+
     def test_validates_clean(self, reference):
         # Rebuilding from the parts reruns every construction rule.
         rig, config = reference
@@ -554,6 +580,13 @@ class TestConfigIo:
         with pytest.raises(ValueError, match="channel 'slide' has pulse_us"):
             self.load_edited(tmp_path, edit)
 
+    def test_rejects_non_integer_dof(self, tmp_path):
+        def edit(doc):
+            doc["actuator_channels"][0]["gains"][0]["dof"] = 1.7
+
+        with pytest.raises(ValueError, match="channel 'lift' uses invalid dof 1.7"):
+            self.load_edited(tmp_path, edit)
+
     def test_accepts_pulse_us_at_the_16_bit_edges(self, tmp_path):
         def edit(doc):
             doc["actuator_channels"][1]["pulse_us"] = [0, 65535]
@@ -630,11 +663,21 @@ class TestValidateConfig:
             (("cpA", 6, 1.0), "dof 6"),
             (("cpA", -1, 1.0), "dof -1"),
             (("cpA", 0, float("nan")), "gain nan"),
+            (("cpA", 1.7, 1.0), "dof 1.7"),
+            (("cpA", True, 1.0), "dof True"),
         ],
     )
     def test_detects_bad_gain(self, gain, match):
         with pytest.raises(ValueError, match=match):
             ActuatorChannel("bad", (600.0, 2400.0), (gain,))
+
+    def test_accepts_numpy_widths_and_dofs(self):
+        channel = ActuatorChannel(
+            "a", (np.int64(600), np.int64(2400)), (("cpA", np.int64(1), 2.0),)
+        )
+        assert channel.pulse_us == (600.0, 2400.0)
+        assert channel.gains == (("cpA", 1, 2.0),)
+        assert type(channel.gains[0][1]) is int
 
     def test_detects_bound_violating_gains(self, reference):
         _, config = reference
