@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import sys
@@ -65,14 +66,11 @@ def _config_values(args, keys: tuple[str, ...]) -> dict:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    """``PipelineConfig`` from the flags and JSON keys named after its fields.
-    Each value set is cast to the type of its field's default; a field set
-    by neither keeps ``PipelineConfig``'s default."""
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    values = _config_values(args, tuple(fields))
-    return PipelineConfig(
-        **{name: type(fields[name].default)(v) for name, v in values.items()}
-    )
+    """``PipelineConfig`` from the flags and JSON keys named after its fields,
+    passed as read, so the constructor judges each value; a field set by
+    neither keeps ``PipelineConfig``'s default."""
+    fields = tuple(f.name for f in dataclasses.fields(PipelineConfig))
+    return PipelineConfig(**_config_values(args, fields))
 
 
 # The CLI name of each ``TrainConfig`` field not spelled like the field.
@@ -91,14 +89,13 @@ _TRAIN_KEYS = (
 
 
 def _train_config(values: dict) -> TrainConfig:
-    """``TrainConfig`` from merged flag and JSON values keyed by CLI name.
-    Each value set is cast to the type of its field's default; a field set
-    by neither keeps ``TrainConfig``'s default."""
+    """``TrainConfig`` from merged flag and JSON values keyed by CLI name,
+    passed as read; a field set by neither keeps ``TrainConfig``'s default."""
     kwargs = {}
     for f in dataclasses.fields(TrainConfig):
         key = _TRAIN_FLAG_NAMES.get(f.name, f.name)
         if key in values:
-            kwargs[f.name] = type(f.default)(values[key])
+            kwargs[f.name] = values[key]
     return TrainConfig(**kwargs)
 
 
@@ -112,7 +109,7 @@ def _model_shape(values: dict) -> dict:
     values keyed by CLI name; a size set by neither keeps ``init_params``'
     default."""
     return {
-        name: int(values.get(key, _default(init_params, name)))
+        name: values.get(key, _default(init_params, name))
         for name, key in _SHAPE_FLAG_NAMES.items()
     }
 
@@ -340,19 +337,24 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No prefix matching: a removed or mistyped flag must not bind to another.
     parser = argparse.ArgumentParser(
         prog="roboface",
         description="Speech-driven robot face animation toolkit.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser,
+        allow_abbrev=False,
+    )
 
-    p = sub.add_parser("make-rig", help="generate the deterministic reference rig")
+    p = add("make-rig", help="generate the deterministic reference rig")
     p.add_argument("--out-rig", required=True)
     p.add_argument("--out-config", required=True)
     p.add_argument("--seed", type=int, default=_default(build_reference_rig, "seed"))
     p.set_defaults(func=cmd_make_rig)
 
-    p = sub.add_parser("make-data", help="generate a synthetic training dataset")
+    p = add("make-data", help="generate a synthetic training dataset")
     p.add_argument("--rig", required=True)
     p.add_argument("--out", required=True)
     for name, flag in _DATA_FLAG_NAMES.items():
@@ -360,18 +362,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + flag, type=type(default), default=default)
     p.set_defaults(func=cmd_make_data)
 
-    p = sub.add_parser("extract", help="audio file to phoneme-logit stream")
+    p = add("extract", help="audio file to phoneme-logit stream")
     p.add_argument("--audio", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("retarget", help="dense vertex frames to coefficients")
+    p = add("retarget", help="dense vertex frames to coefficients")
     p.add_argument("--frames", required=True)
     p.add_argument("--rig", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_retarget)
 
-    p = sub.add_parser("train", help="fit the motion model on a dataset")
+    p = add("train", help="fit the motion model on a dataset")
     p.add_argument("--rig", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("synth", help="logit stream to servo frames")
+    p = add("synth", help="logit stream to servo frames")
     p.add_argument("--logits", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--rig", required=True)
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("simulate", help="tracking-error report for a motion")
+    p = add("simulate", help="tracking-error report for a motion")
     p.add_argument("--motion", required=True)
     p.add_argument("--rig", required=True)
     p.add_argument("--rig-config", required=True)
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histograms", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("smooth", help="low-pass filter a coefficient motion")
+    p = add("smooth", help="low-pass filter a coefficient motion")
     p.add_argument("--motion", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--order", type=int, default=FilterSpec.order)
@@ -418,9 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="cutoff_hz")
     p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser(
-        "bench", help="model, tick, IK, synth, tracking and training throughput"
-    )
+    p = add("bench", help="model, tick, IK, synth, tracking and training throughput")
     p.add_argument("--model", required=True)
     p.add_argument("--rig", required=True)
     p.add_argument("--rig-config", required=True)
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("export-obj", help="write OBJ meshes for inspection")
+    p = add("export-obj", help="write OBJ meshes for inspection")
     p.add_argument("--rig", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--motion", default=None)

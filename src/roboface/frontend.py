@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import frozen_array as _frozen, is_positive_finite
+from .util import frozen_array as _frozen, is_index, is_positive_finite
 
 CLASS_COUNT = 392
 BLANK_CLASS = 0
@@ -106,8 +106,8 @@ def _window_indices(t, k: int, total: int) -> np.ndarray:
 
 
 def _check_window_size(k: int) -> None:
-    if k < 1 or (k & (k - 1)) != 0:
-        raise ValueError(f"window size must be a power of two, got {k}")
+    if not (is_index(k) and k >= 1 and (k & (k - 1)) == 0):
+        raise ValueError(f"window size must be a power of two, got {k!r}")
 
 
 class StreamingWindower:

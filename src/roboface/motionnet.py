@@ -26,6 +26,7 @@ from .arkit import CHANNEL_COUNT
 from .formats import _Reader, _check_header
 from .frontend import CLASS_COUNT
 from .lbs import BlendCoefficients, LbsRig
+from .util import is_index
 
 _FORMAT_VERSION = 1
 _BETA1 = 0.9
@@ -99,7 +100,14 @@ def init_params(
     output_size: int = CHANNEL_COUNT,
     class_count: int = CLASS_COUNT,
 ) -> ModelParams:
-    """Fan-in-scaled uniform weights, zero biases, zero style table."""
+    """Fan-in-scaled uniform weights, zero biases, zero style table. Every
+    size is an integer of at least 1; ``ValueError`` otherwise."""
+    sizes = {"window_size": window_size, "hidden_size": hidden_size,
+             "style_count": style_count, "output_size": output_size,
+             "class_count": class_count}
+    for name, size in sizes.items():
+        if not (is_index(size) and size >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
     if window_size < 2 or window_size & (window_size - 1):
         raise ValueError("window_size must be a power of two, at least 2")
     rng = np.random.default_rng(seed)
@@ -327,14 +335,13 @@ class TrainingSample:
 
 def _batch_losses(params, rig, samples, mouth_weight, masks):
     """Decode a batch and score it: returns (losses (n,), dpred (n, 3·V),
-    tape). The decode is one GEMM, ``theta @ E + p0``."""
+    tape). The decode is one ``human_decode`` GEMM."""
     windows = np.stack([s.window for s in samples])
     targets = np.stack([s.target_vertices for s in samples])
     theta, tape = _run_forward(params, windows, [s.style_id for s in samples], masks)
-    diff = theta @ rig.basis.matrix  # then in place: new (n, 3·V) arrays page-fault
+    diff = human_decode(rig, theta)  # then in place: new (n, 3·V) arrays page-fault
     if targets.shape != diff.shape:
         raise ValueError(f"prediction has shape {diff.shape}, target {targets.shape}")
-    diff += rig.mesh.positions
     diff -= targets
     weighted = diff * _coordinate_weights(rig.mouth_mask, mouth_weight, diff.shape[1])
     losses = np.einsum("ij,ij->i", diff, weighted)
@@ -406,10 +413,12 @@ class TrainConfig:
             raise ValueError("weight_decay must be nonnegative")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not (is_index(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not is_index(self.seed):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass

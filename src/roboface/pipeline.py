@@ -32,7 +32,7 @@ from .retarget import transfer_coefficients, transfer_order  # noqa: F401
 from .rigsim import RigConfig, _kinematics, evaluate_tracking
 from .smoothing import FilterSpec, StreamingFilter, design, group_delay_frames
 from .synthdata import build_samples, make_logits, make_motion
-from .util import is_positive_finite
+from .util import is_index, is_positive_finite
 
 SYNC_BYTE = 0xFA
 
@@ -141,8 +141,10 @@ class PipelineConfig:
             raise ValueError(
                 f"tick_hz must be finite and positive, got {self.tick_hz}"
             )
-        if self.style_id < 0:
-            raise ValueError("style_id must be nonnegative")
+        if not is_index(self.style_id):
+            raise ValueError(
+                f"style_id must be a nonnegative integer, got {self.style_id!r}"
+            )
         self.filter_spec  # FilterSpec rejects a bad order or cutoff here
 
     @property

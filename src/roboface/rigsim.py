@@ -32,7 +32,7 @@ from .arkit import CANONICAL_NAMES, REGIONS, region_of
 # apply_skinning stays importable here: perfbench/tracing.py wraps rigsim.apply_skinning.
 from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning  # noqa: F401
 from .retarget import BoxLeastSquares, CoefficientBoxLeastSquares
-from .util import frozen_array, in_unit_interval
+from .util import frozen_array, in_unit_interval, is_index
 
 DOF_PER_POINT = 6
 
@@ -96,7 +96,7 @@ class ActuatorChannel:
             raise ValueError(f"channel {self.name!r} has a degenerate pulse range")
         gains = tuple((str(cp), dof, float(g)) for cp, dof, g in self.gains)
         for cp, dof, g in gains:
-            if not _is_index(dof, DOF_PER_POINT):
+            if not is_index(dof, DOF_PER_POINT):
                 raise ValueError(f"channel {self.name!r} uses invalid dof {dof!r}")
             if not math.isfinite(g):
                 raise ValueError(f"channel {self.name!r} has gain {g} on {cp!r}")
@@ -131,16 +131,18 @@ class RigConfig:
     - ``weights`` is (U, points): finite, nonnegative, each row summing to
       at most 1 + 1e-9, and each point touching at least one vertex;
     - the actuator image stays inside the boxes: for every u in [0, 1]^n
-      each dof's value, bounded by the sums of its negative and of its
-      positive gains, lies within that dof's bounds. This is the rule the
-      skinning model sets for the actuation topology, and it makes forward
-      kinematics the one linear map that IK solves against.
-    How many points of each kind, or how many channels, is free.
+      each dof's value lies within that dof's bounds (``_actuator_image``).
+      This is the rule the skinning model sets for the actuation topology,
+      and it makes forward kinematics the one linear map that IK solves
+      against.
+    How many points of each kind, or how many channels, is free. ``gain``
+    is the read-only (dofs, channels) actuation topology, built once here.
     """
 
     control_points: tuple[ControlPoint, ...]
     channels: tuple[ActuatorChannel, ...]
     weights: np.ndarray  # (U, control_point_count), nonnegative
+    gain: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = tuple(self.control_points)
@@ -151,10 +153,8 @@ class RigConfig:
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate control point ids {dup}")
-        for ch in self.channels:
-            for cp, _, _ in ch.gains:
-                if cp not in ids:
-                    raise ValueError(f"channel {ch.name!r} drives unknown point {cp!r}")
+        gain = frozen_array(_gain_matrix(ids, self.channels))
+        object.__setattr__(self, "gain", gain)
 
         w = self.weights
         if w.ndim != 2 or w.shape[1] != len(points):
@@ -172,11 +172,9 @@ class RigConfig:
         if idle.size:
             raise ValueError(f"control point {ids[idle[0]]!r} influences no vertex")
 
-        g = _gain_matrix(self)
+        low, high = _actuator_image(gain)
         bounds = np.array([cp.bounds for cp in points]).reshape(-1, 2)
-        outside = (np.minimum(g, 0.0).sum(axis=1) < bounds[:, 0]) | (
-            np.maximum(g, 0.0).sum(axis=1) > bounds[:, 1]
-        )
+        outside = (low < bounds[:, 0]) | (high > bounds[:, 1])
         if outside.any():
             d = int(np.flatnonzero(outside)[0])
             raise ValueError(
@@ -184,11 +182,25 @@ class RigConfig:
                 f"dof {d % DOF_PER_POINT}"
             )
 
-    def point_index(self, cp_id: str) -> int:
-        for i, cp in enumerate(self.control_points):
-            if cp.id == cp_id:
-                return i
-        raise KeyError(f"no control point named {cp_id!r}")
+
+def _gain_matrix(ids, channels) -> np.ndarray:
+    """(dof_count, channel_count) map from u to the displacements of the
+    control points named ``ids``. ``ValueError`` if a gain names another
+    point."""
+    index = {cp_id: i for i, cp_id in enumerate(ids)}
+    g = np.zeros((len(index) * DOF_PER_POINT, len(channels)))
+    for j, ch in enumerate(channels):
+        for cp_id, dof, value in ch.gains:
+            if cp_id not in index:
+                raise ValueError(f"channel {ch.name!r} drives unknown point {cp_id!r}")
+            g[index[cp_id] * DOF_PER_POINT + dof, j] += value
+    return g
+
+
+def _actuator_image(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dof (low, high) reach of ``gain @ u`` over u in [0, 1]^n: the sums
+    of each row's negative and of its positive gains."""
+    return np.minimum(gain, 0.0).sum(axis=1), np.maximum(gain, 0.0).sum(axis=1)
 
 
 def save_config(path, config: RigConfig) -> None:
@@ -222,15 +234,6 @@ def save_config(path, config: RigConfig) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def _is_index(value, size: float) -> bool:
-    """True for an integer (not a bool) in [0, size)."""
-    return (
-        isinstance(value, numbers.Integral)
-        and not isinstance(value, bool)
-        and 0 <= value < size
-    )
-
-
 def load_config(path) -> RigConfig:
     """Read a ``save_config`` file. ``ValueError`` if ``vertex_count`` is not a
     nonnegative integer, or a skinning entry has an index that is not an
@@ -258,11 +261,11 @@ def load_config(path) -> RigConfig:
         for c in doc["actuator_channels"]
     )
     vertex_count = doc["vertex_count"]
-    if not _is_index(vertex_count, math.inf):
+    if not is_index(vertex_count):
         raise ValueError(f"vertex_count {vertex_count!r} is not a nonnegative integer")
     weights = np.zeros((vertex_count, len(points)))
     for v, c, w in doc["skinning_weights"]:
-        if not (_is_index(v, vertex_count) and _is_index(c, len(points))):
+        if not (is_index(v, vertex_count) and is_index(c, len(points))):
             raise ValueError(
                 f"skinning entry {[v, c, w]!r}: vertex index must be an integer "
                 f"in [0, {vertex_count}), control-point index in [0, {len(points)})"
@@ -273,24 +276,16 @@ def load_config(path) -> RigConfig:
     return RigConfig(points, channels, weights)
 
 
-def _gain_matrix(config: RigConfig) -> np.ndarray:
-    """(dof_count, channel_count) map from u to control-point displacements."""
-    g = np.zeros((len(config.control_points) * DOF_PER_POINT, len(config.channels)))
-    for j, ch in enumerate(config.channels):
-        for cp_id, dof, value in ch.gains:
-            g[config.point_index(cp_id) * DOF_PER_POINT + dof, j] += value
-    return g
-
-
 class Kinematics:
     """Precomputed linear maps for one (config, rig) pair.
 
     ``vertex_map`` is the (3U, channels) matrix taking u straight to vertex
     displacements; forward kinematics and inverse kinematics share it so
     IK round-trips are exact up to solver tolerance. ``ik_channels`` have
-    a nonzero ``_gain_matrix`` column; the rest, ``neck_channels``, move
-    no vertex and stay out of IK. Both IK solvers work over the landmark
-    union's coordinate rows and are built on first use:
+    a nonzero ``RigConfig.gain`` column; the rest, ``neck_channels``, move
+    no vertex and stay out of IK. The IK target is the landmark union
+    (``landmarks``) and its coordinate ``rows``; they and both IK solvers
+    are built on first use, so forward kinematics needs no landmark groups:
     ``landmark_solver`` takes a landmark position target (``solve_ik``) and
     ``coefficient_solver``, built on it, takes rig coefficients (the tick
     and ``evaluate_tracking``).
@@ -305,52 +300,45 @@ class Kinematics:
         self.rig = rig
 
         verts = rig.mesh.vertices()
-        n_cp = len(config.control_points)
-        dof_map = np.zeros((3 * rig.vertex_count, n_cp * DOF_PER_POINT))
+        # (vertex, axis, point, dof): reshaped, the (3U, dofs) map of d to
+        # vertex displacements.
+        dof_map = np.zeros(
+            (rig.vertex_count, 3, len(config.control_points), DOF_PER_POINT)
+        )
         for c, cp in enumerate(config.control_points):
             w = config.weights[:, c]
             touched = np.flatnonzero(w)
             r = verts[touched] - cp.rest_position
-            wt = w[touched]
-            base = c * DOF_PER_POINT
-            rows = (3 * touched[:, None] + np.arange(3)[None, :]).ravel()
-            # Translation: w * I3, rotation: w * (omega x r) as a matrix on
-            # omega, i.e. rows [[0, rz, -ry], [-rz, 0, rx], [ry, -rx, 0]].
-            block = np.zeros((touched.size, 3, DOF_PER_POINT))
-            block[:, 0, 0] = wt
-            block[:, 1, 1] = wt
-            block[:, 2, 2] = wt
-            block[:, 0, 4] = wt * r[:, 2]
-            block[:, 0, 5] = -wt * r[:, 1]
-            block[:, 1, 3] = -wt * r[:, 2]
-            block[:, 1, 5] = wt * r[:, 0]
-            block[:, 2, 3] = wt * r[:, 1]
-            block[:, 2, 4] = -wt * r[:, 0]
-            dof_map[rows, base : base + DOF_PER_POINT] = block.reshape(
-                -1, DOF_PER_POINT
+            # Translation w * I3; rotation w * (omega x r), whose column k
+            # is w * (e_k x r).
+            rotation = np.cross(np.eye(3), r[:, None, :]).transpose(0, 2, 1)
+            translation = np.broadcast_to(np.eye(3), rotation.shape)
+            dof_map[touched, :, c] = w[touched, None, None] * np.concatenate(
+                [translation, rotation], axis=2
             )
-        gain = _gain_matrix(config)
-        self.vertex_map = dof_map @ gain
-        skin = gain.any(axis=0)
+        self.vertex_map = dof_map.reshape(3 * rig.vertex_count, -1) @ config.gain
+        skin = config.gain.any(axis=0)
         self.ik_channels = np.flatnonzero(skin)
         self.neck_channels = np.flatnonzero(~skin)
 
-    def landmark_vertices(self) -> np.ndarray:
-        """Sorted union of the rig's landmark groups (the IK target set)."""
+    @functools.cached_property
+    def landmarks(self) -> np.ndarray:
+        """Sorted union of the rig's landmark groups: the IK target vertices."""
         groups = [idx for idx in self.rig.landmark_groups.values() if idx.size]
         if not groups:
             raise ValueError("rig defines no landmark groups")
-        return np.unique(np.concatenate(groups))
+        return frozen_array(np.unique(np.concatenate(groups)), dtype=np.int64)
 
-    def coord_rows(self, vertices: np.ndarray) -> np.ndarray:
-        return (3 * vertices[:, None] + np.arange(3)[None, :]).ravel()
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Coordinate rows 3v, 3v + 1, 3v + 2 of each of ``landmarks``."""
+        rows = (3 * self.landmarks[:, None] + np.arange(3)[None, :]).ravel()
+        return frozen_array(rows, dtype=np.int64)
 
     @functools.cached_property
     def landmark_solver(self) -> BoxLeastSquares:
-        """IK solver over the landmark union's coordinate rows. Built on
-        first use."""
-        rows = self.coord_rows(self.landmark_vertices())
-        return BoxLeastSquares(self.vertex_map[np.ix_(rows, self.ik_channels)])
+        """IK solver over the landmark ``rows``. Built on first use."""
+        return BoxLeastSquares(self.vertex_map[np.ix_(self.rows, self.ik_channels)])
 
     @functools.cached_property
     def coefficient_solver(self) -> CoefficientBoxLeastSquares:
@@ -358,8 +346,7 @@ class Kinematics:
         coefficients: ``solve(theta)`` is ``landmark_solver.solve(theta @
         basis[:, rows])`` without the target. Built on first use."""
         return CoefficientBoxLeastSquares(
-            self.landmark_solver,
-            self.rig.basis.matrix[:, self.coord_rows(self.landmark_vertices())],
+            self.landmark_solver, self.rig.basis.matrix[:, self.rows]
         )
 
 
@@ -427,8 +414,7 @@ def solve_ik(
     solution over ``Kinematics.ik_channels`` into the solver.
     """
     kin = _kinematics(config, rig)
-    vertices = kin.landmark_vertices()
-    rows = kin.coord_rows(vertices)
+    rows = kin.rows
     if isinstance(target, FaceMesh):
         if target.vertex_count != rig.vertex_count:
             raise ValueError(
@@ -441,7 +427,7 @@ def solve_ik(
         if positions.size != rows.size:
             raise ValueError(
                 f"target covers {positions.size // 3} vertices, evaluation "
-                f"set has {vertices.size}"
+                f"set has {kin.landmarks.size}"
             )
     x, residual, converged, iterations = kin.landmark_solver.solve(
         positions - rig.mesh.positions[rows], x0=warm_start
@@ -476,21 +462,19 @@ def evaluate_tracking(
     ]
     if missing:
         raise ValueError(f"rig is missing landmark groups: {missing}")
-    vertices = kin.landmark_vertices()
-    columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
+    columns = rig.basis.matrix[:, kin.rows]
     solver = kin.coefficient_solver
 
-    errors = np.empty((reference.frame_count, vertices.size))
+    errors = np.empty((reference.frame_count, kin.landmarks.size))
     warm = None
     for t, theta in enumerate(reference.frames):
         warm, _, _, _ = solver.solve(theta, x0=warm)
         diff = (solver.matrix @ warm - theta @ columns).reshape(-1, 3)
         errors[t] = np.sqrt((diff * diff).sum(axis=1))
 
-    position_of = {v: i for i, v in enumerate(vertices)}
     report: dict = {}
     for region in REGIONS:
-        cols = np.array([position_of[v] for v in rig.landmark_groups[region]])
+        cols = np.searchsorted(kin.landmarks, rig.landmark_groups[region])
         sample = errors[:, cols].ravel()
         q1, med, q3 = np.quantile(sample, [0.25, 0.5, 0.75])
         report[region] = {
@@ -826,30 +810,19 @@ def build_reference_rig(seed: int = 0) -> tuple[LbsRig, RigConfig]:
         landmark_groups=groups,
     )
 
-    channels = _reference_channels()
-    gains_by_cp: dict[str, list[tuple[int, float]]] = {}
-    for ch in channels:
-        for cp_id, dof, g in ch.gains:
-            gains_by_cp.setdefault(cp_id, []).append((dof, g))
-    points = []
-    for name, kind, x, y in _FEATURES:
-        bounds = np.zeros((6, 2))
-        for dof, g in gains_by_cp.get(name, []):
-            if g < 0:
-                bounds[dof, 0] += g
-            else:
-                bounds[dof, 1] += g
-        bounds[:, 0] = bounds[:, 0] * 1.05 - 0.25
-        bounds[:, 1] = bounds[:, 1] * 1.05 + 0.25
-        points.append(
-            ControlPoint(
-                id=name,
-                kind=kind,
-                rest_position=_surface_point(x, y),
-                bounds=bounds,
-            )
+    channels = tuple(_reference_channels())
+    # Each box is the actuator image plus a 5 % and 0.25 margin.
+    low, high = _actuator_image(_gain_matrix([f[0] for f in _FEATURES], channels))
+    bounds = np.column_stack([low * 1.05 - 0.25, high * 1.05 + 0.25])
+    points = tuple(
+        ControlPoint(
+            id=name,
+            kind=kind,
+            rest_position=_surface_point(x, y),
+            bounds=bounds[i * DOF_PER_POINT : (i + 1) * DOF_PER_POINT],
         )
-    points = tuple(points)
+        for i, (name, kind, x, y) in enumerate(_FEATURES)
+    )
     weights = _build_weights(verts, points)
-    config = RigConfig(points, tuple(channels), weights)
+    config = RigConfig(points, channels, weights)
     return rig, config

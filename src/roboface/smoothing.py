@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbs import MotionSequence
-from .util import frozen_array, is_positive_finite
+from .util import frozen_array, is_index, is_positive_finite
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class FilterSpec:
     sample_hz: float = 25.0
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
+        if not (is_index(self.order) and self.order >= 1):
+            raise ValueError(f"order must be an integer of at least 1, got {self.order!r}")
         if not is_positive_finite(self.sample_hz):
             raise ValueError("sample_hz must be finite and positive")
         if not 0 < self.cutoff_hz < self.sample_hz / 2:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 
@@ -22,3 +25,13 @@ def is_positive_finite(x) -> bool:
 def in_unit_interval(a: np.ndarray) -> bool:
     """True when every entry lies in [0, 1]; NaN fails, unlike min()/max()."""
     return bool(((a >= 0.0) & (a <= 1.0)).all())
+
+
+def is_index(value, size: float = math.inf) -> bool:
+    """True for an integer in [0, size). Bools are not integers here; numpy
+    integers are."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and 0 <= value < size
+    )

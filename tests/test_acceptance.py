@@ -284,8 +284,7 @@ def test_criterion_06_filter_spec():
 def test_criterion_07_ik_round_trip(reference):
     rig, config = reference
     kin = _kinematics(config, rig)
-    vertices = kin.landmark_vertices()
-    rows = kin.coord_rows(vertices)
+    rows = kin.rows
 
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -336,8 +335,8 @@ def test_criterion_07_ik_round_trip(reference):
     toy_config = RigConfig(points, channels, weights)
 
     toy_kin = _kinematics(toy_config, toy_rig)
-    toy_vertices = toy_kin.landmark_vertices()
-    toy_rows = toy_kin.coord_rows(toy_vertices)
+    toy_vertices = toy_kin.landmarks
+    toy_rows = toy_kin.rows
     fk = toy_kin.vertex_map[np.ix_(toy_rows, toy_kin.ik_channels)]
     reference_motion = MotionSequence(
         25.0, toy_rng.uniform(0.0, 1.0, (6, 2))

@@ -125,6 +125,19 @@ class TestTrain:
         assert params.window_size == defaults["window_size"].default
         assert params.hidden_size == defaults["hidden_size"].default
 
+    @pytest.mark.parametrize("values", [{"window": 8.9}, {"epochs": 1.5},
+                                        {"batch_size": True}])
+    def test_config_file_integers_are_not_cast(self, workspace, tmp_path, values):
+        # A fraction or a bool is refused, not truncated to an integer.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 1, **values}))
+        with pytest.raises(ValueError, match="window|epochs|batch_size"):
+            main([
+                "train", "--rig", str(workspace["rig"]),
+                "--data", str(workspace["data"]), "--out", str(tmp_path / "m.mnet"),
+                "--config", str(cfg),
+            ])
+
 
 class TestExtract:
     def test_wav_to_logits(self, workspace, tmp_path):
@@ -218,6 +231,19 @@ class TestSynth:
         ]) == 0
         assert main(base + ["--out-servo", str(plain)]) == 0
         assert flagged.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("values", [{"style_id": 1.7}, {"filter_order": True}])
+    def test_config_file_integers_are_not_cast(self, workspace, tmp_path, values):
+        # A fraction or a bool is refused, not truncated to an integer.
+        cfg = tmp_path / "pipe.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(ValueError, match="style_id|order"):
+            main([
+                "synth", "--logits", str(workspace["logits"]),
+                "--model", str(workspace["model"]), "--rig", str(workspace["rig"]),
+                "--rig-config", str(workspace["config"]),
+                "--out-servo", str(tmp_path / "x.bin"), "--config", str(cfg),
+            ])
 
     def test_rejects_unknown_config_key(self, workspace, tmp_path):
         cfg = tmp_path / "pipe.json"
@@ -353,6 +379,22 @@ class TestLibraryDefaults:
             expected = self.owner_default(owner, name)
             assert getattr(args, dest) == expected, dest
             assert type(getattr(args, dest)) is type(expected), dest
+
+
+class TestNoAbbreviations:
+    """A flag is matched only when spelled out, so a removed or mistyped flag
+    is a usage error instead of binding to another flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--rig", "r", "--data", "d", "--out", "o", "--ep", "3"],
+        ["synth", "--logits", "l", "--model", "m", "--rig", "r",
+         "--rig-config", "c", "--out-servo", "s", "--mode", "streaming"],
+    ], ids=["train-ep", "synth-mode"])
+    def test_prefix_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestSimulate:

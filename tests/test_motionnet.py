@@ -70,6 +70,14 @@ class TestInit:
         with pytest.raises(ValueError, match="power of two"):
             init_params(0, window_size=6)
 
+    @pytest.mark.parametrize("name", ["window_size", "hidden_size", "style_count",
+                                      "output_size", "class_count"])
+    @pytest.mark.parametrize("value", [True, 8.0, 8.5, 0])
+    def test_rejects_sizes_that_are_not_positive_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            init_params(0, **{name: value})
+        assert init_params(0, **{name: np.int64(2)})
+
     def test_seeded_init_reproducible(self):
         a = dict(named_arrays(tiny_params(seed=9)))
         b = dict(named_arrays(tiny_params(seed=9)))
@@ -280,6 +288,11 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(dropout_rate=1.0)
+        for name, value in [("epochs", 2.5), ("epochs", True), ("batch_size", True),
+                            ("batch_size", 4.0), ("seed", 1.5), ("seed", -1)]:
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
+        assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(1))
 
 
 class TestTrain:

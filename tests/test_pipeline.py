@@ -174,6 +174,13 @@ class TestPipelineConfig:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             PipelineConfig(style_id=-1)
+        for style_id in (1.7, True, 1.0):
+            with pytest.raises(ValueError, match="style_id"):
+                PipelineConfig(style_id=style_id)
+        for order in (True, 2.5):
+            with pytest.raises(ValueError, match="order"):
+                PipelineConfig(filter_order=order)
+        assert PipelineConfig(style_id=np.int64(1), filter_order=np.int32(3))
         for tick_hz in (float("nan"), float("inf"), 0.0, -1.0):
             with pytest.raises(ValueError, match="tick_hz"):
                 PipelineConfig(tick_hz=tick_hz)
@@ -318,8 +325,7 @@ class TestRunPipeline:
         # First-tick oracle: reorder the filtered coefficients by name and
         # solve the same box least-squares problem directly.
         kin = _kinematics(config_r, rig)
-        vertices = kin.landmark_vertices()
-        rows = kin.coord_rows(vertices)
+        rows = kin.rows
         order = [reversed_names.index(name) for name in rig.basis.names]
         robot_theta = routed.motion.frames[0][order]
         target = robot_theta @ rig.basis.matrix[:, rows]
@@ -435,8 +441,7 @@ class TestRunPipeline:
         )
 
         kin = _kinematics(config_r, rig)
-        vertices = kin.landmark_vertices()
-        columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
+        columns = rig.basis.matrix[:, kin.rows]
         solver = kin.landmark_solver
         lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
         span = np.array([ch.pulse_us[1] for ch in config_r.channels]) - lows

@@ -92,7 +92,7 @@ class TestForwardKinematics:
         rig, config = reference
         names = [ch.name for ch in config.channels]
         j = names.index("eyelid_left_close")
-        cp = config.point_index("eyelidUpperLeft")
+        cp = [p.id for p in config.control_points].index("eyelidUpperLeft")
         u = np.zeros(31)
         u[j] = 0.37
         mesh = forward_kinematics(config, u, rig)
@@ -304,8 +304,8 @@ def landmark_space_tracking(rig, config, reference):
     from roboface.lbs import apply_skinning
 
     kin = _kinematics(config, rig)
-    vertices = kin.landmark_vertices()
-    rows = kin.coord_rows(vertices)
+    vertices = kin.landmarks
+    rows = kin.rows
     solver = kin.landmark_solver
     errors = np.empty((reference.frame_count, vertices.size))
     warm = None
@@ -457,6 +457,34 @@ class TestReferenceRig:
         np.testing.assert_array_equal(kin.neck_channels, [28, 29, 30])
         assert kin.ik_channels.dtype == kin.neck_channels.dtype == np.int64
 
+    def test_bounds_are_the_actuator_image_plus_margin(self, reference):
+        # Oracle: sum each dof's negative and positive gains channel by
+        # channel, then widen by 5 % and 0.25.
+        _, config = reference
+        ids = [cp.id for cp in config.control_points]
+        image = np.zeros((len(ids), 6, 2))
+        for ch in config.channels:
+            for cp, dof, g in ch.gains:
+                image[ids.index(cp), dof, 0 if g < 0 else 1] += g
+        expected = image * 1.05 + [-0.25, 0.25]
+        got = np.array([cp.bounds for cp in config.control_points])
+        np.testing.assert_array_equal(got, expected)
+
+    def test_gain_table_is_built_once(self, reference, monkeypatch):
+        # Kinematics reads RigConfig.gain instead of building its own table.
+        from roboface import rigsim
+
+        rig, config = reference
+
+        def no_second_build(*args, **kwargs):
+            raise AssertionError("gain table built again")
+
+        monkeypatch.setattr(rigsim, "_gain_matrix", no_second_build)
+        kin = Kinematics(config, rig)
+        assert not config.gain.flags.writeable
+        assert config.gain.shape == (6 * len(config.control_points), 31)
+        np.testing.assert_array_equal(kin.vertex_map[:, kin.neck_channels], 0.0)
+
     def test_validates_clean(self, reference):
         # Rebuilding from the parts reruns every construction rule.
         rig, config = reference
@@ -468,8 +496,7 @@ class TestReferenceRig:
         # full rank for projection and IK round-trips to be well posed.
         rig, config = reference
         kin = Kinematics(config, rig)
-        rows = kin.coord_rows(kin.landmark_vertices())
-        m = kin.vertex_map[np.ix_(rows, kin.ik_channels)]
+        m = kin.vertex_map[np.ix_(kin.rows, kin.ik_channels)]
         s = np.linalg.svd(m, compute_uv=False)
         assert s[-1] > 1e-6 * s[0]
         s2 = np.linalg.svd(rig.basis.matrix, compute_uv=False)
@@ -729,8 +756,7 @@ class TestCoefficientSolver:
     def setup(self, reference):
         rig, config = reference
         kin = _kinematics(config, rig)
-        vertices = kin.landmark_vertices()
-        columns = rig.basis.matrix[:, kin.coord_rows(vertices)]
+        columns = rig.basis.matrix[:, kin.rows]
         return kin.landmark_solver, kin.coefficient_solver, columns
 
     def test_cached_and_shares_landmark_solver_state(self, reference, setup):

@@ -71,6 +71,9 @@ class TestDesign:
             FilterSpec(order=5, cutoff_hz=12.5, sample_hz=25.0)
         with pytest.raises(ValueError, match="order"):
             FilterSpec(order=0, cutoff_hz=7.0, sample_hz=25.0)
+        for order in (True, 2.5, 3.0):
+            with pytest.raises(ValueError, match="order"):
+                FilterSpec(order=order, cutoff_hz=7.0, sample_hz=25.0)
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_sample_rate_rejected(self, rate):
