@@ -69,20 +69,12 @@ CHANNEL_COUNT = len(CANONICAL_NAMES)
 # Facial regions used for evaluation masks and landmark grouping.
 REGIONS: tuple[str, ...] = ("eye", "brow", "nose", "cheek", "mouth", "jaw")
 
-_PREFIX_REGION = {
-    "brow": "brow",
-    "cheek": "cheek",
-    "eye": "eye",
-    "jaw": "jaw",
-    "mouth": "mouth",
-    "nose": "nose",
-}
-
 
 def region_of(name: str) -> str:
-    """Map a blendshape channel name onto its facial region."""
-    for prefix, region in _PREFIX_REGION.items():
-        if name.startswith(prefix):
+    """Map a blendshape channel name onto its facial region: the region
+    that prefixes it."""
+    for region in REGIONS:
+        if name.startswith(region):
             return region
     raise ValueError(f"unknown blendshape channel {name!r}")
 

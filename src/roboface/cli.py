@@ -42,6 +42,7 @@ from .retarget import project_sequence
 from .rigsim import build_reference_rig, evaluate_tracking, load_config, save_config
 from .smoothing import FilterSpec, design, filter_sequence, group_delay_frames
 from .synthdata import load_dataset, write_dataset
+from .util import is_real
 
 
 def _config_values(args, keys: tuple[str, ...]) -> dict:
@@ -191,6 +192,9 @@ def cmd_train(args) -> int:
     rig = load_rig(args.rig)
     values = _config_values(args, _TRAIN_KEYS)
     config = _train_config(values)
+    val_fraction = values.get("val_fraction", 0.0)
+    if not (is_real(val_fraction) and 0.0 <= val_fraction < 1.0):
+        raise SystemExit(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
     shape = _model_shape(values)
     window = shape["window_size"]
     samples, style_count = load_dataset(args.data, rig, window)
@@ -211,7 +215,6 @@ def cmd_train(args) -> int:
         )
         adam = AdamState.zeros_like(params)
 
-    val_fraction = float(values.get("val_fraction", 0.0))
     split = len(samples) - int(round(val_fraction * len(samples)))
     if not 0 < split <= len(samples):
         raise SystemExit(f"val_fraction {val_fraction} leaves no training data")

@@ -111,9 +111,8 @@ def save_rig(path, rig: LbsRig) -> None:
         _RIG_MAGIC,
         struct.pack("<III", _VERSION, u, b),
         _f32_bytes(rig.mesh.positions),
+        _f32_bytes(rig.basis.matrix),
     ]
-    for disp in rig.basis.displacements:
-        parts.append(_f32_bytes(disp))
     for name in rig.basis.names:
         parts.append(_string_bytes(name))
     mask = rig.mouth_mask
@@ -137,7 +136,7 @@ def load_rig(path) -> LbsRig:
     if 12 * u * (b + 1) + 2 * b > r.remaining():
         raise ValueError("truncated rig file")
     neutral = r.f32_array(3 * u)
-    disp = tuple(r.f32_array(3 * u) for _ in range(b))
+    disp = r.f32_array(b * 3 * u).reshape(b, 3 * u)
     names = tuple(r.string() for _ in range(b))
     mask = r.u32_array(r.u32())
     groups = {}
@@ -217,13 +216,9 @@ def load_dense_frames(path) -> tuple[np.ndarray, float]:
 
 
 def export_obj(path, mesh: FaceMesh) -> None:
-    """Write one mesh as OBJ: 6-decimal vertex lines, 1-based face indices."""
-    lines = []
-    for x, y, z in mesh.vertices():
-        lines.append(f"v {x:.6f} {y:.6f} {z:.6f}")
-    if mesh.triangles is not None:
-        for a, b, c in mesh.triangles:
-            lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    """Write one mesh as OBJ: 6-decimal vertex lines only, since no rig file
+    carries faces."""
+    lines = [f"v {x:.6f} {y:.6f} {z:.6f}" for x, y, z in mesh.vertices()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -10,6 +10,7 @@ without any deep-learning runtime.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,8 @@ def make_windows(stream: PhonemeLogitStream, k: int) -> np.ndarray:
     """Centered K-frame windows, one per stream frame, shape (T, K, classes).
 
     Window t covers frames [t - K/2, t + K/2); out-of-range positions
-    replicate the nearest edge frame. K must be a power of two because the
-    temporal fusion stack halves the window log2(K) times.
+    replicate the nearest edge frame. K must be a power of two of at least
+    2 because the temporal fusion stack halves the window log2(K) times.
     """
     _check_window_size(k)
     if stream.frame_count == 0:
@@ -106,8 +107,8 @@ def _window_indices(t, k: int, total: int) -> np.ndarray:
 
 
 def _check_window_size(k: int) -> None:
-    if not (is_index(k) and k >= 1 and (k & (k - 1)) == 0):
-        raise ValueError(f"window size must be a power of two, got {k!r}")
+    if not (is_index(k) and k >= 2 and (k & (k - 1)) == 0):
+        raise ValueError(f"window size must be a power of two of at least 2, got {k!r}")
 
 
 class StreamingWindower:
@@ -169,8 +170,10 @@ def band_edges(class_count: int = CLASS_COUNT) -> np.ndarray:
     return 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
 
 
+@functools.cache
 def _band_weights() -> np.ndarray:
-    """(class_count - 1, fft_bins) triangular filterbank."""
+    """(class_count - 1, fft_bins) triangular filterbank, built once and
+    read-only."""
     edges = band_edges()
     bins = np.arange(_FFT_SIZE // 2 + 1) * (_AUDIO_HZ / _FFT_SIZE)
     n_bands = edges.size - 2
@@ -180,6 +183,7 @@ def _band_weights() -> np.ndarray:
         up = (bins - left) / max(center - left, 1e-12)
         down = (right - bins) / max(right - center, 1e-12)
         weights[b] = np.clip(np.minimum(up, down), 0.0, None)
+    weights.flags.writeable = False
     return weights
 
 

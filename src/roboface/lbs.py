@@ -19,7 +19,6 @@ file and one built in code pass the same check: an inconsistent rig raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +30,11 @@ from .util import frozen_array as _frozen, in_unit_interval, is_positive_finite
 class FaceMesh:
     """Vertex positions of one face, flat [x0, y0, z0, x1, ...] in mm.
 
-    Triangle connectivity is optional and only consumed by the OBJ exporter;
-    all skinning math is purely vertex-positional.
+    A mesh is its positions: all skinning math is vertex-positional, and no
+    file format carries faces.
     """
 
     positions: np.ndarray
-    triangles: np.ndarray | None = None
 
     def __post_init__(self):
         pos = _frozen(self.positions)
@@ -45,11 +43,6 @@ class FaceMesh:
         if not np.isfinite(pos).all():
             raise ValueError("positions contain non-finite values")
         object.__setattr__(self, "positions", pos)
-        if self.triangles is not None:
-            tri = _frozen(self.triangles, dtype=np.int32).reshape(-1, 3)
-            if tri.size and (tri.min() < 0 or tri.max() >= pos.size // 3):
-                raise ValueError("triangle indices out of range")
-            object.__setattr__(self, "triangles", tri)
 
     @property
     def vertex_count(self) -> int:
@@ -68,14 +61,17 @@ class BlendshapeBasis:
     neutral to the full expression of channel ``names[b]``. Construction
     raises ``ValueError`` unless there is at least one field, one unique
     name per field, and every field is 1-D, finite and of one length.
+    The fields are held once, as the read-only (B, 3*V) ``matrix``, and
+    ``displacements`` is the tuple of its rows.
     """
 
     names: tuple[str, ...]
     displacements: tuple[np.ndarray, ...]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
-        fields = tuple(_frozen(np.asarray(d)) for d in self.displacements)
+        fields = tuple(np.asarray(d, dtype=np.float64) for d in self.displacements)
         if not fields:
             raise ValueError("basis has no displacement fields")
         if len(names) != len(fields):
@@ -93,17 +89,15 @@ class BlendshapeBasis:
                 )
             if not np.isfinite(disp).all():
                 raise ValueError(f"displacement field {name!r} has non-finite values")
+        matrix = np.array(fields, dtype=np.float64)
+        matrix.flags.writeable = False
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "displacements", fields)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "displacements", tuple(matrix))
 
     @property
     def blendshape_count(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Stacked (B, 3*V) displacement matrix."""
-        return _frozen(np.vstack(self.displacements))
 
 
 @dataclass(frozen=True)
@@ -244,6 +238,6 @@ def apply_skinning(rig: LbsRig, theta) -> FaceMesh:
     """
     vals = _theta_values(theta, rig.blendshape_count)
     if not vals.any():
-        return FaceMesh(rig.mesh.positions, rig.mesh.triangles)
-    return FaceMesh(rig.mesh.positions + vertex_delta(rig, vals), rig.mesh.triangles)
+        return FaceMesh(rig.mesh.positions)
+    return FaceMesh(rig.mesh.positions + vertex_delta(rig, vals))
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from .arkit import CHANNEL_COUNT
 from .formats import _Reader, _check_header
-from .frontend import CLASS_COUNT
+from .frontend import CLASS_COUNT, _check_window_size
 from .lbs import BlendCoefficients, LbsRig
-from .util import is_index
+from .util import is_index, is_real
 
 _FORMAT_VERSION = 1
 _BETA1 = 0.9
@@ -108,8 +108,7 @@ def init_params(
     for name, size in sizes.items():
         if not (is_index(size) and size >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
-    if window_size < 2 or window_size & (window_size - 1):
-        raise ValueError("window_size must be a power of two, at least 2")
+    _check_window_size(window_size)
     rng = np.random.default_rng(seed)
 
     def uniform(shape, fan_in):
@@ -407,12 +406,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+        if not (is_real(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        for name in ("weight_decay", "mouth_weight"):
+            value = getattr(self, name)
+            if not (is_real(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not (is_real(self.dropout_rate) and 0.0 <= self.dropout_rate < 1.0):
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if not (is_index(value) and value >= 1):

@@ -139,7 +139,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not is_positive_finite(self.tick_hz):
             raise ValueError(
-                f"tick_hz must be finite and positive, got {self.tick_hz}"
+                f"tick_hz must be finite and positive, got {self.tick_hz!r}"
             )
         if not is_index(self.style_id):
             raise ValueError(

@@ -381,8 +381,8 @@ def forward_kinematics(config: RigConfig, u, rig: LbsRig) -> FaceMesh:
     if not in_unit_interval(vals):
         raise ValueError("actuator values must be finite and lie in [0, 1]")
     if not vals.any():
-        return FaceMesh(rig.mesh.positions, rig.mesh.triangles)
-    return FaceMesh(rig.mesh.positions + kin.vertex_map @ vals, rig.mesh.triangles)
+        return FaceMesh(rig.mesh.positions)
+    return FaceMesh(rig.mesh.positions + kin.vertex_map @ vals)
 
 
 @dataclass(frozen=True)
@@ -488,9 +488,10 @@ def evaluate_tracking(
     return report
 
 
-def _write_histogram(path: Path, sample: np.ndarray, bins: int = 20) -> None:
+def _write_histogram(path: Path, sample: np.ndarray) -> None:
+    """20 equal bins from 0 to the largest error, as CSV rows."""
     top = float(sample.max()) or 1.0
-    counts, edges = np.histogram(sample, bins=bins, range=(0.0, top))
+    counts, edges = np.histogram(sample, bins=20, range=(0.0, top))
     lines = ["bin_lo_mm,bin_hi_mm,count"]
     for i, count in enumerate(counts):
         lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{count}")
@@ -639,35 +640,7 @@ def _build_mesh() -> FaceMesh:
     x = np.array(xs)
     y = np.array(ys)
     z = _dome_z(x, y)
-    positions = np.column_stack([x, y, z]).ravel()
-
-    triangles = []
-    ring_start = [1]
-    for n in counts[:-1]:
-        ring_start.append(ring_start[-1] + n)
-    # Center fan.
-    first = ring_start[0]
-    for j in range(counts[0]):
-        triangles.append([0, first + j, first + (j + 1) % counts[0]])
-    # Two-pointer stitch between consecutive rings, walking by angle.
-    for i in range(len(counts) - 1):
-        a0, na = ring_start[i], counts[i]
-        b0, nb = ring_start[i + 1], counts[i + 1]
-        ai = bi = 0
-        while ai < na or bi < nb:
-            a_frac = ai / na
-            b_frac = bi / nb
-            if bi < nb and (ai >= na or b_frac <= a_frac):
-                triangles.append(
-                    [a0 + ai % na, b0 + bi % nb, b0 + (bi + 1) % nb]
-                )
-                bi += 1
-            else:
-                triangles.append(
-                    [a0 + ai % na, b0 + bi % nb, a0 + (ai + 1) % na]
-                )
-                ai += 1
-    return FaceMesh(positions, np.array(triangles, dtype=np.int32))
+    return FaceMesh(np.column_stack([x, y, z]).ravel())
 
 
 def _region_center_table() -> dict[str, list[np.ndarray]]:

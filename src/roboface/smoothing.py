@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbs import MotionSequence
-from .util import frozen_array, is_index, is_positive_finite
+from .util import frozen_array, is_index, is_positive_finite, is_real
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,13 @@ class FilterSpec:
         if not (is_index(self.order) and self.order >= 1):
             raise ValueError(f"order must be an integer of at least 1, got {self.order!r}")
         if not is_positive_finite(self.sample_hz):
-            raise ValueError("sample_hz must be finite and positive")
-        if not 0 < self.cutoff_hz < self.sample_hz / 2:
             raise ValueError(
-                f"cutoff must lie in (0, {self.sample_hz / 2}) Hz, "
-                f"got {self.cutoff_hz}"
+                f"sample_hz must be finite and positive, got {self.sample_hz!r}"
+            )
+        if not (is_real(self.cutoff_hz) and 0 < self.cutoff_hz < self.sample_hz / 2):
+            raise ValueError(
+                f"cutoff_hz must lie in (0, {self.sample_hz / 2}) Hz, "
+                f"got {self.cutoff_hz!r}"
             )
 
 
@@ -110,12 +112,12 @@ def frequency_response(cascade: BiquadCascade, freq_hz: float) -> complex:
     return h
 
 
-def group_delay_frames(cascade: BiquadCascade, freq_hz: float = 1.0) -> float:
-    """Group delay in samples, from the numeric phase slope at freq_hz."""
+def group_delay_frames(cascade: BiquadCascade) -> float:
+    """Group delay in samples, from the numeric phase slope at 1 Hz."""
     fs = cascade.spec.sample_hz
     df = 1e-4
-    p1 = np.angle(frequency_response(cascade, freq_hz - df))
-    p2 = np.angle(frequency_response(cascade, freq_hz + df))
+    p1 = np.angle(frequency_response(cascade, 1.0 - df))
+    p2 = np.angle(frequency_response(cascade, 1.0 + df))
     return float(-(p2 - p1) / (2.0 * np.pi * 2.0 * df) * fs)
 
 

@@ -28,16 +28,16 @@ def make_motion(
     channel_count: int,
     fps: float,
     rng: np.random.Generator,
-    components: int = 3,
 ) -> MotionSequence:
-    """Smooth random activation tracks in [0, 1], one per channel."""
+    """Smooth random activation tracks in [0, 1], one per channel: three
+    slow sinusoids around 0.5."""
     if frame_count < 1:
         raise ValueError("frame_count must be at least 1")
     t = np.arange(frame_count) / fps
     frames = np.empty((frame_count, channel_count))
     for c in range(channel_count):
         y = np.zeros(frame_count)
-        for _ in range(components):
+        for _ in range(3):
             amp = rng.uniform(0.05, 0.25)
             freq = rng.uniform(0.1, 2.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)

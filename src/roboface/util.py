@@ -17,9 +17,21 @@ def frozen_array(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def is_real(value) -> bool:
+    """True for a finite real number. Bools and strings are not numbers
+    here; numpy floats and integers are."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def is_positive_finite(x) -> bool:
-    """True for a finite number above 0; NaN fails, unlike ``x <= 0``."""
-    return bool(np.isfinite(x) and x > 0)
+    """True for a finite real above 0 (``is_real``); NaN fails, unlike
+    ``x <= 0``."""
+    return is_real(x) and x > 0
 
 
 def in_unit_interval(a: np.ndarray) -> bool:

@@ -138,6 +138,31 @@ class TestTrain:
                 "--config", str(cfg),
             ])
 
+    @pytest.mark.parametrize("values", [{"mouth_weight": True},
+                                        {"learning_rate": "1e-3"}])
+    def test_config_file_reals_are_not_cast(self, workspace, tmp_path, values):
+        # A string or a bool is refused, not cast to a float.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 1, **values}))
+        with pytest.raises(ValueError, match="mouth_weight|learning_rate"):
+            main([
+                "train", "--rig", str(workspace["rig"]),
+                "--data", str(workspace["data"]), "--out", str(tmp_path / "m.mnet"),
+                "--config", str(cfg),
+            ])
+
+    @pytest.mark.parametrize("value", ["0.5", True, 1.0, -0.1, float("nan")])
+    def test_val_fraction_is_not_cast(self, workspace, tmp_path, value):
+        # A string or a bool is refused, not cast; so is a split off [0, 1).
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 1, "val_fraction": value}))
+        with pytest.raises(SystemExit, match=r"val_fraction must lie in \[0, 1\)"):
+            main([
+                "train", "--rig", str(workspace["rig"]),
+                "--data", str(workspace["data"]), "--out", str(tmp_path / "m.mnet"),
+                "--config", str(cfg),
+            ])
+
 
 class TestExtract:
     def test_wav_to_logits(self, workspace, tmp_path):
@@ -238,6 +263,19 @@ class TestSynth:
         cfg = tmp_path / "pipe.json"
         cfg.write_text(json.dumps(values))
         with pytest.raises(ValueError, match="style_id|order"):
+            main([
+                "synth", "--logits", str(workspace["logits"]),
+                "--model", str(workspace["model"]), "--rig", str(workspace["rig"]),
+                "--rig-config", str(workspace["config"]),
+                "--out-servo", str(tmp_path / "x.bin"), "--config", str(cfg),
+            ])
+
+    @pytest.mark.parametrize("values", [{"tick_hz": "50"}, {"filter_cutoff_hz": True}])
+    def test_config_file_reals_are_not_cast(self, workspace, tmp_path, values):
+        # A string or a bool is refused, not cast to a float.
+        cfg = tmp_path / "pipe.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(ValueError, match="tick_hz|cutoff_hz"):
             main([
                 "synth", "--logits", str(workspace["logits"]),
                 "--model", str(workspace["model"]), "--rig", str(workspace["rig"]),

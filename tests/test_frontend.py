@@ -107,8 +107,16 @@ class TestMakeWindows:
             with pytest.raises(ValueError, match="power of two"):
                 make_windows(stream, k)
 
+    def test_window_of_one_rejected(self):
+        # A one-frame window is cut to zero frames: (T, 0, C) windows offline
+        # and one empty window per push plus one more at the end live.
+        with pytest.raises(ValueError, match="at least 2"):
+            make_windows(stream_of(np.zeros((4, 2))), 1)
+        with pytest.raises(ValueError, match="at least 2"):
+            StreamingWindower(1, 2)
+
     @settings(max_examples=20, deadline=None)
-    @given(t=st.integers(1, 30), log_k=st.integers(0, 4))
+    @given(t=st.integers(1, 30), log_k=st.integers(1, 4))
     def test_window_count_equals_frame_count(self, t, log_k):
         stream = stream_of(np.random.default_rng(t).normal(0, 1, (t, 3)), 25.0)
         windows = make_windows(stream, 2**log_k)

@@ -205,16 +205,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             BlendCoefficients(np.array([-0.1]))
 
+    def test_basis_is_held_once(self):
+        basis = RIG.basis
+        assert not basis.matrix.flags.writeable
+        assert basis.matrix.dtype == np.float64
+        assert len(basis.displacements) == basis.matrix.shape[0]
+        for b, disp in enumerate(basis.displacements):
+            assert np.shares_memory(disp, basis.matrix)
+            assert disp.tobytes() == basis.matrix[b].tobytes()
+
     def test_mesh_shape_checked(self):
         with pytest.raises(ValueError, match="3\\*V"):
             FaceMesh(np.zeros(7))
         with pytest.raises(ValueError, match="finite"):
             FaceMesh(np.array([0.0, np.nan, 0.0]))
-
-    def test_triangle_indices_checked(self):
-        FaceMesh(np.zeros(9), np.array([[0, 1, 2]]))
-        with pytest.raises(ValueError, match="triangle"):
-            FaceMesh(np.zeros(9), np.array([[0, 1, 3]]))
 
     def test_motion_sequence_checks(self):
         seq = MotionSequence(25.0, np.zeros((4, 6)))

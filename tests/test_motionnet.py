@@ -293,6 +293,16 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match=name):
                 TrainConfig(**{name: value})
         assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(1))
+        # Real settings: finite, not a bool or a string, and in range.
+        for name, value in [("weight_decay", np.nan), ("weight_decay", np.inf),
+                            ("mouth_weight", np.nan), ("mouth_weight", -5.0),
+                            ("mouth_weight", True), ("learning_rate", np.inf),
+                            ("learning_rate", True), ("learning_rate", "1e-3"),
+                            ("dropout_rate", False)]:
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
+        assert TrainConfig(learning_rate=np.float32(1e-3), weight_decay=np.int64(0),
+                           dropout_rate=np.float64(0.5), mouth_weight=2)
 
 
 class TestTrain:

@@ -181,9 +181,13 @@ class TestPipelineConfig:
             with pytest.raises(ValueError, match="order"):
                 PipelineConfig(filter_order=order)
         assert PipelineConfig(style_id=np.int64(1), filter_order=np.int32(3))
-        for tick_hz in (float("nan"), float("inf"), 0.0, -1.0):
+        for tick_hz in (float("nan"), float("inf"), 0.0, -1.0, "50", True, 10**400):
             with pytest.raises(ValueError, match="tick_hz"):
                 PipelineConfig(tick_hz=tick_hz)
+        for cutoff in (True, "7.0"):
+            with pytest.raises(ValueError, match="cutoff_hz"):
+                PipelineConfig(filter_cutoff_hz=cutoff)
+        assert PipelineConfig(tick_hz=np.float32(50.0), filter_cutoff_hz=np.int64(5))
         with pytest.raises(ValueError, match="order"):
             PipelineConfig(filter_order=0)
         with pytest.raises(ValueError, match="cutoff"):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roboface.arkit import REGIONS
+from roboface.formats import load_motion, load_rig, save_motion, save_rig
 from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence
 from roboface.motionnet import init_params
 from roboface.pipeline import LoopbackSink, PipelineConfig, run_pipeline
@@ -141,3 +142,39 @@ def test_config_file_round_trips(built, tmp_path_factory):
     for a, b in zip(back.control_points, config.control_points, strict=True):
         assert a.bounds.tobytes() == b.bounds.tobytes()
 
+
+
+def f32(a):
+    return np.asarray(a, dtype=np.float32).astype(np.float64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(built=small_rigs())
+def test_rig_file_round_trips(built, tmp_path_factory):
+    rig, _, _ = built
+    root = tmp_path_factory.mktemp("rig")
+    save_rig(root / "a.lbsrig", rig)
+    back = load_rig(root / "a.lbsrig")
+    assert back.basis.names == rig.basis.names
+    assert back.mouth_mask.tobytes() == rig.mouth_mask.tobytes()
+    assert back.landmark_groups.keys() == rig.landmark_groups.keys()
+    for region, idx in rig.landmark_groups.items():
+        assert back.landmark_groups[region].tobytes() == idx.tobytes()
+    assert back.mesh.positions.tobytes() == f32(rig.mesh.positions).tobytes()
+    assert back.basis.matrix.tobytes() == f32(rig.basis.matrix).tobytes()
+    save_rig(root / "b.lbsrig", back)
+    assert (root / "b.lbsrig").read_bytes() == (root / "a.lbsrig").read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(built=small_rigs(), frames=st.integers(1, 12), fps=st.floats(1.0, 120.0))
+def test_motion_file_round_trips(built, frames, fps, tmp_path_factory):
+    rig, _, rng = built
+    motion = MotionSequence(fps, rng.uniform(0.0, 1.0, (frames, rig.blendshape_count)))
+    root = tmp_path_factory.mktemp("motion")
+    save_motion(root / "a.lbsm", motion)
+    back = load_motion(root / "a.lbsm")
+    assert back.fps == float(np.float32(fps))
+    assert back.frames.tobytes() == f32(motion.frames).tobytes()
+    save_motion(root / "b.lbsm", back)
+    assert (root / "b.lbsm").read_bytes() == (root / "a.lbsm").read_bytes()

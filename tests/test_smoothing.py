@@ -74,8 +74,12 @@ class TestDesign:
         for order in (True, 2.5, 3.0):
             with pytest.raises(ValueError, match="order"):
                 FilterSpec(order=order, cutoff_hz=7.0, sample_hz=25.0)
+        for cutoff in (True, "7.0"):
+            with pytest.raises(ValueError, match="cutoff_hz"):
+                FilterSpec(order=5, cutoff_hz=cutoff, sample_hz=25.0)
+        assert FilterSpec(order=5, cutoff_hz=np.float32(7.0), sample_hz=np.int64(25))
 
-    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0, True, "25"])
     def test_bad_sample_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="sample_hz"):
             FilterSpec(order=5, cutoff_hz=7.0, sample_hz=rate)
@@ -87,10 +91,15 @@ class TestDesign:
 
     def test_group_delay_plausible(self):
         # Roughly 1.4 frames at DC, peaking near cutoff; mid-passband sits
-        # around the nominal 3-frame latency the pipeline reports.
-        assert 1.0 <= group_delay_frames(CASCADE, 1.0) <= 2.0
-        assert 2.5 <= group_delay_frames(CASCADE, 6.0) <= 5.0
-        assert group_delay_frames(CASCADE, 7.0) >= group_delay_frames(CASCADE, 1.0)
+        # around the nominal 3-frame latency the pipeline reports. The
+        # library's group delay is the oracle away from the 1 Hz point.
+        sos = np.insert(CASCADE.sections, 3, 1.0, axis=1)
+        b, a = scipy.signal.sos2tf(sos)
+        _, delay = scipy.signal.group_delay((b, a), w=[1.0, 6.0, 7.0], fs=25.0)
+        assert group_delay_frames(CASCADE) == pytest.approx(delay[0], abs=1e-6)
+        assert 1.0 <= group_delay_frames(CASCADE) <= 2.0
+        assert 2.5 <= delay[1] <= 5.0
+        assert delay[2] >= delay[0]
 
 
 def oracle_filter(sections, signal):
