@@ -7,8 +7,19 @@ window down to a single H-vector, a per-style embedding row is added to
 it, and a two-layer head squashes through a Sigmoid into theta in (0,1)^B.
 Targets are vertex positions decoded by a frozen linear skinning layer,
 one (n, B) @ (B, 3·V) product per batch, so the loss is a plain
-(optionally mouth-weighted) squared vertex error. ``forward`` runs a
-batch of one window.
+(optionally mouth-weighted) squared vertex error.
+
+Inference is frame-major. Block 0 is the widest layer (classes in, H
+out), and each frame enters K consecutive windows, so its input side is
+one (4H, classes) matrix, ``frame_projection``, applied to each frame once
+(per-step convolution caching, as in Fast WaveNet, arXiv:1611.09482).
+``forward_rows`` builds block 0's outputs as sums of projected rows and
+runs the rest of the stack on a batch of one; the tick feeds it from a
+ring of projected rows, and ``forward`` projects a whole window's frames
+one at a time, so both run the same bytes. Training keeps the batched
+im2col path, ``_run_forward``: a shuffled batch shares no frames between
+its windows, and the projection would cost it all 3 taps at all K
+positions, twice block 0's work.
 
 Everything runs in float64 numpy with hand-written reverse-mode gradients
 so analytic derivatives can be held to finite-difference oracles.
@@ -261,14 +272,65 @@ def _dropout_masks(params: ModelParams, rate: float, rng, n: int) -> np.ndarray 
     return keep / (1.0 - rate)
 
 
+def frame_projection(params: ModelParams) -> np.ndarray:
+    """Block 0's input side as one (4H, classes) matrix: conv1's taps 0, 1
+    and 2, then the 1x1 shortcut, stacked by rows. ``P @ frame`` is all
+    that block 0 computes from a frame, so a stream projects each frame
+    once, however many windows it enters. A copy: later training steps
+    do not reach it."""
+    blk = params.blocks[0]
+    return np.vstack([*blk.conv1_weight.transpose(2, 0, 1), blk.shortcut_weight[:, :, 0]])
+
+
+def forward_rows(params: ModelParams, rows, style_id: int) -> np.ndarray:
+    """Inference kernel: theta (B,) of one window given as its frames'
+    projections, rows (K, 4H) with row t = ``frame_projection(params) @
+    frame t``.
+
+    Block 0's output o sums conv1 tap 0 of row 2o - 1 (conv1's zero pad
+    for o = 0), tap 1 of row 2o and tap 2 of row 2o + 1; its shortcut is
+    row 2o's. The layers after that run ``_conv1d`` on a batch of one, as
+    ``_run_forward`` does. ``style_id`` is not range-checked here: a
+    negative one would index from the end, so callers check it once.
+    """
+    h = params.hidden_size
+    blk = params.blocks[0]
+    y1 = rows[0::2, h : 2 * h] + rows[1::2, 2 * h : 3 * h]
+    y1[1:] += rows[1:-2:2, :h]
+    y1 += blk.conv1_bias
+    a1 = np.maximum(y1, 0.0).T[:, None, :]
+    y2, _ = _conv1d(a1, blk.conv2_weight, blk.conv2_bias, stride=1, pad=1)
+    x = y2 + rows[0::2, 3 * h :].T[:, None, :]
+    for blk in params.blocks[1:]:
+        y1, _ = _conv1d(x, blk.conv1_weight, blk.conv1_bias, stride=2, pad=1)
+        y2, _ = _conv1d(np.maximum(y1, 0.0), blk.conv2_weight, blk.conv2_bias, stride=1, pad=1)
+        shortcut, _ = _conv1d(x, blk.shortcut_weight, None, stride=2, pad=0)
+        x = y2 + shortcut
+    fused = x[:, 0, 0] + params.style_table[style_id]
+    a = np.maximum(params.head1_weight @ fused + params.head1_bias, 0.0)
+    z2 = params.head2_weight @ a + params.head2_bias
+    return 1.0 / (1.0 + np.exp(-z2))
+
+
 def forward(params: ModelParams, window, style_id: int) -> BlendCoefficients:
-    """Window of logits -> coefficients; a pure function of its inputs.
+    """Window of logits (K, classes) -> coefficients; a pure function of
+    its inputs. Each frame is projected on its own, as the tick projects
+    a streamed frame, and ``forward_rows`` runs the rest.
 
     Dropout exists only in training (``train``, ``training_loss``,
     ``backward``), which draws its own masks.
     """
-    theta, _ = _run_forward(params, np.asarray(window)[None], [style_id], None)
-    return BlendCoefficients(theta[0])
+    w = np.asarray(window, dtype=np.float64)
+    if w.shape != (params.window_size, params.class_count):
+        raise ValueError(
+            f"window has shape {w.shape}, model expects "
+            f"({params.window_size}, {params.class_count})"
+        )
+    if not is_index(style_id, params.style_count):
+        raise ValueError(f"style_id {style_id!r} out of range for {params.style_count} styles")
+    projection = frame_projection(params)
+    rows = np.array([projection @ frame for frame in w])
+    return BlendCoefficients(forward_rows(params, rows, style_id))
 
 
 def human_decode(rig: LbsRig, theta) -> np.ndarray:

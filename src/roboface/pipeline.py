@@ -1,13 +1,16 @@
 """Real-time orchestration: logits -> model -> filter -> IK -> servo frames.
 
 One tick function implements the whole 25 Hz chain, and one window source
-feeds it: every logit frame goes through a ``StreamingWindower``, so a
-run's servo bytes depend only on its frames. After the model the tick
-works on the blendshape coefficients alone: filter bank, name permutation
-and IK from coefficients; no landmark-space target is built. Non-finite
-logits are rejected before the first tick. The serial wire format frames
-31 pulse widths with a sync byte, a wrapping frame counter, and a
-two's-complement checksum.
+feeds it: every logit frame is projected once through the model's first
+layer (``motionnet.frame_projection``) and the projected row goes through
+a ``StreamingWindower``, so a run's servo bytes depend only on its frames.
+The tick runs the rest of the model on a window of those rows
+(``motionnet.forward_rows``). After the model it works on the blendshape
+coefficients alone: filter bank, name permutation and IK from
+coefficients; no landmark-space target is built. Non-finite logits and an
+out-of-range style are rejected before the first tick. The serial wire
+format frames 31 pulse widths with a sync byte, a wrapping frame counter,
+and a two's-complement checksum.
 """
 
 from __future__ import annotations
@@ -23,11 +26,21 @@ from pathlib import Path
 import numpy as np
 
 from .formats import save_motion
-from .frontend import StreamingWindower, window_at
-from .lbs import LbsRig, MotionSequence
-from .motionnet import AdamState, ModelParams, TrainConfig, forward, train
-# transfer_coefficients stays importable from here: perfbench/tracing.py
-# wraps pipeline.transfer_coefficients to count per-tick transfer calls.
+# window_at, forward and transfer_coefficients stay importable from here,
+# though the tick calls none of them: perfbench/tracing.py wraps the three
+# names to time and count per-tick calls, and tests/test_golden.py patches
+# window_at to prove that no tick cuts a window with it.
+from .frontend import StreamingWindower, window_at  # noqa: F401
+from .lbs import BlendCoefficients, LbsRig, MotionSequence
+from .motionnet import (  # noqa: F401
+    AdamState,
+    ModelParams,
+    TrainConfig,
+    forward,
+    forward_rows,
+    frame_projection,
+    train,
+)
 from .retarget import transfer_coefficients, transfer_order  # noqa: F401
 from .rigsim import RigConfig, _kinematics, evaluate_tracking
 from .smoothing import FilterSpec, StreamingFilter, design, group_delay_frames
@@ -193,14 +206,17 @@ class PipelineResult:
 class _Ticker:
     """Shared per-window step: model, filter, transfer, IK, pulse mapping.
 
-    Everything after the model is linear in the 51 coefficients, so the
-    tick stays in coefficient space: one filter bank, designed at the tick
-    rate, steps all channels, the name transfer is a permutation resolved
-    at construction, and IK takes the robot coefficients directly
-    (``Kinematics.coefficient_solver``) instead of a landmark target. The
-    heavy solver state is cached per (config, rig), so a ticker per stream
-    builds nothing heavy. More than ``config.max_unconverged_streak``
-    consecutive unconverged IK solves raise ``RuntimeError``.
+    Its input is ``windows(frames)``: each frame's centred window of
+    block-0 projected rows, so each frame meets the model's widest layer
+    once, not once per window it enters. Everything after the model is
+    linear in the 51 coefficients, so the tick stays in coefficient space:
+    one filter bank, designed at the tick rate, steps all channels, the
+    name transfer is a permutation resolved at construction, and IK takes
+    the robot coefficients directly (``Kinematics.coefficient_solver``)
+    instead of a landmark target. The heavy solver state is cached per
+    (config, rig), so a ticker per stream builds nothing heavy. More than
+    ``config.max_unconverged_streak`` consecutive unconverged IK solves
+    raise ``RuntimeError``.
     """
 
     def __init__(self, config, params, robot_rig, robot_config, source_rig):
@@ -211,8 +227,14 @@ class _Ticker:
                 f"model emits {params.output_size} coefficients, rig expects "
                 f"{(source_rig or robot_rig).blendshape_count}"
             )
+        if not is_index(config.style_id, params.style_count):
+            raise ValueError(
+                f"style_id {config.style_id} out of range for "
+                f"{params.style_count} styles"
+            )
         self.config = config
         self.params = params
+        self.projection = frame_projection(params)
         self.transfer_order = transfer_order(source_rig or robot_rig, robot_rig)
 
         kin = _kinematics(robot_config, robot_rig)
@@ -231,8 +253,16 @@ class _Ticker:
         self.unconverged_total = 0
         self.ik_iterations: list[int] = []
 
-    def tick(self, window) -> tuple[ServoFrame, np.ndarray]:
-        theta = forward(self.params, window, self.config.style_id)
+    def windows(self, frames):
+        """Each frame's centred window of projected rows, (K, 4H), in frame
+        order. A fresh windower per call: one call serves one stream."""
+        windower = StreamingWindower(self.params.window_size, len(self.projection))
+        for frame in frames:
+            yield from windower.push(self.projection @ frame)
+        yield from windower.finish()
+
+    def tick(self, rows) -> tuple[ServoFrame, np.ndarray]:
+        theta = BlendCoefficients(forward_rows(self.params, rows, self.config.style_id))
         smoothed = self.filter.step(theta.values)
         robot_theta = smoothed[self.transfer_order]
         x, residual, converged, iterations = self.solver.solve(
@@ -257,14 +287,6 @@ class _Ticker:
         frame = ServoFrame(self.counter & 0xFFFF, tuple(pulses.tolist()))
         self.counter += 1
         return frame, smoothed
-
-
-def _windows(frames: np.ndarray, k: int):
-    """Each frame's centered window, in frame order."""
-    windower = StreamingWindower(k, frames.shape[1])
-    for frame in frames:
-        yield from windower.push(frame)
-    yield from windower.finish()
 
 
 def run_pipeline(
@@ -304,9 +326,9 @@ def run_pipeline(
     servo_frames = []
     smoothed_rows = []
     tick_ms = []
-    for window in _windows(frames, params.window_size):
+    for rows in ticker.windows(frames):
         started = time.perf_counter()
-        frame, smoothed = ticker.tick(window)
+        frame, smoothed = ticker.tick(rows)
         data = encode_frame(frame)
         if frame_sink is not None:
             frame_sink.write(data)
@@ -338,8 +360,8 @@ def bench(
     n_frames: int = 500,
     seed: int = 0,
 ) -> dict:
-    """Deterministic throughput measurement for the model alone, the full
-    tick, offline synthesis, tracking and training; latencies in
+    """Deterministic throughput measurement for the tick's model stage,
+    the full tick, offline synthesis, tracking and training; latencies in
     milliseconds, rates per second.
 
     Input is speech-like: seeded smooth ``make_motion`` tracks mapped to
@@ -357,12 +379,22 @@ def bench(
     logits = make_logits(motion, params.class_count, seed)
     frames = logits.frames
 
-    windows = [window_at(frames, t, params.window_size) for t in range(n_frames)]
+    # The tick's model stage per frame: the frame's projection, then the
+    # kernel on the window centred on it. The ticker checks the style.
+    ticker = _Ticker(config, params, robot_rig, robot_config, None)
+    windower = StreamingWindower(params.window_size, len(ticker.projection))
     model_ms = np.empty(n_frames)
-    for i, window in enumerate(windows):
+    windows = []
+    for t, frame in enumerate(frames):
         started = time.perf_counter()
-        forward(params, window, config.style_id)
-        model_ms[i] = 1000.0 * (time.perf_counter() - started)
+        row = ticker.projection @ frame
+        model_ms[t] = 1000.0 * (time.perf_counter() - started)
+        windows += windower.push(row)
+    windows += windower.finish()
+    for t, rows in enumerate(windows):
+        started = time.perf_counter()
+        forward_rows(params, rows, config.style_id)
+        model_ms[t] += 1000.0 * (time.perf_counter() - started)
 
     with tempfile.TemporaryDirectory() as tmp:
         run_started = time.perf_counter()

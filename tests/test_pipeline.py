@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from roboface.frontend import window_at
 from roboface.lbs import BlendCoefficients, BlendshapeBasis, LbsRig
-from roboface.motionnet import init_params, named_arrays
+from roboface.motionnet import _run_forward, forward, forward_rows, init_params, named_arrays
 from roboface.pipeline import (
     FileSink,
     LoopbackSink,
@@ -345,7 +346,7 @@ class TestRunPipeline:
         rig, config_r = reference
         ticker = _Ticker(PipelineConfig(), params, rig, config_r, None)
         ticker.counter = 65535
-        window = random_logits(8, seed=4)
+        window = next(ticker.windows(random_logits(8, seed=4)))
         frame, _ = ticker.tick(window)
         assert frame.frame_counter == 65535
         frame, _ = ticker.tick(window)
@@ -360,10 +361,10 @@ class TestRunPipeline:
             def solve(self, y, x0=None):
                 return np.zeros(28), 1.0, converged.pop(0), 500
 
-        window = random_logits(8, seed=4)
         for tick_hz, streak in ((25.0, 25), (50.0, 50)):
             config = PipelineConfig(tick_hz=tick_hz)
             ticker = _Ticker(config, params, rig, config_r, None)
+            window = next(ticker.windows(random_logits(8, seed=4)))
             ticker.solver = StubSolver()
             # A full second of failures, a converged tick that resets the
             # streak, then failures until the one past a second aborts.
@@ -409,6 +410,39 @@ class TestRunPipeline:
                         mode=mode, frame_sink=sink,
                     )
                 assert len(sink.data) == 0
+
+    def test_style_out_of_range_rejected_before_any_byte(self, reference, params):
+        rig, config_r = reference
+        sink = LoopbackSink()
+        with pytest.raises(ValueError, match="style_id 4 out of range for 4 styles"):
+            run_pipeline(
+                PipelineConfig(style_id=4), params, rig, config_r,
+                random_logits(10), frame_sink=sink,
+            )
+        assert len(sink.data) == 0
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    def test_projected_ring_matches_training_forward(self, reference, k):
+        """The tick's theta, from the ring of projected rows, equals
+        ``forward``'s bit for bit, and both equal ``_run_forward`` on a batch
+        of one, on the stream's edge windows and its interior ones."""
+        rig, config_r = reference
+        params = init_params(seed=k, window_size=k, hidden_size=16, style_count=3)
+        rng = np.random.default_rng(k)
+        for name, array in named_arrays(params):
+            if name.endswith("bias") or name == "style_table":
+                array[...] = rng.normal(0.0, 0.5, array.shape)
+        config = PipelineConfig(style_id=2)
+        frames = random_logits(2 * k + 3, seed=k)
+        ticker = _Ticker(config, params, rig, config_r, None)
+        windows = list(ticker.windows(frames))
+        assert len(windows) == len(frames)
+        for t, rows in enumerate(windows):
+            window = window_at(frames, t, k)
+            theta = forward_rows(params, rows, 2)
+            expected, _ = _run_forward(params, window[None], [2], None)
+            np.testing.assert_allclose(theta, expected[0], rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(forward(params, window, 2).values, theta)
 
     def test_unaligned_source_rig_rejected_before_any_byte(self, reference, params):
         rig, config_r = reference
