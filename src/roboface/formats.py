@@ -31,14 +31,14 @@ _VERSION = 1
 
 
 class _Reader:
-    """Cursor over one file's bytes with bounds-checked reads."""
+    """Cursor over one file's bytes with bounds-checked, copy-free reads."""
 
     def __init__(self, data: bytes, label: str):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.label = label
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ValueError(f"truncated {self.label} file")
         out = self.data[self.pos : self.pos + n]
@@ -53,7 +53,7 @@ class _Reader:
         if self.remaining():
             raise ValueError(f"{self.remaining()} trailing bytes in {self.label} file")
 
-    def peek(self, n: int) -> bytes:
+    def peek(self, n: int) -> memoryview:
         return self.data[self.pos : self.pos + n]
 
     def u16(self) -> int:
@@ -79,11 +79,11 @@ class _Reader:
         return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
 
     def string(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        return str(self.take(self.u16()), "utf-8")
 
 
 def _check_header(r: _Reader, magic: bytes) -> None:
-    got = r.take(4)
+    got = bytes(r.take(4))
     if got != magic:
         raise ValueError(
             f"{r.label} file has magic {got!r}, expected {magic!r}"
@@ -136,7 +136,8 @@ def load_rig(path) -> LbsRig:
     if 12 * u * (b + 1) + 2 * b > r.remaining():
         raise ValueError("truncated rig file")
     neutral = r.f32_array(3 * u)
-    disp = r.f32_array(b * 3 * u).reshape(b, 3 * u)
+    # Left as f32: BlendshapeBasis makes the one f64 copy of the basis.
+    disp = np.frombuffer(r.take(4 * b * 3 * u), dtype="<f4").reshape(b, 3 * u)
     names = tuple(r.string() for _ in range(b))
     mask = r.u32_array(r.u32())
     groups = {}

@@ -6,6 +6,9 @@ them over through the .phlg file format; this module resamples such streams
 to the 25 Hz orchestration rate, cuts centered K-frame windows, and offers
 a deterministic signal-processing stub extractor so the repo is exercisable
 without any deep-learning runtime.
+
+One window rule: the window of frame t is rows [t, t + K) of the stream
+padded with K/2 copies of its first frame and K/2 - 1 of its last.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .util import frozen_array as _frozen, is_index, is_positive_finite
 
@@ -79,8 +83,13 @@ def resample(stream: PhonemeLogitStream, target_hz: float) -> PhonemeLogitStream
     return PhonemeLogitStream(target_hz, out)
 
 
+def _edge_padded(frames: np.ndarray, k: int) -> np.ndarray:
+    """The frames padded by the module's one window rule."""
+    return np.pad(frames, ((k // 2, k // 2 - 1), (0, 0)), mode="edge")
+
+
 def make_windows(stream: PhonemeLogitStream, k: int) -> np.ndarray:
-    """Centered K-frame windows, one per stream frame, shape (T, K, classes).
+    """Read-only view of the centered K-frame windows: (T, K, classes).
 
     Window t covers frames [t - K/2, t + K/2); out-of-range positions
     replicate the nearest edge frame. K must be a power of two of at least
@@ -89,21 +98,17 @@ def make_windows(stream: PhonemeLogitStream, k: int) -> np.ndarray:
     _check_window_size(k)
     if stream.frame_count == 0:
         raise ValueError("cannot window an empty stream")
-    t = stream.frame_count
-    return stream.frames[_window_indices(np.arange(t), k, t)]
+    padded = _edge_padded(stream.frames, k)
+    return sliding_window_view(padded, k, axis=0).transpose(0, 2, 1)
 
 
 def window_at(stream_frames: np.ndarray, t: int, k: int) -> np.ndarray:
     """One centered window over a (T, classes) frame array; edge-replicated.
-    Matches make_windows(stream, k)[t]."""
-    return stream_frames[_window_indices(t, k, stream_frames.shape[0])]
-
-
-def _window_indices(t, k: int, total: int) -> np.ndarray:
-    """Frame indices of the centered window(s) at output index t (scalar or
-    array), clipped to [0, total - 1] so the edge frames replicate."""
-    offsets = np.arange(-(k // 2), k // 2)
-    return np.clip(np.asarray(t)[..., None] + offsets, 0, total - 1)
+    Matches make_windows(stream, k)[t]; a bad k or t raises ``ValueError``."""
+    _check_window_size(k)
+    if not is_index(t, len(stream_frames)):
+        raise ValueError(f"frame index {t!r} is not in [0, {len(stream_frames)})")
+    return _edge_padded(stream_frames, k)[t : t + k].copy()
 
 
 def _check_window_size(k: int) -> None:
@@ -114,25 +119,31 @@ def _check_window_size(k: int) -> None:
 class StreamingWindower:
     """Incremental equivalent of make_windows for live frame feeds.
 
-    Frames arrive one at a time; a window for output index t is emitted as
-    soon as frame t + K/2 - 1 exists. ``finish`` flushes the tail, where the
-    missing future frames replicate the final frame, exactly as the offline
-    path does. Every window still to be emitted starts at or after frame
-    ``pushed - K``, so only the last K frames are kept, in a ring buffer:
-    memory stays bounded however long the stream runs. One instance serves
-    one stream.
+    It pads the stream as it arrives: the first frame goes in K/2 + 1
+    times, each later frame once, and ``finish`` adds K/2 - 1 copies of
+    the last. Each padded row from the K-th on completes a window, so
+    window t leaves with frame t + K/2 - 1. Rows are written twice into a
+    (2K, classes) buffer, so the last K rows are one contiguous slice and
+    memory stays bounded however long the stream runs. One instance
+    serves one stream; a second ``finish`` returns no window.
     """
 
     def __init__(self, k: int, class_count: int):
         _check_window_size(k)
         self.k = k
         self.class_count = class_count
-        self._frames = np.empty((k, class_count))
-        self._pushed = 0
-        self._next_out = 0
+        self._ring = np.empty((2 * k, class_count))
+        self._rows = 0
 
-    def _window(self, t: int) -> np.ndarray:
-        return self._frames[_window_indices(t, self.k, self._pushed) % self.k]
+    def _append(self, frame: np.ndarray, copies: int) -> list[np.ndarray]:
+        out = []
+        for _ in range(copies):
+            slot = self._rows % self.k
+            self._ring[slot] = self._ring[slot + self.k] = frame
+            self._rows += 1
+            if self._rows >= self.k:
+                out.append(self._ring[slot + 1 : slot + 1 + self.k].copy())
+        return out
 
     def push(self, frame: np.ndarray) -> list[np.ndarray]:
         """Add one frame; returns the windows that became complete."""
@@ -141,20 +152,12 @@ class StreamingWindower:
             raise ValueError(
                 f"frame has shape {frame.shape}, expected ({self.class_count},)"
             )
-        self._frames[self._pushed % self.k] = frame
-        self._pushed += 1
-        out = []
-        while self._next_out + self.k // 2 <= self._pushed:
-            out.append(self._window(self._next_out))
-            self._next_out += 1
-        return out
+        return self._append(frame, self.k // 2 + 1 if self._rows == 0 else 1)
 
     def finish(self) -> list[np.ndarray]:
         """Emit the remaining windows once the stream has ended."""
-        out = []
-        while self._next_out < self._pushed:
-            out.append(self._window(self._next_out))
-            self._next_out += 1
+        out = self._append(self._ring[(self._rows - 1) % self.k], self.k // 2 - 1)
+        self._rows = 0  # K/2 - 1 rows complete no window: a second finish emits none
         return out
 
 

@@ -71,7 +71,7 @@ class BlendshapeBasis:
 
     def __post_init__(self):
         names = tuple(self.names)
-        fields = tuple(np.asarray(d, dtype=np.float64) for d in self.displacements)
+        fields = tuple(np.asarray(d) for d in self.displacements)
         if not fields:
             raise ValueError("basis has no displacement fields")
         if len(names) != len(fields):
@@ -87,9 +87,10 @@ class BlendshapeBasis:
                     f"displacement field {name!r} has shape {disp.shape}, "
                     f"expected ({fields[0].size},)"
                 )
-            if not np.isfinite(disp).all():
+        matrix = np.array(fields, dtype=np.float64)  # the one f64 copy
+        for name, row in zip(names, matrix):
+            if not np.isfinite(row).all():
                 raise ValueError(f"displacement field {name!r} has non-finite values")
-        matrix = np.array(fields, dtype=np.float64)
         matrix.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "matrix", matrix)

@@ -379,22 +379,15 @@ def bench(
     logits = make_logits(motion, params.class_count, seed)
     frames = logits.frames
 
-    # The tick's model stage per frame: the frame's projection, then the
-    # kernel on the window centred on it. The ticker checks the style.
+    # The tick's model stage per frame: the next window from the tick's own
+    # window source, then the kernel on it. The ticker checks the style.
     ticker = _Ticker(config, params, robot_rig, robot_config, None)
-    windower = StreamingWindower(params.window_size, len(ticker.projection))
+    windows = ticker.windows(frames)
     model_ms = np.empty(n_frames)
-    windows = []
-    for t, frame in enumerate(frames):
+    for t in range(n_frames):
         started = time.perf_counter()
-        row = ticker.projection @ frame
+        forward_rows(params, next(windows), config.style_id)
         model_ms[t] = 1000.0 * (time.perf_counter() - started)
-        windows += windower.push(row)
-    windows += windower.finish()
-    for t, rows in enumerate(windows):
-        started = time.perf_counter()
-        forward_rows(params, rows, config.style_id)
-        model_ms[t] += 1000.0 * (time.perf_counter() - started)
 
     with tempfile.TemporaryDirectory() as tmp:
         run_started = time.perf_counter()

@@ -1,6 +1,7 @@
 """File formats: golden layouts, round-trips, corruption handling."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from roboface.lbs import (
     MotionSequence,
     apply_skinning,
 )
+from roboface.rigsim import build_reference_rig
 
 
 def f32(x):
@@ -112,6 +114,20 @@ class TestRigFile:
         path.write_bytes(b"LBSR" + struct.pack("<III", 1, 0, 0xFFFFFFFF) + bytes(64))
         with pytest.raises(ValueError, match="truncated"):
             load_rig(path)
+
+    def test_load_holds_the_basis_once(self, tmp_path):
+        # The file's bytes and one f64 basis are unavoidable; a widened
+        # copy or a bytes copy of the f32 block would add 3 to 6 MB.
+        path = tmp_path / "reference.lbsrig"
+        save_rig(path, build_reference_rig(seed=0)[0])
+        load_rig(path)
+        tracemalloc.start()
+        try:
+            rig = load_rig(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + rig.basis.matrix.nbytes + 1_000_000
 
     def test_header_fields(self, tmp_path):
         rig = small_rig()

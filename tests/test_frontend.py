@@ -1,5 +1,7 @@
 """Logit frontend: resampling, windowing, and the stub extractor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,39 @@ class TestMakeWindows:
         windows = make_windows(stream, 2**log_k)
         assert windows.shape[0] == t
 
+    def test_windows_are_a_read_only_view(self):
+        stream = stream_of(np.arange(12.0).reshape(6, 2), 25.0)
+        windows = make_windows(stream, 4)
+        assert not windows.flags.writeable
+        assert windows.base is not None
+        with pytest.raises(ValueError):
+            windows[0, 0, 0] = 1.0
+
+
+class TestWindowAt:
+    FRAMES = np.arange(10.0).reshape(5, 2)
+
+    def test_index_past_the_end_rejected(self):
+        with pytest.raises(ValueError, match="frame index"):
+            window_at(self.FRAMES, 99, 4)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="frame index"):
+            window_at(self.FRAMES, -7, 4)
+
+    def test_bool_index_rejected(self):
+        with pytest.raises(ValueError, match="frame index"):
+            window_at(self.FRAMES, True, 4)
+
+    def test_window_size_checked_as_make_windows_does(self):
+        with pytest.raises(ValueError, match="power of two"):
+            window_at(self.FRAMES, 2, 3)
+
+    def test_numpy_integer_index_accepted(self):
+        np.testing.assert_array_equal(
+            window_at(self.FRAMES, np.int64(4), 4), self.FRAMES[[2, 3, 4, 4]]
+        )
+
 
 class TestStreamingWindower:
     def test_matches_offline_windows(self):
@@ -143,6 +178,23 @@ class TestStreamingWindower:
         offline = make_windows(stream_of(frames, 25.0), 4)
         for t in range(9):
             np.testing.assert_array_equal(window_at(frames, t, 4), offline[t])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 40),
+        k=st.sampled_from([2, 4, 8, 16]),
+        width=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_window_cutter_agrees(self, t, k, width, seed):
+        frames = np.random.default_rng(seed).normal(0, 1, (t, width))
+        offline = make_windows(stream_of(frames, 25.0), k)
+        w = StreamingWindower(k, width)
+        live = [win for f in frames for win in w.push(f)] + w.finish()
+        assert np.stack(live).tobytes() == offline.tobytes()
+        assert w.finish() == []
+        for i in range(t):
+            assert window_at(frames, i, k).tobytes() == offline[i].tobytes()
 
     def test_emission_latency_is_half_window(self):
         w = StreamingWindower(8, 1)
@@ -222,17 +274,30 @@ class TestStubExtractor:
 
 class TestStreamingWindowerBounded:
     def test_long_stream_keeps_k_frames_and_matches_offline(self):
+        # Each window is checked as it arrives and then dropped, so the
+        # traced memory measures only what the windower keeps: after 2K
+        # pushes it must stop growing, however long the stream runs.
         k, classes, total = 8, 4, 10_000
         frames = np.random.default_rng(5).normal(0, 1, (total, classes))
-        w = StreamingWindower(k, classes)
-        live = []
-        for f in frames:
-            live.extend(w.push(f))
-            assert len(w._frames) <= k
-        live.extend(w.finish())
-        assert len(w._frames) <= k
         offline = make_windows(stream_of(frames, 25.0), k)
-        assert np.stack(live).tobytes() == offline.tobytes()
+        w = StreamingWindower(k, classes)
+        emitted = 0
+        tracemalloc.start()
+        try:
+            for pushed, f in enumerate(frames, 1):
+                for win in w.push(f):
+                    assert win.tobytes() == offline[emitted].tobytes()
+                    emitted += 1
+                if pushed == 2 * k:
+                    settled, _ = tracemalloc.get_traced_memory()
+            grown = tracemalloc.get_traced_memory()[0] - settled
+        finally:
+            tracemalloc.stop()
+        for win in w.finish():
+            assert win.tobytes() == offline[emitted].tobytes()
+            emitted += 1
+        assert emitted == total
+        assert grown < 4096
 
     def test_streams_shorter_than_window(self):
         frames = np.random.default_rng(6).normal(0, 1, (3, 2))
