@@ -277,9 +277,12 @@ def cmd_simulate(args) -> int:
     rig = load_rig(args.rig)
     rig_config = load_config(args.rig_config)
     reference = load_motion(args.motion)
-    report = evaluate_tracking(
-        rig_config, reference, rig, histogram_dir=args.histograms
-    )
+    try:
+        report = evaluate_tracking(
+            rig_config, reference, rig, histogram_dir=args.histograms
+        )
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for region, stats in report.items():
         print(

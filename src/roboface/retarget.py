@@ -36,8 +36,9 @@ from .lbs import BlendCoefficients, FaceMesh, LbsRig, MotionSequence
 MAX_ITERATIONS = 500
 TOLERANCE = 1e-8
 
-# Frames ``project_sequence`` takes per matrix-matrix product; its extra
-# memory is a few (CHUNK_FRAMES, 3V) arrays.
+# Frames ``project_sequence`` and ``rigsim.evaluate_tracking`` take per
+# matrix-matrix product; the extra memory is a few (CHUNK_FRAMES, rows)
+# arrays.
 CHUNK_FRAMES = 16
 
 
@@ -236,7 +237,11 @@ class CoefficientBoxLeastSquares(BoxLeastSquares):
             )
         self.matrix = landmark_solver.matrix
         self.gram = landmark_solver.gram
-        self.basis_matrix = basis @ self.matrix
+        # One GEMV per basis row over a contiguous A^T. The (B, rows) @
+        # (rows, n) GEMM rounds differently with 1 and 2 threads on some
+        # OpenBLAS kernels; these GEMVs give the same bits either way.
+        a_t = np.ascontiguousarray(self.matrix.T)
+        self.basis_matrix = np.array([a_t @ row for row in basis])
         self.basis_gram = basis @ basis.T
 
     def _normal_equations(self, theta: np.ndarray) -> tuple[np.ndarray, float]:

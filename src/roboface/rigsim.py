@@ -31,7 +31,7 @@ import numpy as np
 from .arkit import CANONICAL_NAMES, REGIONS, region_of
 # apply_skinning stays importable here: perfbench/tracing.py wraps rigsim.apply_skinning.
 from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning  # noqa: F401
-from .retarget import BoxLeastSquares, CoefficientBoxLeastSquares
+from .retarget import CHUNK_FRAMES, BoxLeastSquares, CoefficientBoxLeastSquares
 from .util import frozen_array, in_unit_interval, is_index
 
 DOF_PER_POINT = 6
@@ -449,10 +449,14 @@ def evaluate_tracking(
 
     Every frame is solved to actuator space from its coefficients by the
     tick's solver (``Kinematics.coefficient_solver``), warm-started frame to
-    frame, and compared per landmark vertex with theta @ basis over the
-    landmark rows; no full mesh is skinned.
-    Euclidean errors pool across frames into per-region median and quartile
-    statistics: {region: {median_mm, q1_mm, q3_mm, frames}}.
+    frame in one chain, so each solution equals the tick's for the same
+    coefficients bit for bit. The error rows X A^T - Theta @ basis over the
+    landmark rows are then formed ``retarget.CHUNK_FRAMES`` frames at a time,
+    two matrix-matrix products per chunk; no full mesh is skinned.
+    Euclidean errors per landmark vertex pool across frames into per-region
+    median and quartile statistics: {region: {median_mm, q1_mm, q3_mm,
+    frames}}. A motion with no frames, or with another blendshape count than
+    the rig's, raises ``ValueError`` before any solve.
     """
     kin = _kinematics(config, rig)
     missing = [
@@ -462,15 +466,15 @@ def evaluate_tracking(
     ]
     if missing:
         raise ValueError(f"rig is missing landmark groups: {missing}")
-    columns = rig.basis.matrix[:, kin.rows]
-    solver = kin.coefficient_solver
-
-    errors = np.empty((reference.frame_count, kin.landmarks.size))
-    warm = None
-    for t, theta in enumerate(reference.frames):
-        warm, _, _, _ = solver.solve(theta, x0=warm)
-        diff = (solver.matrix @ warm - theta @ columns).reshape(-1, 3)
-        errors[t] = np.sqrt((diff * diff).sum(axis=1))
+    count = reference.frame_count
+    if count == 0:
+        raise ValueError("reference motion has no frames")
+    if reference.blendshape_count != rig.blendshape_count:
+        raise ValueError(
+            f"reference motion has {reference.blendshape_count} blendshapes, "
+            f"rig has {rig.blendshape_count}"
+        )
+    _, errors = _tracking_errors(kin, reference.frames)
 
     report: dict = {}
     for region in REGIONS:
@@ -481,11 +485,36 @@ def evaluate_tracking(
             "median_mm": float(med),
             "q1_mm": float(q1),
             "q3_mm": float(q3),
-            "frames": int(reference.frame_count),
+            "frames": count,
         }
         if histogram_dir is not None:
             _write_histogram(Path(histogram_dir) / f"{region}.csv", sample)
     return report
+
+
+def _tracking_errors(kin: Kinematics, frames: np.ndarray) -> tuple:
+    """The tick solver's chain over a (T, B) coefficient motion and each
+    landmark's Euclidean error: (solutions (T, n), errors (T, landmarks))."""
+    solver = kin.coefficient_solver
+    columns = kin.rig.basis.matrix[:, kin.rows]
+    count = len(frames)
+
+    # The tick's solve without the residual it reports: the same c and the
+    # same iteration, so the same x.
+    solutions = np.empty((count, solver.matrix.shape[1]))
+    warm = None
+    for t, theta in enumerate(frames):
+        warm, _, _ = solver._active_set(theta @ solver.basis_matrix, warm)
+        solutions[t] = warm
+
+    errors = np.empty((count, kin.landmarks.size))
+    for start in range(0, count, CHUNK_FRAMES):
+        stop = start + CHUNK_FRAMES
+        diff = solutions[start:stop] @ solver.matrix.T
+        diff -= frames[start:stop] @ columns
+        diff = diff.reshape(len(diff), -1, 3)
+        errors[start:stop] = np.sqrt(np.einsum("fvk,fvk->fv", diff, diff))
+    return solutions, errors
 
 
 def _write_histogram(path: Path, sample: np.ndarray) -> None:

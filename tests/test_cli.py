@@ -455,6 +455,22 @@ class TestSimulate:
         for stats in report.values():
             assert stats["frames"] == 3
 
+    @pytest.mark.parametrize("shape, message", [
+        ((0, 51), "reference motion has no frames"),
+        ((3, 50), "reference motion has 50 blendshapes, rig has 51"),
+    ], ids=["no-frames", "blendshape-count"])
+    def test_bad_motion_exits_with_the_reason(self, workspace, tmp_path, shape, message):
+        motion_path = tmp_path / "ref.lbsm"
+        save_motion(motion_path, MotionSequence(25.0, np.zeros(shape)))
+        out = tmp_path / "tracking.json"
+        with pytest.raises(SystemExit, match=message):
+            main([
+                "simulate", "--motion", str(motion_path), "--rig",
+                str(workspace["rig"]), "--rig-config", str(workspace["config"]),
+                "--out", str(out),
+            ])
+        assert not out.exists()
+
 
 class TestSmooth:
     def test_filters_motion(self, workspace, tmp_path):

@@ -3,12 +3,18 @@
 import dataclasses
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import CORE_TYPES, cpu_flags, loads_openblas
 
+import roboface
 from roboface.arkit import CANONICAL_NAMES, REGIONS, region_of
 from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence
 from roboface.rigsim import (
@@ -24,6 +30,7 @@ from roboface.rigsim import (
     save_config,
     solve_ik,
     _kinematics,
+    _tracking_errors,
 )
 
 
@@ -405,6 +412,123 @@ class TestEvaluateTracking:
             assert lines[0] == "bin_lo_mm,bin_hi_mm,count"
             counts = sum(int(line.split(",")[2]) for line in lines[1:])
             assert counts == 2 * 2  # frames x vertices per region
+
+    def test_rejects_motion_without_frames(self, reference):
+        rig, config = reference
+        with pytest.raises(ValueError, match="no frames"):
+            evaluate_tracking(config, MotionSequence(25.0, np.zeros((0, 51))), rig)
+
+    @pytest.mark.parametrize("count", [50, 52])
+    def test_rejects_blendshape_count_mismatch_before_solving(
+        self, reference, monkeypatch, count
+    ):
+        from roboface.retarget import BoxLeastSquares
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("tracking solved a frame")
+
+        monkeypatch.setattr(BoxLeastSquares, "_active_set", no_solve)
+        rig, config = reference
+        motion = MotionSequence(25.0, np.zeros((3, count)))
+        with pytest.raises(ValueError, match=f"{count} blendshapes, rig has 51"):
+            evaluate_tracking(config, motion, rig)
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+    def test_chunk_edges_match_the_per_frame_formula(self, reference, count):
+        from roboface.synthdata import make_motion
+
+        rig, config = reference
+        motion = make_motion(count, 51, 25.0, np.random.default_rng(count))
+        kin = _kinematics(config, rig)
+        solver = kin.coefficient_solver
+        columns = rig.basis.matrix[:, kin.rows]
+        solutions, errors = _tracking_errors(kin, motion.frames)
+        expected = np.empty((count, kin.landmarks.size))
+        warm = None
+        for t, theta in enumerate(motion.frames):
+            warm, _, _, _ = solver.solve(theta, x0=warm)
+            assert solutions[t].tobytes() == warm.tobytes(), f"frame {t}"
+            diff = (solver.matrix @ warm - theta @ columns).reshape(-1, 3)
+            expected[t] = np.sqrt((diff * diff).sum(axis=1))
+        np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-12)
+        report = evaluate_tracking(config, motion, rig)
+        for region in REGIONS:
+            cols = np.searchsorted(kin.landmarks, rig.landmark_groups[region])
+            q1, med, q3 = np.quantile(expected[:, cols], [0.25, 0.5, 0.75])
+            stats = report[region]
+            assert stats["q1_mm"] == pytest.approx(q1, rel=0, abs=1e-12)
+            assert stats["median_mm"] == pytest.approx(med, rel=0, abs=1e-12)
+            assert stats["q3_mm"] == pytest.approx(q3, rel=0, abs=1e-12)
+            assert stats["frames"] == count
+
+
+# Run in a fresh interpreter, since BLAS reads its kernel and thread count at
+# load. The input is a fixed motion, built without BLAS: the model's own
+# rounding is not what this checks. Prints the tick solver's chain over it
+# (``_Ticker.tick`` runs the same solve) and its tracking report.
+_TRACKING_CHILD = """
+import hashlib
+import json
+import numpy as np
+from roboface.rigsim import _kinematics, build_reference_rig, evaluate_tracking
+from roboface.synthdata import make_motion
+import test_golden
+
+rig, config = build_reference_rig(seed=0)
+motion = make_motion(250, rig.blendshape_count, 25.0, np.random.default_rng(0))
+solver = _kinematics(config, rig).coefficient_solver
+ticks, warm = [], None
+for theta in motion.frames:
+    warm, _, _, _ = solver.solve(theta, x0=warm)
+    ticks.append(warm.tolist())
+print(json.dumps({
+    "threads": test_golden.blas_threads(),
+    "motion": hashlib.sha256(motion.frames.tobytes()).hexdigest(),
+    "ik": ticks,
+    "report": evaluate_tracking(config, motion, rig),
+}))
+"""
+
+
+def test_tracking_does_not_depend_on_blas_threads():
+    if not loads_openblas():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    flags = cpu_flags()
+    core_types = [name for name, need in CORE_TYPES.items() if flags & set(need)]
+    if not core_types:
+        pytest.skip("this CPU runs none of the OpenBLAS kernels checked")
+    src = Path(roboface.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    path = [str(src), str(tests)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    # OpenBLAS caps its threads at the cores it may run on.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for core_type in core_types:
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core_type)
+            env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(path)
+            out = subprocess.run(
+                [sys.executable, "-c", _TRACKING_CHILD],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
+        one, two = runs
+        reported = [one["threads"], two["threads"]]
+        if None not in reported and cores >= 2:
+            assert reported == [1, 2]
+        assert two["motion"] == one["motion"]
+        ik_one, ik_two = np.array(one["ik"]), np.array(two["ik"])
+        assert ik_one.shape == ik_two.shape == (250, 28)
+        assert np.array_equal(ik_two, ik_one), (
+            f"OPENBLAS_CORETYPE={core_type}: IK moved by up to "
+            f"{np.abs(ik_two - ik_one).max():.3g} from 1 to 2 threads"
+        )
+        assert two["report"] == one["report"], f"OPENBLAS_CORETYPE={core_type}"
 
 
 class TestKinematicsCache:
