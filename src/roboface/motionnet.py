@@ -9,17 +9,20 @@ Targets are vertex positions decoded by a frozen linear skinning layer,
 one (n, B) @ (B, 3·V) product per batch, so the loss is a plain
 (optionally mouth-weighted) squared vertex error.
 
-Inference is frame-major. Block 0 is the widest layer (classes in, H
-out), and each frame enters K consecutive windows, so its input side is
-one (4H, classes) matrix, ``frame_projection``, applied to each frame once
-(per-step convolution caching, as in Fast WaveNet, arXiv:1611.09482).
-``forward_rows`` builds block 0's outputs as sums of projected rows and
-runs the rest of the stack on a batch of one; the tick feeds it from a
-ring of projected rows, and ``forward`` projects a whole window's frames
-one at a time, so both run the same bytes. Training keeps the batched
-im2col path, ``_run_forward``: a shuffled batch shares no frames between
-its windows, and the projection would cost it all 3 taps at all K
-positions, twice block 0's work.
+Inference is frame-major and runs a compiled plan (``compile_plan``).
+Block 0 is the widest layer (classes in, H out), and each frame enters K
+consecutive windows, so its input side is one (4H, classes) matrix,
+``ModelPlan.projection``, applied to each frame once (per-step
+convolution caching, as in Fast WaveNet, arXiv:1611.09482). The window size fixes the
+number of positions every later layer sees, so the plan unrolls each of
+them into one dense matrix on time-major activations. ``forward_rows``
+builds block 0's outputs as sums of projected rows and runs the rest as
+one GEMV per map; the tick feeds it from a ring of projected rows, and
+``forward`` projects a whole window's frames one at a time, so both run
+the same bytes. Training keeps the batched im2col path, ``_run_forward``:
+a shuffled batch shares no frames between its windows, the projection
+would cost it all 3 taps at all K positions, twice block 0's work, and
+its weights change every step.
 
 Everything runs in float64 numpy with hand-written reverse-mode gradients
 so analytic derivatives can be held to finite-difference oracles.
@@ -155,8 +158,9 @@ def init_params(
 
 
 def _conv1d(x, weight, bias, stride, pad):
-    """x (C_in, n, T) -> (y (C_out, n, T_out), cols (C_in·k, n·T_out)); one
-    GEMM for the whole batch, cols kept for the backward pass."""
+    """Training path: x (C_in, n, T) -> (y (C_out, n, T_out), cols
+    (C_in·k, n·T_out)); one GEMM for the whole batch, cols kept for the
+    backward pass. Inference runs ``compile_plan``'s dense maps instead."""
     c_in, n, t = x.shape
     c_out, _, k = weight.shape
     if pad:
@@ -193,9 +197,10 @@ def _conv1d_backward(dy, cols, weight, in_shape, stride, pad):
 
 
 def _run_forward(params: ModelParams, windows, style_ids, masks):
-    """Batched forward pass: windows (n, K, classes), style_ids (n,) and
+    """Training path, batched: windows (n, K, classes), style_ids (n,) and
     masks (n, 2H) or None -> (theta (n, B), tape for reverse mode). Inside,
-    features lead: the conv stack runs on (C, n, T), the head on (H, n)."""
+    features lead: the conv stack runs on (C, n, T), the head on (H, n).
+    Inference (the tick, ``forward``) runs ``forward_rows`` on a plan."""
     w = np.asarray(windows, dtype=np.float64)
     if w.shape[1:] != (params.window_size, params.class_count):
         raise ValueError(
@@ -272,50 +277,135 @@ def _dropout_masks(params: ModelParams, rate: float, rng, n: int) -> np.ndarray 
     return keep / (1.0 - rate)
 
 
-def frame_projection(params: ModelParams) -> np.ndarray:
-    """Block 0's input side as one (4H, classes) matrix: conv1's taps 0, 1
-    and 2, then the 1x1 shortcut, stacked by rows. ``P @ frame`` is all
-    that block 0 computes from a frame, so a stream projects each frame
-    once, however many windows it enters. A copy: later training steps
-    do not reach it."""
-    blk = params.blocks[0]
-    return np.vstack([*blk.conv1_weight.transpose(2, 0, 1), blk.shortcut_weight[:, :, 0]])
+def _dense_conv(weight, positions: int, stride: int, pad: int) -> np.ndarray:
+    """A conv layer over a fixed number of input positions as one dense
+    matrix on time-major vectors (flat index t·C + c): row block o, column
+    block i holds tap i - o·stride + pad, or zeros."""
+    c_out, c_in, k = weight.shape
+    out = (positions + 2 * pad - k) // stride + 1
+    dense = np.zeros((out, c_out, positions, c_in))
+    for o in range(out):
+        for j in range(k):
+            i = o * stride + j - pad
+            if 0 <= i < positions:
+                dense[o, :, i] = weight[:, :, j]
+    return dense.reshape(out * c_out, positions * c_in)
 
 
-def forward_rows(params: ModelParams, rows, style_id: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ModelPlan:
+    """The inference model compiled for its fixed window: every array is a
+    copy, so later training steps do not reach it.
+
+    ``projection`` is block 0's input side as one (4H, classes) matrix:
+    conv1's taps 0, 1 and 2, then the 1x1 shortcut, stacked by rows.
+    ``projection @ frame`` is all that block 0 computes from a frame, so a
+    stream projects each frame once, however many windows it enters.
+
+    The window size fixes the number of positions each later layer sees,
+    so each of those conv layers is one dense matrix on time-major
+    vectors. ``conv2[i]`` is block i's conv2; ``stacked[i]`` belongs to
+    block i + 1 and puts its conv1's rows over its shortcut's, so one GEMV
+    yields both. Biases are tiled over positions. At K = 8 and H = 64 the
+    maps are 256², 256², 128², 128² and 64², 1.35 MB in all.
+    """
+
+    projection: np.ndarray  # (4H, classes)
+    block0_bias: np.ndarray  # (H,), block 0's conv1 bias
+    conv2: tuple  # per block: (matrix, tiled bias)
+    stacked: tuple  # per block after the first: (matrix, tiled conv1 bias)
+    style_table: np.ndarray
+    head1_weight: np.ndarray
+    head1_bias: np.ndarray
+    head2_weight: np.ndarray
+    head2_bias: np.ndarray
+
+    @property
+    def window_size(self) -> int:
+        return 1 << len(self.conv2)
+
+    @property
+    def hidden_size(self) -> int:
+        return self.style_table.shape[1]
+
+
+def compile_plan(params: ModelParams) -> ModelPlan:
+    """Unroll ``params`` into the dense per-layer maps of ``ModelPlan``."""
+    first = params.blocks[0]
+    conv2, stacked = [], []
+    positions = params.window_size // 2
+    for i, blk in enumerate(params.blocks):
+        if i:
+            stacked.append((
+                np.vstack([_dense_conv(blk.conv1_weight, 2 * positions, 2, 1),
+                           _dense_conv(blk.shortcut_weight, 2 * positions, 2, 0)]),
+                np.tile(blk.conv1_bias, positions),
+            ))
+        conv2.append((_dense_conv(blk.conv2_weight, positions, 1, 1),
+                      np.tile(blk.conv2_bias, positions)))
+        positions //= 2
+    return ModelPlan(
+        projection=np.vstack([*first.conv1_weight.transpose(2, 0, 1),
+                              first.shortcut_weight[:, :, 0]]),
+        block0_bias=first.conv1_bias.copy(),
+        conv2=tuple(conv2),
+        stacked=tuple(stacked),
+        style_table=params.style_table.copy(),
+        head1_weight=params.head1_weight.copy(),
+        head1_bias=params.head1_bias.copy(),
+        head2_weight=params.head2_weight.copy(),
+        head2_bias=params.head2_bias.copy(),
+    )
+
+
+def forward_rows(plan: ModelPlan, rows, style_id: int) -> np.ndarray:
     """Inference kernel: theta (B,) of one window given as its frames'
-    projections, rows (K, 4H) with row t = ``frame_projection(params) @
-    frame t``.
+    projections, rows (K, 4H) with row t = ``plan.projection @ frame t``.
 
     Block 0's output o sums conv1 tap 0 of row 2o - 1 (conv1's zero pad
     for o = 0), tap 1 of row 2o and tap 2 of row 2o + 1; its shortcut is
-    row 2o's. The layers after that run ``_conv1d`` on a batch of one, as
-    ``_run_forward`` does. ``style_id`` is not range-checked here: a
-    negative one would index from the end, so callers check it once.
+    row 2o's. Every later layer is one GEMV on the time-major activations,
+    with biases, ReLU, the residual add and the sigmoid applied in place
+    in ``_run_forward``'s order: ``(W·x + b) + shortcut``. ``style_id``
+    is not range-checked here: a negative one would index from the end,
+    so callers check it once.
     """
-    h = params.hidden_size
-    blk = params.blocks[0]
-    y1 = rows[0::2, h : 2 * h] + rows[1::2, 2 * h : 3 * h]
-    y1[1:] += rows[1:-2:2, :h]
-    y1 += blk.conv1_bias
-    a1 = np.maximum(y1, 0.0).T[:, None, :]
-    y2, _ = _conv1d(a1, blk.conv2_weight, blk.conv2_bias, stride=1, pad=1)
-    x = y2 + rows[0::2, 3 * h :].T[:, None, :]
-    for blk in params.blocks[1:]:
-        y1, _ = _conv1d(x, blk.conv1_weight, blk.conv1_bias, stride=2, pad=1)
-        y2, _ = _conv1d(np.maximum(y1, 0.0), blk.conv2_weight, blk.conv2_bias, stride=1, pad=1)
-        shortcut, _ = _conv1d(x, blk.shortcut_weight, None, stride=2, pad=0)
-        x = y2 + shortcut
-    fused = x[:, 0, 0] + params.style_table[style_id]
-    a = np.maximum(params.head1_weight @ fused + params.head1_bias, 0.0)
-    z2 = params.head2_weight @ a + params.head2_bias
-    return 1.0 / (1.0 + np.exp(-z2))
+    h = plan.hidden_size
+    y = rows[0::2, h : 2 * h] + rows[1::2, 2 * h : 3 * h]
+    y[1:] += rows[1:-2:2, :h]
+    y += plan.block0_bias
+    np.maximum(y, 0.0, out=y)
+    matrix, bias = plan.conv2[0]
+    x = matrix @ y.ravel()
+    x += bias
+    x.reshape(-1, h)[...] += rows[0::2, 3 * h :]
+    for (joint, bias1), (matrix, bias2) in zip(plan.stacked, plan.conv2[1:]):
+        z = joint @ x
+        half = len(z) // 2
+        a = z[:half]
+        a += bias1
+        np.maximum(a, 0.0, out=a)
+        x = matrix @ a
+        x += bias2
+        x += z[half:]
+    x += plan.style_table[style_id]
+    a = plan.head1_weight @ x
+    a += plan.head1_bias
+    np.maximum(a, 0.0, out=a)
+    z = plan.head2_weight @ a
+    z += plan.head2_bias
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def forward(params: ModelParams, window, style_id: int) -> BlendCoefficients:
     """Window of logits (K, classes) -> coefficients; a pure function of
-    its inputs. Each frame is projected on its own, as the tick projects
-    a streamed frame, and ``forward_rows`` runs the rest.
+    its inputs. It compiles the plan on every call (about 1.5 ms, most
+    of a call's time), then projects each frame on its own, as the tick
+    projects a streamed frame, and ``forward_rows`` runs the rest; a
+    caller with many windows compiles one plan and calls ``forward_rows``.
 
     Dropout exists only in training (``train``, ``training_loss``,
     ``backward``), which draws its own masks.
@@ -328,9 +418,9 @@ def forward(params: ModelParams, window, style_id: int) -> BlendCoefficients:
         )
     if not is_index(style_id, params.style_count):
         raise ValueError(f"style_id {style_id!r} out of range for {params.style_count} styles")
-    projection = frame_projection(params)
-    rows = np.array([projection @ frame for frame in w])
-    return BlendCoefficients(forward_rows(params, rows, style_id))
+    plan = compile_plan(params)
+    rows = np.array([plan.projection @ frame for frame in w])
+    return BlendCoefficients(forward_rows(plan, rows, style_id))
 
 
 def human_decode(rig: LbsRig, theta) -> np.ndarray:

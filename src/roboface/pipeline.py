@@ -1,16 +1,18 @@
 """Real-time orchestration: logits -> model -> filter -> IK -> servo frames.
 
 One tick function implements the whole 25 Hz chain, and one window source
-feeds it: every logit frame is projected once through the model's first
-layer (``motionnet.frame_projection``) and the projected row goes through
-a ``StreamingWindower``, so a run's servo bytes depend only on its frames.
-The tick runs the rest of the model on a window of those rows
-(``motionnet.forward_rows``). After the model it works on the blendshape
-coefficients alone: filter bank, name permutation and IK from
-coefficients; no landmark-space target is built. Non-finite logits and an
-out-of-range style are rejected before the first tick. The serial wire
-format frames 31 pulse widths with a sync byte, a wrapping frame counter,
-and a two's-complement checksum.
+feeds it. Each stream compiles the model once (``motionnet.compile_plan``):
+the first layer's projection plus one dense matrix per later layer, copied
+so that training cannot reach it. Every logit frame is projected once
+through the first layer and the projected row goes through a
+``StreamingWindower``, so a run's servo bytes depend only on its frames.
+The tick runs the rest of the plan on a window of those rows
+(``motionnet.forward_rows``, one GEMV per layer). After the model it
+works on the blendshape coefficients alone: filter bank, name permutation
+and IK from coefficients; no landmark-space target is built. Non-finite
+logits and an out-of-range style are rejected before the first tick. The
+serial wire format frames 31 pulse widths with a sync byte, a wrapping
+frame counter, and a two's-complement checksum.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .motionnet import (  # noqa: F401
     AdamState,
     ModelParams,
     TrainConfig,
+    compile_plan,
     forward,
     forward_rows,
-    frame_projection,
     train,
 )
 from .retarget import transfer_coefficients, transfer_order  # noqa: F401
@@ -208,13 +210,16 @@ class _Ticker:
 
     Its input is ``windows(frames)``: each frame's centred window of
     block-0 projected rows, so each frame meets the model's widest layer
-    once, not once per window it enters. Everything after the model is
-    linear in the 51 coefficients, so the tick stays in coefficient space:
-    one filter bank, designed at the tick rate, steps all channels, the
-    name transfer is a permutation resolved at construction, and IK takes
-    the robot coefficients directly (``Kinematics.coefficient_solver``)
-    instead of a landmark target. The heavy solver state is cached per
-    (config, rig), so a ticker per stream builds nothing heavy. More than
+    once, not once per window it enters. The model is the ticker's own
+    plan, compiled from ``params`` when the ticker is built (about 1.5 ms),
+    so training ``params`` later leaves this stream's ticks alone.
+    Everything after the model is linear in the 51 coefficients, so the
+    tick stays in coefficient space: one filter bank, designed at the tick
+    rate, steps all channels, the name transfer is a permutation resolved
+    at construction, and IK takes the robot coefficients directly
+    (``Kinematics.coefficient_solver``) instead of a landmark target. The
+    heavy solver state is cached per (config, rig), so a ticker per
+    stream builds nothing heavy beyond its plan. More than
     ``config.max_unconverged_streak`` consecutive unconverged IK solves
     raise ``RuntimeError``.
     """
@@ -233,8 +238,7 @@ class _Ticker:
                 f"{params.style_count} styles"
             )
         self.config = config
-        self.params = params
-        self.projection = frame_projection(params)
+        self.plan = compile_plan(params)
         self.transfer_order = transfer_order(source_rig or robot_rig, robot_rig)
 
         kin = _kinematics(robot_config, robot_rig)
@@ -256,13 +260,14 @@ class _Ticker:
     def windows(self, frames):
         """Each frame's centred window of projected rows, (K, 4H), in frame
         order. A fresh windower per call: one call serves one stream."""
-        windower = StreamingWindower(self.params.window_size, len(self.projection))
+        projection = self.plan.projection
+        windower = StreamingWindower(self.plan.window_size, len(projection))
         for frame in frames:
-            yield from windower.push(self.projection @ frame)
+            yield from windower.push(projection @ frame)
         yield from windower.finish()
 
     def tick(self, rows) -> tuple[ServoFrame, np.ndarray]:
-        theta = BlendCoefficients(forward_rows(self.params, rows, self.config.style_id))
+        theta = BlendCoefficients(forward_rows(self.plan, rows, self.config.style_id))
         smoothed = self.filter.step(theta.values)
         robot_theta = smoothed[self.transfer_order]
         x, residual, converged, iterations = self.solver.solve(
@@ -380,13 +385,14 @@ def bench(
     frames = logits.frames
 
     # The tick's model stage per frame: the next window from the tick's own
-    # window source, then the kernel on it. The ticker checks the style.
+    # window source, then the kernel on the ticker's own plan. The ticker
+    # checks the style.
     ticker = _Ticker(config, params, robot_rig, robot_config, None)
     windows = ticker.windows(frames)
     model_ms = np.empty(n_frames)
     for t in range(n_frames):
         started = time.perf_counter()
-        forward_rows(params, next(windows), config.style_id)
+        forward_rows(ticker.plan, next(windows), config.style_id)
         model_ms[t] = 1000.0 * (time.perf_counter() - started)
 
     with tempfile.TemporaryDirectory() as tmp:

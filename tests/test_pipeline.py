@@ -1,13 +1,30 @@
 """Servo wire format, sinks, and the offline/streaming orchestrator."""
 
+import copy
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import CORE_TYPES, cpu_flags, loads_openblas
 
-from roboface.frontend import window_at
+import roboface
+from roboface.frontend import PhonemeLogitStream, make_windows, window_at
 from roboface.lbs import BlendCoefficients, BlendshapeBasis, LbsRig
-from roboface.motionnet import _run_forward, forward, forward_rows, init_params, named_arrays
+from roboface.motionnet import (
+    TrainConfig,
+    TrainingSample,
+    _run_forward,
+    forward,
+    forward_rows,
+    init_params,
+    named_arrays,
+    train,
+)
 from roboface.pipeline import (
     FileSink,
     LoopbackSink,
@@ -421,13 +438,17 @@ class TestRunPipeline:
             )
         assert len(sink.data) == 0
 
-    @pytest.mark.parametrize("k", [2, 4, 8, 16])
-    def test_projected_ring_matches_training_forward(self, reference, k):
-        """The tick's theta, from the ring of projected rows, equals
-        ``forward``'s bit for bit, and both equal ``_run_forward`` on a batch
-        of one, on the stream's edge windows and its interior ones."""
+    @pytest.mark.parametrize(
+        "k, h", [(2, 16), (4, 16), (8, 16), (16, 16), (8, 64)],
+        ids=["2", "4", "8", "16", "8-h64"],
+    )
+    def test_projected_ring_matches_training_forward(self, reference, k, h):
+        """The tick's theta, from the ring of projected rows through the
+        ticker's compiled plan, equals ``forward``'s bit for bit, and both
+        equal ``_run_forward`` on a batch of one, on the stream's edge
+        windows and its interior ones."""
         rig, config_r = reference
-        params = init_params(seed=k, window_size=k, hidden_size=16, style_count=3)
+        params = init_params(seed=k, window_size=k, hidden_size=h, style_count=3)
         rng = np.random.default_rng(k)
         for name, array in named_arrays(params):
             if name.endswith("bias") or name == "style_table":
@@ -439,10 +460,40 @@ class TestRunPipeline:
         assert len(windows) == len(frames)
         for t, rows in enumerate(windows):
             window = window_at(frames, t, k)
-            theta = forward_rows(params, rows, 2)
+            theta = forward_rows(ticker.plan, rows, 2)
             expected, _ = _run_forward(params, window[None], [2], None)
             np.testing.assert_allclose(theta, expected[0], rtol=0.0, atol=1e-14)
             np.testing.assert_array_equal(forward(params, window, 2).values, theta)
+
+    def test_plan_is_a_copy_of_the_weights(self, reference, params):
+        """A ticker's plan is compiled once: training ``params`` in place
+        afterwards leaves its theta alone, and a new ticker sees the new
+        weights."""
+        rig, config_r = reference
+        params = copy.deepcopy(params)
+        frames = random_logits(12, seed=5)
+        ticker = _Ticker(PipelineConfig(), params, rig, config_r, None)
+        windows = list(ticker.windows(frames))
+        before = [forward_rows(ticker.plan, rows, 0) for rows in windows]
+        samples = [
+            TrainingSample(window, 0, rig.mesh.positions.ravel())
+            for window in make_windows(PhonemeLogitStream(25.0, frames), 8)[:4]
+        ]
+        trained = [a.copy() for _, a in named_arrays(params)]
+        train(params, rig, samples, TrainConfig(learning_rate=1e-2, epochs=1))
+        assert any(
+            not np.array_equal(a, b) for (_, a), b in zip(named_arrays(params), trained)
+        )
+        after = [forward_rows(ticker.plan, rows, 0) for rows in ticker.windows(frames)]
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
+        fresh = _Ticker(PipelineConfig(), params, rig, config_r, None)
+        for t, rows in enumerate(fresh.windows(frames)):
+            theta = forward_rows(fresh.plan, rows, 0)
+            np.testing.assert_array_equal(
+                theta, forward(params, window_at(frames, t, 8), 0).values
+            )
+            assert not np.array_equal(theta, before[t])
 
     def test_unaligned_source_rig_rejected_before_any_byte(self, reference, params):
         rig, config_r = reference
@@ -491,6 +542,85 @@ class TestRunPipeline:
             u = np.zeros(len(config_r.channels))
             u[kin.ik_channels] = x
             assert tuple(np.rint(lows + u * span).astype(int)) == frame.pulses
+
+
+# Run in a fresh interpreter, since BLAS reads its kernel and thread count at
+# load. The logits come from a file the test process wrote, because
+# ``make_logits`` itself rounds differently under other thread counts. Prints
+# the reference model's tick over them: the f64 theta each tick hands the
+# filter, the smoothed rows and the IK solutions.
+_TICK_CHILD = """
+import json
+import sys
+import numpy as np
+from roboface.motionnet import init_params
+from roboface.pipeline import PipelineConfig, _Ticker
+from roboface.rigsim import build_reference_rig
+import test_golden
+
+rig, config = build_reference_rig(seed=0)
+params = init_params(seed=0, window_size=8, hidden_size=64, style_count=4)
+ticker = _Ticker(PipelineConfig(), params, rig, config, None)
+theta, smoothed, ik = [], [], []
+step = ticker.filter.step
+
+def recorded_step(values):
+    theta.append(values.tolist())
+    return step(values)
+
+ticker.filter.step = recorded_step
+for rows in ticker.windows(np.load(sys.argv[1])):
+    _, row = ticker.tick(rows)
+    smoothed.append(row.tolist())
+    ik.append(ticker.warm.tolist())
+print(json.dumps({"threads": test_golden.blas_threads(), "theta": theta,
+                  "smoothed": smoothed, "ik": ik}))
+"""
+
+
+def test_tick_does_not_depend_on_blas_threads(tmp_path):
+    """Under each OpenBLAS kernel the CPU runs, the tick's theta, smoothed
+    rows and IK solutions are bit-equal under 1 and 2 BLAS threads."""
+    if not loads_openblas():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    flags = cpu_flags()
+    core_types = [name for name, need in CORE_TYPES.items() if flags & set(need)]
+    if not core_types:
+        pytest.skip("this CPU runs none of the OpenBLAS kernels checked")
+    motion = make_motion(250, 51, 25.0, np.random.default_rng(0))
+    logits = tmp_path / "logits.npy"
+    np.save(logits, make_logits(motion, 392, seed=0).frames)
+    src = Path(roboface.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    path = [str(src), str(tests)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    # OpenBLAS caps its threads at the cores it may run on.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for core_type in core_types:
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core_type)
+            env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(path)
+            out = subprocess.run(
+                [sys.executable, "-c", _TICK_CHILD, str(logits)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
+        one, two = runs
+        reported = [one["threads"], two["threads"]]
+        if None not in reported and cores >= 2:
+            assert reported == [1, 2]
+        for key, width in (("theta", 51), ("smoothed", 51), ("ik", 28)):
+            a, b = np.array(one[key]), np.array(two[key])
+            assert a.shape == b.shape == (250, width)
+            assert np.array_equal(b, a), (
+                f"OPENBLAS_CORETYPE={core_type}: {key} moved by up to "
+                f"{np.abs(b - a).max():.3g} from 1 to 2 threads"
+            )
 
 
 class TestBench:
