@@ -9,6 +9,9 @@ skinning weights with small-angle rotations:
 
     vertex_delta(v) = sum_cp w[v,cp] * (t_cp + omega_cp x (v - cp_rest)).
 
+``Kinematics`` evaluates it per control point with no BLAS product, so its
+map does not depend on the BLAS kernel or thread count.
+
 Keeping forward kinematics exactly linear in u (tendon small-displacement
 approximation) lets online inverse kinematics reuse the box-constrained
 least-squares engine with a precomputed Gram matrix, which is what makes
@@ -45,16 +48,14 @@ class ControlPoint:
     id: str
     kind: str
     rest_position: np.ndarray
-    rest_orientation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     bounds: np.ndarray = field(default_factory=lambda: np.tile([-10.0, 10.0], (6, 1)))
 
     def __post_init__(self):
         object.__setattr__(self, "rest_position", frozen_array(self.rest_position))
-        object.__setattr__(self, "rest_orientation", frozen_array(self.rest_orientation))
         bounds = frozen_array(np.asarray(self.bounds).reshape(6, 2))
         object.__setattr__(self, "bounds", bounds)
-        if self.rest_position.shape != (3,) or self.rest_orientation.shape != (3,):
-            raise ValueError("rest pose needs 3 position and 3 orientation values")
+        if self.rest_position.shape != (3,):
+            raise ValueError("rest position needs 3 values")
         if not np.isfinite(bounds).all():
             raise ValueError(f"control point {self.id!r} has non-finite bounds")
         if (bounds[:, 0] > bounds[:, 1]).any():
@@ -210,7 +211,6 @@ def save_config(path, config: RigConfig) -> None:
                 "id": cp.id,
                 "kind": cp.kind,
                 "rest_position": cp.rest_position.tolist(),
-                "rest_orientation": cp.rest_orientation.tolist(),
                 "bounds": cp.bounds.tolist(),
             }
             for cp in config.control_points
@@ -240,14 +240,14 @@ def load_config(path) -> RigConfig:
     integer in range or a weight that is not a finite number. Every other
     rule is the constructors' (``ControlPoint``, ``ActuatorChannel``,
     ``RigConfig``), which raise ``ValueError`` as for a config built in
-    code."""
+    code. A point's ``rest_orientation``, which older files carry, is
+    ignored: no map ever read it."""
     doc = json.loads(Path(path).read_text())
     points = tuple(
         ControlPoint(
             id=p["id"],
             kind=p["kind"],
             rest_position=np.array(p["rest_position"]),
-            rest_orientation=np.array(p["rest_orientation"]),
             bounds=np.array(p["bounds"]),
         )
         for p in doc["control_points"]
@@ -281,14 +281,15 @@ class Kinematics:
 
     ``vertex_map`` is the (3U, channels) matrix taking u straight to vertex
     displacements; forward kinematics and inverse kinematics share it so
-    IK round-trips are exact up to solver tolerance. ``ik_channels`` have
-    a nonzero ``RigConfig.gain`` column; the rest, ``neck_channels``, move
-    no vertex and stay out of IK. The IK target is the landmark union
-    (``landmarks``) and its coordinate ``rows``; they and both IK solvers
-    are built on first use, so forward kinematics needs no landmark groups:
-    ``landmark_solver`` takes a landmark position target (``solve_ik``) and
-    ``coefficient_solver``, built on it, takes rig coefficients (the tick
-    and ``evaluate_tracking``).
+    IK round-trips are exact up to solver tolerance. It is built from the
+    module formula, point by point in order, with no BLAS product.
+    ``ik_channels`` have a nonzero ``RigConfig.gain`` column; the rest,
+    ``neck_channels``, move no vertex and stay out of IK. The IK target is
+    the landmark union (``landmarks``) and its coordinate ``rows``; they
+    and both IK solvers are built on first use, so forward kinematics needs
+    no landmark groups: ``landmark_solver`` takes a landmark position target
+    (``solve_ik``) and ``coefficient_solver``, built on it, takes rig
+    coefficients (the tick and ``evaluate_tracking``).
     """
 
     def __init__(self, config: RigConfig, rig: LbsRig):
@@ -300,23 +301,20 @@ class Kinematics:
         self.rig = rig
 
         verts = rig.mesh.vertices()
-        # (vertex, axis, point, dof): reshaped, the (3U, dofs) map of d to
-        # vertex displacements.
-        dof_map = np.zeros(
-            (rig.vertex_count, 3, len(config.control_points), DOF_PER_POINT)
-        )
+        # Per point, rows 0-2 are t and rows 3-5 omega per unit command.
+        gain = config.gain.reshape(len(config.control_points), DOF_PER_POINT, -1)
+        delta = np.zeros((rig.vertex_count, 3, gain.shape[2]))
         for c, cp in enumerate(config.control_points):
             w = config.weights[:, c]
             touched = np.flatnonzero(w)
             r = verts[touched] - cp.rest_position
-            # Translation w * I3; rotation w * (omega x r), whose column k
-            # is w * (e_k x r).
-            rotation = np.cross(np.eye(3), r[:, None, :]).transpose(0, 2, 1)
-            translation = np.broadcast_to(np.eye(3), rotation.shape)
-            dof_map[touched, :, c] = w[touched, None, None] * np.concatenate(
-                [translation, rotation], axis=2
-            )
-        self.vertex_map = dof_map.reshape(3 * rig.vertex_count, -1) @ config.gain
+            t, omega = gain[c, :3], gain[c, 3:]
+            # w * (t + omega x r) per channel, as (vertex, axis, channel).
+            move = np.cross(omega.T, r[:, None]).transpose(0, 2, 1)
+            move += t
+            move *= w[touched, None, None]
+            delta[touched] += move
+        self.vertex_map = delta.reshape(3 * rig.vertex_count, -1)
         skin = config.gain.any(axis=0)
         self.ik_channels = np.flatnonzero(skin)
         self.neck_channels = np.flatnonzero(~skin)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from test_golden import CORE_TYPES, cpu_flags, loads_openblas
 
 import roboface
+from roboface import frontend
 from roboface.frontend import PhonemeLogitStream, make_windows, window_at
 from roboface.lbs import BlendCoefficients, BlendshapeBasis, LbsRig
 from roboface.motionnet import (
@@ -301,6 +303,20 @@ class TestRunPipeline:
             "window_lookahead_frames", "filter_delay_frames", "lookahead_frames",
         ]
         assert as_dict == {key: getattr(result.report, key) for key in as_dict}
+
+    def test_tick_time_includes_the_window_stage(self, reference, params, monkeypatch):
+        # A tick is timed from the previous frame's emission, so a slow
+        # windower shows in the tick times.
+        rig, config_r = reference
+        push = frontend.StreamingWindower.push
+
+        def slow_push(self, frame):
+            time.sleep(0.002)
+            return push(self, frame)
+
+        monkeypatch.setattr(frontend.StreamingWindower, "push", slow_push)
+        result = run_pipeline(PipelineConfig(), params, rig, config_r, random_logits(20))
+        assert result.report.tick_p50_ms >= 2.0
 
     def test_ik_iterations_are_the_solver_counts(self, reference, params):
         rig, config_r = reference

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -77,6 +78,37 @@ def toy_setup():
     return rig, RigConfig(points, channels, weights), weights
 
 
+def toy_rotation_setup():
+    """The toy rig with a third channel that turns cpB about y and moves and
+    turns cpA at once."""
+    rig, config, weights = toy_setup()
+    tilt = ActuatorChannel(
+        "tilt", (600.0, 2400.0), (("cpB", 4, 0.3), ("cpA", 0, 0.7), ("cpA", 5, -0.2))
+    )
+    return rig, RigConfig(config.control_points, config.channels + (tilt,), weights)
+
+
+def elementwise_fk_matrix(config, rig):
+    """u -> delta map assembled entry by entry from w * (t + omega x r)."""
+    verts = rig.mesh.vertices()
+    ids = [cp.id for cp in config.control_points]
+    m = np.zeros((3 * rig.vertex_count, len(config.channels)))
+    for j, ch in enumerate(config.channels):
+        for cp_id, dof, value in ch.gains:
+            c = ids.index(cp_id)
+            rest = config.control_points[c].rest_position
+            t = [0.0, 0.0, 0.0]
+            o = [0.0, 0.0, 0.0]
+            (t if dof < 3 else o)[dof % 3] = value
+            for v in range(rig.vertex_count):
+                w = config.weights[v, c]
+                rx, ry, rz = verts[v] - rest
+                m[3 * v + 0, j] += w * (t[0] + o[1] * rz - o[2] * ry)
+                m[3 * v + 1, j] += w * (t[1] + o[2] * rx - o[0] * rz)
+                m[3 * v + 2, j] += w * (t[2] + o[0] * ry - o[1] * rx)
+    return m
+
+
 def toy_fk_matrix(weights):
     """Independent elementwise assembly of the toy rig's u -> delta map."""
     m = np.zeros((36, 2))
@@ -114,6 +146,17 @@ class TestForwardKinematics:
         rig, config, weights = toy_setup()
         m = toy_fk_matrix(weights)
         u = np.array([0.63, 0.41])
+        mesh = forward_kinematics(config, u, rig)
+        np.testing.assert_allclose(
+            mesh.positions - rig.mesh.positions, m @ u, atol=1e-12
+        )
+
+    def test_rotation_matches_elementwise_map(self):
+        rig, config = toy_rotation_setup()
+        m = elementwise_fk_matrix(config, rig)
+        assert np.abs(m[:, 2]).max() > 0.1
+        np.testing.assert_allclose(Kinematics(config, rig).vertex_map, m, atol=1e-12)
+        u = np.array([0.63, 0.41, 0.87])
         mesh = forward_kinematics(config, u, rig)
         np.testing.assert_allclose(
             mesh.positions - rig.mesh.positions, m @ u, atol=1e-12
@@ -531,6 +574,56 @@ def test_tracking_does_not_depend_on_blas_threads():
         assert two["report"] == one["report"], f"OPENBLAS_CORETYPE={core_type}"
 
 
+_MAP_CHILD = """
+import hashlib
+from roboface.rigsim import Kinematics, build_reference_rig
+rig, config = build_reference_rig(seed=0)
+print(hashlib.sha256(Kinematics(config, rig).vertex_map.tobytes()).hexdigest())
+"""
+
+
+def test_vertex_map_does_not_depend_on_blas():
+    # The map is built without a BLAS product, so every kernel and thread
+    # count gives the same bytes.
+    if not loads_openblas():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    flags = cpu_flags()
+    core_types = [name for name, need in CORE_TYPES.items() if flags & set(need)]
+    if not core_types:
+        pytest.skip("this CPU runs none of the OpenBLAS kernels checked")
+    src = Path(roboface.__file__).resolve().parents[1]
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    digests = {}
+    for core_type in core_types:
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core_type)
+            env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(path)
+            out = subprocess.run(
+                [sys.executable, "-c", _MAP_CHILD],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            digests[core_type, threads] = out.stdout.split()[-1]
+    assert len(set(digests.values())) == 1, digests
+
+
+def test_kinematics_build_memory(reference):
+    # One (vertex, axis, channel) array plus one point's terms; no
+    # (vertex, axis, point, dof) tensor.
+    rig, config = reference
+    tracemalloc.start()
+    try:
+        kin = Kinematics(config, rig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= kin.vertex_map.nbytes + 3e6, f"peak {peak / 1e6:.1f} MB"
+
+
 class TestKinematicsCache:
     def test_discarded_build_freed_without_collector(self):
         # No reference cycle: dropping the config and rig frees the cached
@@ -670,6 +763,26 @@ class TestConfigIo:
         a = forward_kinematics(config, u, rig)
         b = forward_kinematics(loaded, u, rig)
         np.testing.assert_allclose(a.positions, b.positions, atol=1e-12)
+
+    def test_ignores_rest_orientation(self, tmp_path):
+        # Older files carry a rest orientation per point; no map read it.
+        def rotate(doc):
+            gains = doc["actuator_channels"][1]["gains"]
+            gains.append({"cp": "cpB", "dof": 4, "value": 0.3})
+
+        def orient(doc):
+            rotate(doc)
+            for i, point in enumerate(doc["control_points"]):
+                point["rest_orientation"] = [0.4, -0.1 * i, 1.2]
+
+        rig, _, _ = toy_setup()
+        plain = self.load_edited(tmp_path, rotate)
+        oriented = self.load_edited(tmp_path, orient)
+        u = np.array([0.63, 0.41])
+        a = forward_kinematics(plain, u, rig)
+        b = forward_kinematics(oriented, u, rig)
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert not np.array_equal(a.positions, rig.mesh.positions)
 
     @staticmethod
     def load_edited(tmp_path, edit):
