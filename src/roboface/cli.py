@@ -249,15 +249,11 @@ def cmd_synth(args) -> int:
         stream = resample(stream, config.tick_hz)
 
     with FileSink(args.out_servo) as sink:
-        result = run_pipeline(
-            config,
-            params,
-            rig,
-            rig_config,
-            stream.frames,
-            source_rig=source_rig,
-            frame_sink=sink,
-        )
+        try:
+            result = run_pipeline(config, params, rig, rig_config, stream.frames,
+                                  source_rig=source_rig, frame_sink=sink)
+        except ValueError as err:
+            raise SystemExit(str(err)) from None
     if args.out_motion:
         save_motion(args.out_motion, result.motion)
     if args.report:

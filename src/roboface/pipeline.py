@@ -1,6 +1,6 @@
 """Real-time orchestration: logits -> model -> filter -> IK -> servo frames.
 
-One tick function implements the whole 25 Hz chain, and one window source
+One tick iterator implements the whole 25 Hz chain, and one window source
 feeds it. Each stream compiles the model once (``motionnet.compile_plan``):
 the first layer's projection plus one dense matrix per later layer, copied
 so that training cannot reach it. Every logit frame is projected once
@@ -24,6 +24,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,16 +94,24 @@ def decode_frame(data: bytes) -> ServoFrame:
 
 
 class FileSink:
-    """Byte sink writing to a file; stands in for the serial port."""
+    """Byte sink writing to a file; stands in for the serial port.
+
+    The file is opened, and an existing one truncated, on the first write,
+    so a run refused before its first frame leaves the file as it was.
+    """
 
     def __init__(self, path):
-        self._handle = open(path, "wb")
+        self._path = path
+        self._handle = None
 
     def write(self, data: bytes) -> None:
+        if self._handle is None:
+            self._handle = open(self._path, "wb")
         self._handle.write(data)
 
     def close(self) -> None:
-        self._handle.close()
+        if self._handle is not None:
+            self._handle.close()
 
     def __enter__(self):
         return self
@@ -205,93 +214,79 @@ class PipelineResult:
     report: PipelineReport
 
 
-class _Ticker:
-    """Shared per-window step: model, filter, transfer, IK, pulse mapping.
+class _Tick(NamedTuple):
+    """One tick's record: what ``run_pipeline`` and ``bench`` read of it."""
 
-    Its input is ``windows(frames)``: each frame's centred window of
-    block-0 projected rows, so each frame meets the model's widest layer
-    once, not once per window it enters. The model is the ticker's own
-    plan, compiled from ``params`` when the ticker is built (about 1.5 ms),
-    so training ``params`` later leaves this stream's ticks alone.
-    Everything after the model is linear in the 51 coefficients, so the
-    tick stays in coefficient space: one filter bank, designed at the tick
-    rate, steps all channels, the name transfer is a permutation resolved
-    at construction, and IK takes the robot coefficients directly
-    (``Kinematics.coefficient_solver``) instead of a landmark target. The
-    heavy solver state is cached per (config, rig), so a ticker per
-    stream builds nothing heavy beyond its plan. More than
+    frame: ServoFrame
+    smoothed: np.ndarray
+    ik_iterations: int
+    converged: bool
+    model_ms: float
+
+
+def _ticks(config, params, robot_rig, robot_config, frames, source_rig=None):
+    """The 25 Hz chain over ``frames``: one ``_Tick`` per frame, in order.
+
+    The call checks the model against the rig and the style and builds the
+    stream's state: the plan, compiled from ``params`` now (about 1.5 ms)
+    so that training ``params`` later leaves this stream alone; the name
+    transfer, a permutation; the kinematics, cached per (config, rig); one
+    filter bank for all channels; and a ``StreamingWindower`` of block-0
+    projected rows, so each frame meets the model's widest layer once.
+    The returned iterator pulls ``frames`` K/2 ahead of the tick it emits
+    and keeps no per-tick history. IK takes the robot coefficients
+    directly (``Kinematics.coefficient_solver``). More than
     ``config.max_unconverged_streak`` consecutive unconverged IK solves
     raise ``RuntimeError``.
     """
+    source = source_rig or robot_rig
+    if params.output_size != source.blendshape_count:
+        raise ValueError(
+            f"model emits {params.output_size} coefficients, rig expects "
+            f"{source.blendshape_count}"
+        )
+    if not is_index(config.style_id, params.style_count):
+        raise ValueError(
+            f"style_id {config.style_id} out of range for "
+            f"{params.style_count} styles"
+        )
+    plan = compile_plan(params)
+    order = transfer_order(source, robot_rig)
+    kin = _kinematics(robot_config, robot_rig)
+    solver, ik_channels = kin.coefficient_solver, kin.ik_channels
+    bank = StreamingFilter(design(config.filter_spec))
+    windower = StreamingWindower(plan.window_size, len(plan.projection))
+    pulse_low, pulse_high = np.array([ch.pulse_us for ch in robot_config.channels]).T
+    pulse_span = pulse_high - pulse_low
 
-    def __init__(self, config, params, robot_rig, robot_config, source_rig):
-        if params.output_size != (
-            source_rig.blendshape_count if source_rig else robot_rig.blendshape_count
-        ):
-            raise ValueError(
-                f"model emits {params.output_size} coefficients, rig expects "
-                f"{(source_rig or robot_rig).blendshape_count}"
-            )
-        if not is_index(config.style_id, params.style_count):
-            raise ValueError(
-                f"style_id {config.style_id} out of range for "
-                f"{params.style_count} styles"
-            )
-        self.config = config
-        self.plan = compile_plan(params)
-        self.transfer_order = transfer_order(source_rig or robot_rig, robot_rig)
-
-        kin = _kinematics(robot_config, robot_rig)
-        self.solver = kin.coefficient_solver
-        self.ik_channels = kin.ik_channels
-        self.channel_count = len(robot_config.channels)
-        lows = np.array([ch.pulse_us[0] for ch in robot_config.channels])
-        highs = np.array([ch.pulse_us[1] for ch in robot_config.channels])
-        self.pulse_low = lows
-        self.pulse_span = highs - lows
-
-        self.filter = StreamingFilter(design(config.filter_spec))
-        self.warm: np.ndarray | None = None
-        self.counter = 0
-        self.unconverged_streak = 0
-        self.unconverged_total = 0
-        self.ik_iterations: list[int] = []
-
-    def windows(self, frames):
-        """Each frame's centred window of projected rows, (K, 4H), in frame
-        order. A fresh windower per call: one call serves one stream."""
-        projection = self.plan.projection
-        windower = StreamingWindower(self.plan.window_size, len(projection))
+    def windows():
         for frame in frames:
-            yield from windower.push(projection @ frame)
+            yield from windower.push(plan.projection @ frame)
         yield from windower.finish()
 
-    def tick(self, rows) -> tuple[ServoFrame, np.ndarray]:
-        theta = BlendCoefficients(forward_rows(self.plan, rows, self.config.style_id))
-        smoothed = self.filter.step(theta.values)
-        robot_theta = smoothed[self.transfer_order]
-        x, residual, converged, iterations = self.solver.solve(
-            robot_theta, x0=self.warm
-        )
-        self.warm = x
-        self.ik_iterations.append(iterations)
-        if converged:
-            self.unconverged_streak = 0
-        else:
-            self.unconverged_total += 1
-            self.unconverged_streak += 1
-            if self.unconverged_streak > self.config.max_unconverged_streak:
+    def ticks():
+        warm, streak = None, 0
+        for counter, rows in enumerate(windows()):
+            started = time.perf_counter()
+            theta = forward_rows(plan, rows, config.style_id)
+            model_ms = 1000.0 * (time.perf_counter() - started)
+            smoothed = bank.step(BlendCoefficients(theta).values)
+            warm, residual, converged, iterations = solver.solve(
+                smoothed[order], x0=warm
+            )
+            streak = 0 if converged else streak + 1
+            if streak > config.max_unconverged_streak:
                 raise RuntimeError(
-                    f"inverse kinematics failed to converge on "
-                    f"{self.unconverged_streak} consecutive ticks "
-                    f"(frame {self.counter}, residual {residual:.3e})"
+                    f"inverse kinematics failed to converge on {streak} "
+                    f"consecutive ticks (frame {counter}, residual {residual:.3e})"
                 )
-        u = np.zeros(self.channel_count)
-        u[self.ik_channels] = x
-        pulses = np.rint(self.pulse_low + u * self.pulse_span).astype(np.int64)
-        frame = ServoFrame(self.counter & 0xFFFF, tuple(pulses.tolist()))
-        self.counter += 1
-        return frame, smoothed
+            u = np.zeros(len(pulse_low))
+            u[ik_channels] = warm
+            pulses = np.rint(pulse_low + u * pulse_span).astype(np.int64)
+            frame = ServoFrame(counter & 0xFFFF, tuple(pulses.tolist()))
+            yield _Tick(frame, smoothed, iterations, converged, model_ms)
+
+    return ticks()
 
 
 def run_pipeline(
@@ -328,32 +323,32 @@ def run_pipeline(
         )
     if not np.isfinite(frames).all():
         raise ValueError("logit_frames contain non-finite values")
-    ticker = _Ticker(config, params, robot_rig, robot_config, source_rig)
-    servo_frames = []
-    smoothed_rows = []
-    tick_ms = []
+    ticks = _ticks(config, params, robot_rig, robot_config, frames, source_rig)
+    servo_frames, smoothed_rows, ik_iterations, tick_ms = [], [], [], []
+    unconverged = 0
     stamp = time.perf_counter()
-    for rows in ticker.windows(frames):
-        frame, smoothed = ticker.tick(rows)
-        data = encode_frame(frame)
+    for tick in ticks:
+        data = encode_frame(tick.frame)
         if frame_sink is not None:
             frame_sink.write(data)
         started, stamp = stamp, time.perf_counter()
         tick_ms.append(1000.0 * (stamp - started))
-        servo_frames.append(frame)
-        smoothed_rows.append(smoothed)
+        servo_frames.append(tick.frame)
+        smoothed_rows.append(tick.smoothed)
+        ik_iterations.append(tick.ik_iterations)
+        unconverged += not tick.converged
     times = np.array(tick_ms)
     report = PipelineReport(
         frames=len(servo_frames),
         over_budget=int((times > config.frame_budget_ms).sum()),
-        unconverged_ticks=ticker.unconverged_total,
-        ik_iterations_p50=float(np.median(ticker.ik_iterations)),
-        ik_iterations_max=max(ticker.ik_iterations),
+        unconverged_ticks=unconverged,
+        ik_iterations_p50=float(np.median(ik_iterations)),
+        ik_iterations_max=max(ik_iterations),
         tick_p50_ms=float(np.percentile(times, 50)),
         tick_p99_ms=float(np.percentile(times, 99)),
         tick_max_ms=float(times.max()),
         window_lookahead_frames=params.window_size / 2,
-        filter_delay_frames=group_delay_frames(ticker.filter.cascade),
+        filter_delay_frames=group_delay_frames(design(config.filter_spec)),
     )
     motion = MotionSequence(config.tick_hz, np.vstack(smoothed_rows))
     return PipelineResult(servo_frames, motion, report)
@@ -386,16 +381,9 @@ def bench(
     logits = make_logits(motion, params.class_count, seed)
     frames = logits.frames
 
-    # The tick's model stage per frame: the next window from the tick's own
-    # window source, then the kernel on the ticker's own plan. The ticker
-    # checks the style.
-    ticker = _Ticker(config, params, robot_rig, robot_config, None)
-    windows = ticker.windows(frames)
-    model_ms = np.empty(n_frames)
-    for t in range(n_frames):
-        started = time.perf_counter()
-        forward_rows(ticker.plan, next(windows), config.style_id)
-        model_ms[t] = 1000.0 * (time.perf_counter() - started)
+    # The model row: the kernel's time inside each tick of one stream.
+    ticks = _ticks(config, params, robot_rig, robot_config, frames)
+    model_ms = np.array([tick.model_ms for tick in ticks])
 
     with tempfile.TemporaryDirectory() as tmp:
         run_started = time.perf_counter()

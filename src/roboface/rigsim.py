@@ -349,15 +349,12 @@ class Kinematics:
 
 
 def _kinematics(config: RigConfig, rig: LbsRig) -> Kinematics:
-    # Cached on the config; the entry pins the rig so its id stays valid.
-    cache = getattr(config, "_kinematics_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(config, "_kinematics_cache", cache)
-    entry = cache.get(id(rig))
+    # One entry per config, replaced when another rig arrives, so a config
+    # driven with fresh rig objects pins only the last of them.
+    entry = getattr(config, "_kinematics_entry", None)
     if entry is None or entry[0] is not rig:
         entry = (rig, Kinematics(config, rig))
-        cache[id(rig)] = entry
+        object.__setattr__(config, "_kinematics_entry", entry)
     return entry[1]
 
 

@@ -8,7 +8,8 @@ of conjugate poles into sections. Every zero lands at z = -1 and each
 section is normalized to unit DC gain, so the cascade passes constants
 through untouched and fully nulls the Nyquist frequency.
 
-Filtering is causal; the ~3-frame group delay at 25 Hz is the price of
+Filtering is causal; a group delay of 1.34 frames at DC
+(``group_delay_frames`` of the default design at 25 Hz) is the price of
 real-time operation. States start in the steady state of the first input
 sample, so a constant input produces that constant from sample 0. One
 filter bank steps every coefficient channel of a sample at once, and
@@ -113,12 +114,17 @@ def frequency_response(cascade: BiquadCascade, freq_hz: float) -> complex:
 
 
 def group_delay_frames(cascade: BiquadCascade) -> float:
-    """Group delay in samples, from the numeric phase slope at 1 Hz."""
-    fs = cascade.spec.sample_hz
-    df = 1e-4
-    p1 = np.angle(frequency_response(cascade, 1.0 - df))
-    p2 = np.angle(frequency_response(cascade, 1.0 + df))
-    return float(-(p2 - p1) / (2.0 * np.pi * 2.0 * df) * fs)
+    """Group delay in samples at DC, the delay a slow motion sees.
+
+    The phase slope of a polynomial sum_k p_k z^-k at z = 1 is
+    -sum_k k p_k / sum_k p_k, so each section adds its numerator's
+    delay and subtracts its denominator's. Taken at DC, it holds at any
+    cutoff and tick rate, however close the cutoff is to Nyquist.
+    """
+    delay = 0.0
+    for b0, b1, b2, a1, a2 in cascade.sections:
+        delay += (b1 + 2.0 * b2) / (b0 + b1 + b2) - (a1 + 2.0 * a2) / (1.0 + a1 + a2)
+    return delay
 
 
 class StreamingFilter:

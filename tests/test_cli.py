@@ -241,6 +241,30 @@ class TestSynth:
         assert loaded["frames"] == 15
         assert loaded["lookahead_frames"] > 4.0
 
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            (np.full((4, 32), np.nan), "non-finite"),
+            (np.empty((0, 32)), "non-empty"),
+            (np.zeros((4, 100)), "100 classes"),
+        ],
+        ids=["nan", "empty", "classes"],
+    )
+    def test_refused_input_leaves_servo_file(self, workspace, tmp_path, frames, message):
+        from roboface.formats import save_logits
+
+        logits = tmp_path / "bad.phlg"
+        save_logits(logits, 25.0, frames)
+        servo = tmp_path / "servo.bin"
+        servo.write_bytes(b"an earlier run")
+        with pytest.raises(SystemExit, match=message):
+            main([
+                "synth", "--logits", str(logits),
+                "--model", str(workspace["model"]), "--rig", str(workspace["rig"]),
+                "--rig-config", str(workspace["config"]), "--out-servo", str(servo),
+            ])
+        assert servo.read_bytes() == b"an earlier run"
+
     def test_flags_override_config_file(self, workspace, tmp_path):
         cfg = tmp_path / "pipe.json"
         cfg.write_text(json.dumps({"style_id": 1}))

@@ -1,20 +1,24 @@
 """Servo wire format, sinks, and the offline/streaming orchestrator."""
 
 import copy
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
 from test_golden import CORE_TYPES, cpu_flags, loads_openblas
+from test_rig_properties import CLASSES, small_rigs
 
 import roboface
-from roboface import frontend
+from roboface import frontend, pipeline
 from roboface.frontend import PhonemeLogitStream, make_windows, window_at
 from roboface.lbs import BlendCoefficients, BlendshapeBasis, LbsRig
 from roboface.motionnet import (
@@ -33,7 +37,7 @@ from roboface.pipeline import (
     PipelineConfig,
     ServoFrame,
     SYNC_BYTE,
-    _Ticker,
+    _ticks,
     bench,
     decode_frame,
     encode_frame,
@@ -64,6 +68,31 @@ def params():
 
 def random_logits(frames, seed=7, classes=392):
     return np.random.default_rng(seed).normal(0.0, 1.0, (frames, classes))
+
+
+def record_thetas(monkeypatch) -> list:
+    """Wraps the tick's ``forward_rows``; returns the list of its outputs."""
+    thetas = []
+
+    def recorded(plan, rows, style_id):
+        theta = forward_rows(plan, rows, style_id)
+        thetas.append(theta)
+        return theta
+
+    monkeypatch.setattr(pipeline, "forward_rows", recorded)
+    return thetas
+
+
+class StubSolver:
+    """IK stand-in: returns ``x`` and pops each tick's converged flag from
+    ``converged``, or reports convergence once it is empty."""
+
+    def __init__(self, x, converged=()):
+        self.x = x
+        self.converged = list(converged)
+
+    def solve(self, y, x0=None):
+        return self.x, 1.0, self.converged.pop(0) if self.converged else True, 500
 
 
 class TestServoFrame:
@@ -375,39 +404,85 @@ class TestRunPipeline:
         expected = np.rint(lows + u * (highs - lows)).astype(int)
         assert tuple(expected) == routed.servo_frames[0].pulses
 
-    def test_counter_wraps_at_16_bits(self, reference, params):
-        rig, config_r = reference
-        ticker = _Ticker(PipelineConfig(), params, rig, config_r, None)
-        ticker.counter = 65535
-        window = next(ticker.windows(random_logits(8, seed=4)))
-        frame, _ = ticker.tick(window)
-        assert frame.frame_counter == 65535
-        frame, _ = ticker.tick(window)
-        assert frame.frame_counter == 0
+    @settings(max_examples=1, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(built=small_rigs())
+    def test_counter_wraps_at_16_bits(self, built):
+        """Tick 65535 carries counter 65535 and tick 65536 carries 0; the
+        model and IK are stubbed, since only the counter is under test."""
+        rig, config_r, _ = built
+        params = init_params(0, window_size=2, hidden_size=3, style_count=1,
+                             output_size=rig.blendshape_count, class_count=CLASSES)
+        theta = np.full(rig.blendshape_count, 0.5)
+        kin = _kinematics(config_r, rig)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "forward_rows", lambda plan, rows, style_id: theta)
+            mp.setattr(kin, "coefficient_solver",
+                       StubSolver(np.zeros(kin.ik_channels.size)))
+            frames = itertools.repeat(np.zeros(CLASSES), 65537)
+            ticks = _ticks(PipelineConfig(), params, rig, config_r, frames)
+            last = [t.frame.frame_counter for t in itertools.islice(ticks, 65535, None)]
+        assert last == [65535, 0]
 
-    def test_unconverged_streak_aborts(self, reference, params):
+    def test_unconverged_streak_aborts(self, reference, params, monkeypatch):
         """IK may fail for one second of ticks; the next failure aborts."""
         rig, config_r = reference
-        converged = []
-
-        class StubSolver:
-            def solve(self, y, x0=None):
-                return np.zeros(28), 1.0, converged.pop(0), 500
-
+        solver = StubSolver(np.zeros(28))
+        monkeypatch.setattr(_kinematics(config_r, rig), "coefficient_solver", solver)
         for tick_hz, streak in ((25.0, 25), (50.0, 50)):
             config = PipelineConfig(tick_hz=tick_hz)
-            ticker = _Ticker(config, params, rig, config_r, None)
-            window = next(ticker.windows(random_logits(8, seed=4)))
-            ticker.solver = StubSolver()
             # A full second of failures, a converged tick that resets the
             # streak, then failures until the one past a second aborts.
-            converged[:] = [False] * streak + [True] + [False] * (streak + 1)
-            for _ in range(2 * streak + 1):
-                ticker.tick(window)
+            solver.converged = [False] * streak + [True] + [False] * (streak + 1)
+            ticks = _ticks(config, params, rig, config_r,
+                           random_logits(2 * streak + 2, seed=4))
+            records = [next(ticks) for _ in range(2 * streak + 1)]
             with pytest.raises(RuntimeError, match=f"on {streak + 1} consecutive"):
-                ticker.tick(window)
-            assert ticker.unconverged_total == 2 * streak + 1
-            assert not converged
+                next(ticks)
+            assert [r.converged for r in records] == (
+                [False] * streak + [True] + [False] * streak
+            )
+            assert not solver.converged
+
+    def test_ticks_pull_frames_only_as_far_as_the_window(self, reference, params):
+        """Tick t comes out once frame t + K/2 - 1 is in, not later: the
+        stream is pulled frame by frame, never collected first."""
+        rig, config_r = reference
+        frames = random_logits(20, seed=3)
+        pulled = 0
+
+        def counted():
+            nonlocal pulled
+            for frame in frames:
+                pulled += 1
+                yield frame
+
+        half = params.window_size // 2
+        ticks = _ticks(PipelineConfig(), params, rig, config_r, counted())
+        for t, _ in enumerate(ticks):
+            assert pulled == min(t + half, len(frames)), t
+        assert t == len(frames) - 1
+
+    @settings(max_examples=1, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(built=small_rigs())
+    def test_tick_state_does_not_grow_with_the_stream(self, built):
+        """The traced heap after 3000 more ticks is where it was: the
+        iterator keeps no per-tick history."""
+        rig, config_r, rng = built
+        params = init_params(0, window_size=4, hidden_size=3, style_count=1,
+                             output_size=rig.blendshape_count, class_count=CLASSES)
+        frames = (rng.normal(0.0, 1.0, CLASSES) for _ in itertools.count())
+        ticks = _ticks(PipelineConfig(), params, rig, config_r, frames)
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(ticks, 200):
+                pass
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in itertools.islice(ticks, 3000):
+                pass
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 4096, f"grew {after - before} bytes"
 
     def test_rejects_bad_inputs(self, reference, params):
         rig, config_r = reference
@@ -458,9 +533,9 @@ class TestRunPipeline:
         "k, h", [(2, 16), (4, 16), (8, 16), (16, 16), (8, 64)],
         ids=["2", "4", "8", "16", "8-h64"],
     )
-    def test_projected_ring_matches_training_forward(self, reference, k, h):
+    def test_projected_ring_matches_training_forward(self, reference, k, h, monkeypatch):
         """The tick's theta, from the ring of projected rows through the
-        ticker's compiled plan, equals ``forward``'s bit for bit, and both
+        stream's compiled plan, equals ``forward``'s bit for bit, and both
         equal ``_run_forward`` on a batch of one, on the stream's edge
         windows and its interior ones."""
         rig, config_r = reference
@@ -471,26 +546,25 @@ class TestRunPipeline:
                 array[...] = rng.normal(0.0, 0.5, array.shape)
         config = PipelineConfig(style_id=2)
         frames = random_logits(2 * k + 3, seed=k)
-        ticker = _Ticker(config, params, rig, config_r, None)
-        windows = list(ticker.windows(frames))
-        assert len(windows) == len(frames)
-        for t, rows in enumerate(windows):
+        thetas = record_thetas(monkeypatch)
+        assert len(list(_ticks(config, params, rig, config_r, frames))) == len(frames)
+        assert len(thetas) == len(frames)
+        for t, theta in enumerate(thetas):
             window = window_at(frames, t, k)
-            theta = forward_rows(ticker.plan, rows, 2)
             expected, _ = _run_forward(params, window[None], [2], None)
             np.testing.assert_allclose(theta, expected[0], rtol=0.0, atol=1e-14)
             np.testing.assert_array_equal(forward(params, window, 2).values, theta)
 
-    def test_plan_is_a_copy_of_the_weights(self, reference, params):
-        """A ticker's plan is compiled once: training ``params`` in place
-        afterwards leaves its theta alone, and a new ticker sees the new
-        weights."""
+    def test_plan_is_a_copy_of_the_weights(self, reference, params, monkeypatch):
+        """A stream's plan is compiled when ``_ticks`` is called: training
+        ``params`` in place afterwards leaves that stream's theta alone, and
+        a new stream sees the new weights."""
         rig, config_r = reference
         params = copy.deepcopy(params)
+        untrained = copy.deepcopy(params)
         frames = random_logits(12, seed=5)
-        ticker = _Ticker(PipelineConfig(), params, rig, config_r, None)
-        windows = list(ticker.windows(frames))
-        before = [forward_rows(ticker.plan, rows, 0) for rows in windows]
+        thetas = record_thetas(monkeypatch)
+        stream = _ticks(PipelineConfig(), params, rig, config_r, frames)
         samples = [
             TrainingSample(window, 0, rig.mesh.positions.ravel())
             for window in make_windows(PhonemeLogitStream(25.0, frames), 8)[:4]
@@ -500,16 +574,16 @@ class TestRunPipeline:
         assert any(
             not np.array_equal(a, b) for (_, a), b in zip(named_arrays(params), trained)
         )
-        after = [forward_rows(ticker.plan, rows, 0) for rows in ticker.windows(frames)]
-        for old, new in zip(before, after):
-            np.testing.assert_array_equal(new, old)
-        fresh = _Ticker(PipelineConfig(), params, rig, config_r, None)
-        for t, rows in enumerate(fresh.windows(frames)):
-            theta = forward_rows(fresh.plan, rows, 0)
-            np.testing.assert_array_equal(
-                theta, forward(params, window_at(frames, t, 8), 0).values
-            )
-            assert not np.array_equal(theta, before[t])
+        list(stream)
+        before = thetas[:]
+        thetas.clear()
+        list(_ticks(PipelineConfig(), params, rig, config_r, frames))
+        assert len(before) == len(thetas) == len(frames)
+        for t, (old, new) in enumerate(zip(before, thetas)):
+            window = window_at(frames, t, 8)
+            np.testing.assert_array_equal(old, forward(untrained, window, 0).values)
+            np.testing.assert_array_equal(new, forward(params, window, 0).values)
+            assert not np.array_equal(new, old)
 
     def test_unaligned_source_rig_rejected_before_any_byte(self, reference, params):
         rig, config_r = reference
@@ -569,26 +643,33 @@ _TICK_CHILD = """
 import json
 import sys
 import numpy as np
+from roboface import pipeline
 from roboface.motionnet import init_params
-from roboface.pipeline import PipelineConfig, _Ticker
+from roboface.retarget import BoxLeastSquares
 from roboface.rigsim import build_reference_rig
 import test_golden
 
 rig, config = build_reference_rig(seed=0)
 params = init_params(seed=0, window_size=8, hidden_size=64, style_count=4)
-ticker = _Ticker(PipelineConfig(), params, rig, config, None)
 theta, smoothed, ik = [], [], []
-step = ticker.filter.step
+forward_rows, solve = pipeline.forward_rows, BoxLeastSquares.solve
 
-def recorded_step(values):
-    theta.append(values.tolist())
-    return step(values)
+def recorded_forward_rows(plan, rows, style_id):
+    out = forward_rows(plan, rows, style_id)
+    theta.append(out.tolist())
+    return out
 
-ticker.filter.step = recorded_step
-for rows in ticker.windows(np.load(sys.argv[1])):
-    _, row = ticker.tick(rows)
-    smoothed.append(row.tolist())
-    ik.append(ticker.warm.tolist())
+def recorded_solve(self, y, x0=None):
+    out = solve(self, y, x0)
+    ik.append(out[0].tolist())
+    return out
+
+pipeline.forward_rows = recorded_forward_rows
+BoxLeastSquares.solve = recorded_solve
+ticks = pipeline._ticks(pipeline.PipelineConfig(), params, rig, config,
+                        np.load(sys.argv[1]))
+for tick in ticks:
+    smoothed.append(tick.smoothed.tolist())
 print(json.dumps({"threads": test_golden.blas_threads(), "theta": theta,
                   "smoothed": smoothed, "ik": ik}))
 """
@@ -640,6 +721,28 @@ def test_tick_does_not_depend_on_blas_threads(tmp_path):
 
 
 class TestBench:
+    def test_model_row_is_the_kernel_inside_the_tick(self, reference, params, monkeypatch):
+        # A slow windower leaves the model row alone; a slow kernel shows.
+        rig, config_r = reference
+        push = frontend.StreamingWindower.push
+
+        def slow_push(self, frame):
+            time.sleep(0.002)
+            return push(self, frame)
+
+        monkeypatch.setattr(frontend.StreamingWindower, "push", slow_push)
+        report = bench(params, rig, config_r, n_frames=20, seed=0)
+        assert report["model"]["p50_ms"] < 2.0
+        monkeypatch.undo()
+
+        def slow_forward_rows(plan, rows, style_id):
+            time.sleep(0.002)
+            return forward_rows(plan, rows, style_id)
+
+        monkeypatch.setattr(pipeline, "forward_rows", slow_forward_rows)
+        report = bench(params, rig, config_r, n_frames=20, seed=0)
+        assert report["model"]["p50_ms"] >= 2.0
+
     def test_report_shape(self, reference, params):
         rig, config_r = reference
         report = bench(params, rig, config_r, n_frames=30, seed=0)

@@ -508,7 +508,7 @@ class TestEvaluateTracking:
 # Run in a fresh interpreter, since BLAS reads its kernel and thread count at
 # load. The input is a fixed motion, built without BLAS: the model's own
 # rounding is not what this checks. Prints the tick solver's chain over it
-# (``_Ticker.tick`` runs the same solve) and its tracking report.
+# (each tick of ``pipeline._ticks`` runs the same solve) and its tracking report.
 _TRACKING_CHILD = """
 import hashlib
 import json
@@ -636,6 +636,17 @@ class TestKinematicsCache:
             assert kin() is None
         finally:
             gc.enable()
+
+    def test_config_pins_one_rig(self):
+        # One config driven with fresh rig objects keeps only the last.
+        rig, config, _ = toy_setup()
+        refs = []
+        for _ in range(4):
+            fresh = dataclasses.replace(rig)
+            _kinematics(config, fresh)
+            refs.append(weakref.ref(fresh))
+            del fresh
+        assert sum(ref() is not None for ref in refs) <= 1
 
 
 class TestReferenceRig:
