@@ -253,6 +253,10 @@ def cmd_synth(args) -> int:
             result = run_pipeline(config, params, rig, rig_config, stream.frames,
                                   source_rig=source_rig, frame_sink=sink)
         except ValueError as err:
+            # Only a refusal before the first frame is an input error; a
+            # fault mid-stream keeps its traceback.
+            if sink.written:
+                raise
             raise SystemExit(str(err)) from None
     if args.out_motion:
         save_motion(args.out_motion, result.motion)

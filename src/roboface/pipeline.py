@@ -109,6 +109,11 @@ class FileSink:
             self._handle = open(self._path, "wb")
         self._handle.write(data)
 
+    @property
+    def written(self) -> bool:
+        """Whether the file has been opened (and truncated) by a write."""
+        return self._handle is not None
+
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()

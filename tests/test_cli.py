@@ -265,6 +265,26 @@ class TestSynth:
             ])
         assert servo.read_bytes() == b"an earlier run"
 
+    def test_fault_after_first_frame_is_not_an_input_error(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # A ValueError once frames are written is a fault, not a refused
+        # input: it keeps its traceback instead of becoming a message exit.
+        import roboface.cli
+
+        def faulty(*args, frame_sink, **kwargs):
+            frame_sink.write(b"\xfa")
+            raise ValueError("mid-stream fault")
+
+        monkeypatch.setattr(roboface.cli, "run_pipeline", faulty)
+        with pytest.raises(ValueError, match="mid-stream fault"):
+            main([
+                "synth", "--logits", str(workspace["logits"]),
+                "--model", str(workspace["model"]), "--rig", str(workspace["rig"]),
+                "--rig-config", str(workspace["config"]),
+                "--out-servo", str(tmp_path / "servo.bin"),
+            ])
+
     def test_flags_override_config_file(self, workspace, tmp_path):
         cfg = tmp_path / "pipe.json"
         cfg.write_text(json.dumps({"style_id": 1}))

@@ -172,7 +172,11 @@ class TestSinks:
         frames = [ServoFrame(i, (1500 + i,) * 31) for i in range(5)]
         loop = LoopbackSink()
         path = tmp_path / "servo.bin"
+        path.write_bytes(b"an earlier run")
         with FileSink(path) as sink:
+            # Nothing is opened or truncated before the first write.
+            assert not sink.written
+            assert path.read_bytes() == b"an earlier run"
             for frame in frames:
                 data = encode_frame(frame)
                 sink.write(data)
@@ -431,7 +435,14 @@ class TestRunPipeline:
         for tick_hz, streak in ((25.0, 25), (50.0, 50)):
             config = PipelineConfig(tick_hz=tick_hz)
             # A full second of failures, a converged tick that resets the
-            # streak, then failures until the one past a second aborts.
+            # streak, then another full second: no abort, and the report
+            # counts every failed tick.
+            solver.converged = [False] * streak + [True] + [False] * streak
+            result = run_pipeline(config, params, rig, config_r,
+                                  random_logits(2 * streak + 1, seed=4))
+            assert result.report.unconverged_ticks == 2 * streak
+            assert not solver.converged
+            # One failure more aborts.
             solver.converged = [False] * streak + [True] + [False] * (streak + 1)
             ticks = _ticks(config, params, rig, config_r,
                            random_logits(2 * streak + 2, seed=4))
