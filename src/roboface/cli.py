@@ -41,8 +41,8 @@ from .pipeline import FileSink, PipelineConfig, bench, run_pipeline
 from .retarget import project_sequence
 from .rigsim import build_reference_rig, evaluate_tracking, load_config, save_config
 from .smoothing import FilterSpec, design, filter_sequence, group_delay_frames
-from .synthdata import load_dataset, write_dataset
-from .util import is_real
+from .synthdata import check_dataset_settings, load_dataset, write_dataset
+from .util import check_count, is_index, is_real
 
 
 def _config_values(args, keys: tuple[str, ...]) -> dict:
@@ -147,12 +147,14 @@ def cmd_make_rig(args) -> int:
 
 
 def cmd_make_data(args) -> int:
-    rig = load_rig(args.rig)
-    manifest = write_dataset(
-        args.out,
-        rig,
-        **{name: getattr(args, flag) for name, flag in _DATA_FLAG_NAMES.items()},
-    )
+    settings = {name: getattr(args, flag) for name, flag in _DATA_FLAG_NAMES.items()}
+    # Only the up-front refusal is an input error; a fault while writing
+    # keeps its traceback.
+    try:
+        check_dataset_settings(**settings)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
+    manifest = write_dataset(args.out, load_rig(args.rig), **settings)
     print(f"wrote {args.clips} clips x {args.frames} frames to {manifest}")
     return 0
 
@@ -195,17 +197,21 @@ def cmd_train(args) -> int:
     val_fraction = values.get("val_fraction", 0.0)
     if not (is_real(val_fraction) and 0.0 <= val_fraction < 1.0):
         raise SystemExit(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
-    shape = _model_shape(values)
-    window = shape["window_size"]
-    samples, style_count = load_dataset(args.data, rig, window)
     if args.resume:
+        # The checkpoint fixes the model shape; a size set that differs
+        # from it is refused, and an unset size takes the checkpoint's.
         params, adam = load_model(args.resume)
-        if params.window_size != window:
-            raise SystemExit(
-                f"checkpoint window {params.window_size} != requested {window}"
-            )
+        for name, key in _SHAPE_FLAG_NAMES.items():
+            fixed = getattr(params, name)
+            if key in values and not (is_index(values[key]) and values[key] == fixed):
+                raise SystemExit(
+                    f"checkpoint {key} {fixed} != requested {values[key]!r}"
+                )
+        samples, style_count = load_dataset(args.data, rig, params.window_size)
         adam = adam if adam is not None else AdamState.zeros_like(params)
     else:
+        shape = _model_shape(values)
+        samples, style_count = load_dataset(args.data, rig, shape["window_size"])
         params = init_params(
             seed=config.seed,
             **shape,
@@ -307,6 +313,12 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # Only the up-front refusal is an input error; a fault mid-run keeps
+    # its traceback.
+    try:
+        check_count("n_frames", args.frames)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
     params, _ = load_model(args.model)
     rig = load_rig(args.rig)
     rig_config = load_config(args.rig_config)

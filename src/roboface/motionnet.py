@@ -694,7 +694,7 @@ def save_model(path, params: ModelParams, adam_state: AdamState | None = None) -
 
 
 def load_model(path) -> tuple[ModelParams, AdamState | None]:
-    r = _Reader(Path(path).read_bytes(), "model file")
+    r = _Reader(Path(path).read_bytes(), "model")
     _check_header(r, b"MNET")
     # Window, hidden, style, output and class counts: init_params' order.
     params = init_params(0, *(r.u32() for _ in range(5)))
@@ -708,5 +708,6 @@ def load_model(path) -> tuple[ModelParams, AdamState | None]:
         for moments in (state.first, state.second):
             for name, array in named_arrays(params):
                 moments[name][...] = r.f64_array(array.size).reshape(array.shape)
+    r.finish()
     return params, state
 

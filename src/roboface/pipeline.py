@@ -48,7 +48,7 @@ from .retarget import transfer_coefficients, transfer_order  # noqa: F401
 from .rigsim import RigConfig, _kinematics, evaluate_tracking
 from .smoothing import FilterSpec, StreamingFilter, design, group_delay_frames
 from .synthdata import build_samples, make_logits, make_motion
-from .util import is_index, is_positive_finite
+from .util import check_count, is_index, is_positive_finite
 
 SYNC_BYTE = 0xFA
 
@@ -201,6 +201,9 @@ class PipelineReport:
     tick_p50_ms: float
     tick_p99_ms: float
     tick_max_ms: float
+    model_p50_ms: float
+    model_p99_ms: float
+    model_fps: float
     window_lookahead_frames: float
     filter_delay_frames: float
 
@@ -220,7 +223,7 @@ class PipelineResult:
 
 
 class _Tick(NamedTuple):
-    """One tick's record: what ``run_pipeline`` and ``bench`` read of it."""
+    """One tick's record: what ``run_pipeline`` reads of it."""
 
     frame: ServoFrame
     smoothed: np.ndarray
@@ -310,7 +313,9 @@ def run_pipeline(
     input frame yields exactly one servo frame. ``source_rig`` names the
     model's coefficient space when it differs from the robot rig. A tick
     is timed from the previous frame's emission, so its window counts;
-    slow ticks are counted against the budget, never dropped.
+    slow ticks are counted against the budget, never dropped. The report's
+    model row is the kernel's time inside each tick (``forward_rows``
+    alone), and ``model_fps`` is frames per summed kernel second.
 
     ``mode`` selects nothing: both values run the same windower. It stays,
     and any other value raises ``ValueError``, only because the benchmark
@@ -329,7 +334,8 @@ def run_pipeline(
     if not np.isfinite(frames).all():
         raise ValueError("logit_frames contain non-finite values")
     ticks = _ticks(config, params, robot_rig, robot_config, frames, source_rig)
-    servo_frames, smoothed_rows, ik_iterations, tick_ms = [], [], [], []
+    servo_frames, smoothed_rows, ik_iterations = [], [], []
+    tick_ms, model_ms = [], []
     unconverged = 0
     stamp = time.perf_counter()
     for tick in ticks:
@@ -338,11 +344,12 @@ def run_pipeline(
             frame_sink.write(data)
         started, stamp = stamp, time.perf_counter()
         tick_ms.append(1000.0 * (stamp - started))
+        model_ms.append(tick.model_ms)
         servo_frames.append(tick.frame)
         smoothed_rows.append(tick.smoothed)
         ik_iterations.append(tick.ik_iterations)
         unconverged += not tick.converged
-    times = np.array(tick_ms)
+    times, kernel = np.array(tick_ms), np.array(model_ms)
     report = PipelineReport(
         frames=len(servo_frames),
         over_budget=int((times > config.frame_budget_ms).sum()),
@@ -352,6 +359,9 @@ def run_pipeline(
         tick_p50_ms=float(np.percentile(times, 50)),
         tick_p99_ms=float(np.percentile(times, 99)),
         tick_max_ms=float(times.max()),
+        model_p50_ms=float(np.percentile(kernel, 50)),
+        model_p99_ms=float(np.percentile(kernel, 99)),
+        model_fps=len(kernel) / (kernel.sum() / 1000.0),
         window_lookahead_frames=params.window_size / 2,
         filter_delay_frames=group_delay_frames(design(config.filter_spec)),
     )
@@ -373,22 +383,21 @@ def bench(
 
     Input is speech-like: seeded smooth ``make_motion`` tracks mapped to
     logits by ``make_logits``, so IK warm starts behave as on real streams.
-    The offline run does what ``roboface synth`` does after loading: ticks
-    into a servo file, then writes the motion file. ``evaluate_tracking``
-    then scores that motion. Training runs one epoch of 16-sample
-    ``train`` steps over the clip's first 128 samples, on a copy of
-    ``params`` that is then dropped.
+    The chain runs once, as ``roboface synth`` runs it after loading: ticks
+    into a servo file, then writes the motion file. The ``model``, ``tick``,
+    ``ik`` and ``over_budget`` rows are that run's report, and ``synth``
+    is its wall time. ``evaluate_tracking`` then scores that motion.
+    Training runs one epoch of 16-sample ``train`` steps over the clip's
+    first 128 samples, on a copy of ``params`` that is then dropped.
+    ``n_frames`` must be an integer of at least 1.
     """
+    check_count("n_frames", n_frames)
     config = config or PipelineConfig()
     motion = make_motion(
         n_frames, params.output_size, config.tick_hz, np.random.default_rng(seed)
     )
     logits = make_logits(motion, params.class_count, seed)
     frames = logits.frames
-
-    # The model row: the kernel's time inside each tick of one stream.
-    ticks = _ticks(config, params, robot_rig, robot_config, frames)
-    model_ms = np.array([tick.model_ms for tick in ticks])
 
     with tempfile.TemporaryDirectory() as tmp:
         run_started = time.perf_counter()
@@ -422,9 +431,9 @@ def bench(
         "frames": n_frames,
         "budget_ms": config.frame_budget_ms,
         "model": {
-            "fps": n_frames / (model_ms.sum() / 1000.0),
-            "p50_ms": float(np.percentile(model_ms, 50)),
-            "p99_ms": float(np.percentile(model_ms, 99)),
+            "fps": report.model_fps,
+            "p50_ms": report.model_p50_ms,
+            "p99_ms": report.model_p99_ms,
         },
         "tick": {
             "fps": n_frames / run_seconds,

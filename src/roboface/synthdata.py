@@ -19,6 +19,7 @@ from .formats import load_logits, load_motion, save_logits, save_motion
 from .frontend import PhonemeLogitStream, make_windows
 from .lbs import LbsRig, MotionSequence
 from .motionnet import TrainingSample, human_decode
+from .util import check_count, is_index, is_positive_finite
 
 MANIFEST_NAME = "manifest.json"
 
@@ -31,8 +32,7 @@ def make_motion(
 ) -> MotionSequence:
     """Smooth random activation tracks in [0, 1], one per channel: three
     slow sinusoids around 0.5."""
-    if frame_count < 1:
-        raise ValueError("frame_count must be at least 1")
+    check_count("frame_count", frame_count)
     t = np.arange(frame_count) / fps
     frames = np.empty((frame_count, channel_count))
     for c in range(channel_count):
@@ -85,6 +85,21 @@ def build_samples(
     ]
 
 
+def check_dataset_settings(
+    clip_count, frame_count, fps, class_count, style_count, seed
+) -> None:
+    """Raise ``ValueError`` for a ``write_dataset`` setting it cannot use:
+    each count must be an integer of at least 1, ``fps`` finite and
+    positive, and ``seed`` a nonnegative integer."""
+    for name, value in (("clip_count", clip_count), ("frame_count", frame_count),
+                        ("class_count", class_count), ("style_count", style_count)):
+        check_count(name, value)
+    if not is_positive_finite(fps):
+        raise ValueError(f"fps must be finite and positive, got {fps!r}")
+    if not is_index(seed):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def write_dataset(
     directory,
     rig: LbsRig,
@@ -99,8 +114,12 @@ def write_dataset(
 
     Each clip is one logit stream and one aligned coefficient track; the
     manifest records the pairing and the clip's style id (clips cycle
-    through the styles).
+    through the styles). Every setting is checked
+    (``check_dataset_settings``) before anything is created.
     """
+    check_dataset_settings(
+        clip_count, frame_count, fps, class_count, style_count, seed
+    )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -145,7 +164,12 @@ def load_dataset(
         motion = load_motion(directory / clip["coeffs"])
         rate, frames = load_logits(directory / clip["logits"])
         logits = PhonemeLogitStream(rate_hz=rate, frames=frames)
-        style_id = int(clip["style_id"])
+        style_id = clip["style_id"]
+        if not is_index(style_id):
+            raise ValueError(
+                f"clip {clip['logits']} style_id must be a nonnegative "
+                f"integer, got {style_id!r}"
+            )
         max_style = max(max_style, style_id)
         samples.extend(build_samples(rig, motion, logits, style_id, window_size))
     return samples, max_style + 1

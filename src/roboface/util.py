@@ -47,3 +47,10 @@ def is_index(value, size: float = math.inf) -> bool:
         and not isinstance(value, bool)
         and 0 <= value < size
     )
+
+
+def check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least 1
+    (``is_index``)."""
+    if not (is_index(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

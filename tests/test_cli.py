@@ -98,6 +98,35 @@ class TestMakeData:
         manifest = json.loads((workspace["data"] / "manifest.json").read_text())
         assert len(manifest["clips"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--styles", "0", "style_count must be an integer >= 1, got 0"),
+        ("--clips", "0", "clip_count must be an integer >= 1, got 0"),
+        ("--frames", "0", "frame_count must be an integer >= 1, got 0"),
+        ("--classes", "0", "class_count must be an integer >= 1, got 0"),
+        ("--fps", "-5", "fps must be finite and positive, got -5.0"),
+        ("--seed", "-1", "seed must be a nonnegative integer, got -1"),
+    ])
+    def test_refused_setting_writes_nothing(self, workspace, tmp_path, flag,
+                                            value, message):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            main(["make-data", "--rig", str(workspace["rig"]), "--out", str(out),
+                  flag, value])
+        assert not out.exists()
+
+    def test_fault_while_writing_is_not_an_input_error(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        import roboface.synthdata
+
+        def faulty(*args, **kwargs):
+            raise ValueError("fault while writing")
+
+        monkeypatch.setattr(roboface.synthdata, "save_motion", faulty)
+        with pytest.raises(ValueError, match="fault while writing"):
+            main(["make-data", "--rig", str(workspace["rig"]),
+                  "--out", str(tmp_path / "data")])
+
 
 class TestTrain:
     def test_checkpoint_written(self, workspace):
@@ -111,6 +140,34 @@ class TestTrain:
             "--resume", str(workspace["model"]), "--epochs", "1",
         ]) == 0
         assert out.stat().st_size > 0
+
+    def test_resume_takes_the_checkpoint_window(self, workspace, tmp_path):
+        # No --window on resume: the checkpoint's window, not init_params'.
+        small = tmp_path / "window4.mnet"
+        train_args = ["train", "--rig", str(workspace["rig"]),
+                      "--data", str(workspace["data"]), "--epochs", "1"]
+        assert main(train_args + ["--out", str(small), "--window", "4",
+                                  "--hidden", "4"]) == 0
+        out = tmp_path / "resumed.mnet"
+        assert main(train_args + ["--out", str(out), "--resume", str(small)]) == 0
+        params, _ = load_model(out)
+        assert (params.window_size, params.hidden_size) == (4, 4)
+
+    @pytest.mark.parametrize("how", ["flag", "key"])
+    def test_resume_refuses_another_hidden_size(self, workspace, tmp_path, how):
+        out = tmp_path / "resumed.mnet"
+        argv = ["train", "--rig", str(workspace["rig"]),
+                "--data", str(workspace["data"]), "--out", str(out),
+                "--resume", str(workspace["model"]), "--epochs", "1"]
+        if how == "flag":
+            argv += ["--hidden", "32"]
+        else:
+            cfg = tmp_path / "train.json"
+            cfg.write_text(json.dumps({"hidden": 32}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit, match="checkpoint hidden 4 != requested 32"):
+            main(argv)
+        assert not out.exists()
 
     def test_model_shape_defaults_are_init_params(self, workspace, tmp_path):
         # Neither --window/--hidden nor a config key: init_params' defaults.
@@ -240,6 +297,8 @@ class TestSynth:
         loaded = json.loads(report.read_text())
         assert loaded["frames"] == 15
         assert loaded["lookahead_frames"] > 4.0
+        assert 0 < loaded["model_p50_ms"] <= loaded["model_p99_ms"]
+        assert loaded["model_fps"] > 0
 
     @pytest.mark.parametrize(
         "frames, message",
@@ -549,6 +608,33 @@ class TestBench:
         assert report["frames"] == 10
         assert report["model"]["fps"] > 0
         assert json.loads(out.read_text()) == report
+
+    @pytest.mark.parametrize("frames", ["0", "-2"])
+    def test_refused_frame_count_writes_nothing(self, workspace, tmp_path, frames):
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit, match="n_frames must be an integer >= 1"):
+            main([
+                "bench", "--model", str(workspace["model"]), "--rig",
+                str(workspace["rig"]), "--rig-config", str(workspace["config"]),
+                "--frames", frames, "--out", str(out),
+            ])
+        assert not out.exists()
+
+    def test_fault_mid_run_is_not_an_input_error(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        import roboface.pipeline
+
+        def faulty(*args, **kwargs):
+            raise ValueError("mid-run fault")
+
+        monkeypatch.setattr(roboface.pipeline, "run_pipeline", faulty)
+        with pytest.raises(ValueError, match="mid-run fault"):
+            main([
+                "bench", "--model", str(workspace["model"]), "--rig",
+                str(workspace["rig"]), "--rig-config", str(workspace["config"]),
+                "--frames", "10",
+            ])
 
 
 class TestExportObj:

@@ -398,7 +398,19 @@ class TestCheckpoint:
         path = tmp_path / "model.mnet"
         save_model(path, params)
         path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="truncated") as caught:
+            load_model(path)
+        assert "file file" not in str(caught.value)
+
+    @pytest.mark.parametrize("with_adam", [False, True])
+    @pytest.mark.parametrize("tail", [b"junk", bytes(104)], ids=["junk", "zeros"])
+    def test_trailing_bytes_rejected(self, tmp_path, with_adam, tail):
+        params = tiny_params()
+        state = AdamState.zeros_like(params) if with_adam else None
+        path = tmp_path / "model.mnet"
+        save_model(path, params, state)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(ValueError, match="trailing bytes"):
             load_model(path)
 
 

@@ -333,6 +333,7 @@ class TestRunPipeline:
         assert list(as_dict) == [
             "frames", "over_budget", "unconverged_ticks", "ik_iterations_p50",
             "ik_iterations_max", "tick_p50_ms", "tick_p99_ms", "tick_max_ms",
+            "model_p50_ms", "model_p99_ms", "model_fps",
             "window_lookahead_frames", "filter_delay_frames", "lookahead_frames",
         ]
         assert as_dict == {key: getattr(result.report, key) for key in as_dict}
@@ -350,6 +351,37 @@ class TestRunPipeline:
         monkeypatch.setattr(frontend.StreamingWindower, "push", slow_push)
         result = run_pipeline(PipelineConfig(), params, rig, config_r, random_logits(20))
         assert result.report.tick_p50_ms >= 2.0
+
+    def test_model_time_is_the_kernel_inside_the_tick(
+        self, reference, params, monkeypatch
+    ):
+        # The report's model row times forward_rows alone: a slow windower
+        # leaves it alone, a slow kernel shows.
+        rig, config_r = reference
+        push = frontend.StreamingWindower.push
+
+        def slow_push(self, frame):
+            time.sleep(0.002)
+            return push(self, frame)
+
+        monkeypatch.setattr(frontend.StreamingWindower, "push", slow_push)
+        report = run_pipeline(
+            PipelineConfig(), params, rig, config_r, random_logits(20)
+        ).report
+        assert report.model_p50_ms < 2.0
+        monkeypatch.undo()
+
+        def slow_forward_rows(plan, rows, style_id):
+            time.sleep(0.002)
+            return forward_rows(plan, rows, style_id)
+
+        monkeypatch.setattr(pipeline, "forward_rows", slow_forward_rows)
+        report = run_pipeline(
+            PipelineConfig(), params, rig, config_r, random_logits(20)
+        ).report
+        assert report.model_p50_ms >= 2.0
+        assert report.model_p99_ms >= report.model_p50_ms
+        assert 0 < report.model_fps <= 500.0
 
     def test_ik_iterations_are_the_solver_counts(self, reference, params):
         rig, config_r = reference
@@ -753,6 +785,45 @@ class TestBench:
         monkeypatch.setattr(pipeline, "forward_rows", slow_forward_rows)
         report = bench(params, rig, config_r, n_frames=20, seed=0)
         assert report["model"]["p50_ms"] >= 2.0
+
+    def test_chain_runs_once(self, reference, params, monkeypatch):
+        # One run_pipeline run gives every chain row: the kernel runs once
+        # per frame, and the model row is that run's report.
+        rig, config_r = reference
+        calls, reports = [], []
+
+        def counted(plan, rows, style_id):
+            calls.append(style_id)
+            return forward_rows(plan, rows, style_id)
+
+        def recorded(*args, **kwargs):
+            result = run_pipeline(*args, **kwargs)
+            reports.append(result.report)
+            return result
+
+        monkeypatch.setattr(pipeline, "forward_rows", counted)
+        monkeypatch.setattr(pipeline, "run_pipeline", recorded)
+        out = bench(params, rig, config_r, n_frames=20, seed=0)
+        assert len(calls) == 20
+        (report,) = reports
+        assert out["model"] == {"fps": report.model_fps,
+                                "p50_ms": report.model_p50_ms,
+                                "p99_ms": report.model_p99_ms}
+        assert out["tick"]["p50_ms"] == report.tick_p50_ms
+        assert out["over_budget"] == report.over_budget
+
+    @pytest.mark.parametrize("n_frames", [0, -3, 1.5, 20.0, True, "20"])
+    def test_refuses_a_frame_count_before_any_work(
+        self, reference, params, monkeypatch, n_frames
+    ):
+        rig, config_r = reference
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("bench started work")
+
+        monkeypatch.setattr(pipeline, "make_motion", no_work)
+        with pytest.raises(ValueError, match="n_frames must be an integer >= 1"):
+            bench(params, rig, config_r, n_frames=n_frames, seed=0)
 
     def test_report_shape(self, reference, params):
         rig, config_r = reference

@@ -144,6 +144,28 @@ class TestDatasetRoundTrip:
         assert len(history.train_loss) == 2
         assert history.train_loss[1] < history.train_loss[0]
 
+    @pytest.mark.parametrize("setting, value", [
+        ("clip_count", 0), ("frame_count", 0), ("class_count", 0),
+        ("style_count", 0), ("clip_count", 1.5), ("frame_count", True),
+        ("fps", -5.0), ("fps", 0.0), ("fps", float("nan")), ("seed", -1),
+        ("seed", 0.5),
+    ])
+    def test_refused_setting_writes_nothing(self, rig, tmp_path, setting, value):
+        directory = tmp_path / "data"
+        with pytest.raises(ValueError, match=setting.split("_")[0]):
+            write_dataset(directory, rig, **{setting: value})
+        assert not directory.exists()
+
+    @pytest.mark.parametrize("style_id", [1.7, 1.0, -1, "1", True])
+    def test_style_id_must_be_an_integer(self, rig, tmp_path, style_id):
+        write_dataset(tmp_path, rig, clip_count=1, frame_count=10, class_count=12)
+        manifest = tmp_path / "manifest.json"
+        entries = json.loads(manifest.read_text())
+        entries["clips"][0]["style_id"] = style_id
+        manifest.write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match="style_id must be a nonnegative integer"):
+            load_dataset(tmp_path, rig, window_size=4)
+
     def test_missing_manifest(self, rig, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path, rig, window_size=4)
