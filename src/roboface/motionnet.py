@@ -22,7 +22,10 @@ one GEMV per map; the tick feeds it from a ring of projected rows, and
 the same bytes. Training keeps the batched im2col path, ``_run_forward``:
 a shuffled batch shares no frames between its windows, the projection
 would cost it all 3 taps at all K positions, twice block 0's work, and
-its weights change every step.
+its weights change every step. Its reverse pass forms only the gradients
+the step returns: block 0's input gradient, with respect to the logit
+windows, is never formed, and the loss's factor 2 is applied to the
+(n, B) dtheta, not to the (n, 3·V) residual.
 
 Everything runs in float64 numpy with hand-written reverse-mode gradients
 so analytic derivatives can be held to finite-difference oracles.
@@ -180,20 +183,25 @@ def _conv1d(x, weight, bias, stride, pad):
     return y.reshape(c_out, n, t_out), cols
 
 
-def _conv1d_backward(dy, cols, weight, in_shape, stride, pad):
-    """Gradients of _conv1d summed over the batch: (dweight, dbias, dx)."""
+def _conv1d_weight_grads(dy, cols, weight):
+    """Weight and bias gradients of _conv1d summed over the batch, for dy
+    (C_out, n, T_out) and the forward pass's cols: (dweight, dbias)."""
+    dy = dy.reshape(len(weight), -1)
+    return (dy @ cols.T).reshape(weight.shape), dy.sum(axis=1)
+
+
+def _conv1d_input_grad(dy, weight, in_shape, stride, pad):
+    """Gradient of _conv1d with respect to its input x, (C_in, n, T)."""
     c_out, c_in, k = weight.shape
     _, n, t = in_shape
     t_out = dy.shape[2]
     dy = dy.reshape(c_out, n * t_out)
-    dweight = (dy @ cols.T).reshape(c_out, c_in, k)
-    dbias = dy.sum(axis=1)
     dcols = (weight.reshape(c_out, c_in * k).T @ dy).reshape(c_in, k, n, t_out)
     dxp = np.zeros((c_in, n, t + 2 * pad), dtype=dy.dtype)
     span = stride * (t_out - 1) + 1
     for j in range(k):
         dxp[:, :, j : j + span : stride] += dcols[:, j]
-    return dweight, dbias, dxp[:, :, pad : pad + t] if pad else dxp
+    return dxp[:, :, pad : pad + t] if pad else dxp
 
 
 def _run_forward(params: ModelParams, windows, style_ids, masks):
@@ -256,16 +264,19 @@ def _run_backward(params: ModelParams, tape, dtheta) -> dict[str, np.ndarray]:
     for i in range(len(params.blocks) - 1, -1, -1):
         blk = params.blocks[i]
         x, cols1, y1, a1, cols2, cols_s = taped_blocks[i]
-        dw2, db2, da1 = _conv1d_backward(dx, cols2, blk.conv2_weight, a1.shape, 1, 1)
+        dw2, db2 = _conv1d_weight_grads(dx, cols2, blk.conv2_weight)
+        da1 = _conv1d_input_grad(dx, blk.conv2_weight, a1.shape, 1, 1)
         dy1 = da1 * (y1 > 0.0)
-        dw1, db1, dx_main = _conv1d_backward(dy1, cols1, blk.conv1_weight, x.shape, 2, 1)
-        dws, _, dx_side = _conv1d_backward(dx, cols_s, blk.shortcut_weight, x.shape, 2, 0)
+        dw1, db1 = _conv1d_weight_grads(dy1, cols1, blk.conv1_weight)
+        dws, _ = _conv1d_weight_grads(dx, cols_s, blk.shortcut_weight)
         grads[f"block{i}.conv1_weight"] = dw1
         grads[f"block{i}.conv1_bias"] = db1
         grads[f"block{i}.conv2_weight"] = dw2
         grads[f"block{i}.conv2_bias"] = db2
         grads[f"block{i}.shortcut_weight"] = dws
-        dx = dx_main + dx_side
+        if i:  # block 0's input is the logit windows: no gradient is read
+            dx = (_conv1d_input_grad(dy1, blk.conv1_weight, x.shape, 2, 1)
+                  + _conv1d_input_grad(dx, blk.shortcut_weight, x.shape, 2, 0))
     return grads
 
 
@@ -476,8 +487,8 @@ class TrainingSample:
         target = np.asarray(self.target_vertices, dtype=np.float64)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "target_vertices", target)
-        if self.style_id < 0:
-            raise ValueError("style_id must be nonnegative")
+        if not is_index(self.style_id):
+            raise ValueError(f"style_id must be a nonnegative integer, got {self.style_id!r}")
         if window.ndim != 2 or target.ndim != 1:
             raise ValueError("window must be 2-D and target_vertices 1-D")
         if not (np.isfinite(window).all() and np.isfinite(target).all()):
@@ -485,28 +496,36 @@ class TrainingSample:
 
 
 def _batch_losses(params, rig, samples, mouth_weight, masks):
-    """Decode a batch and score it: returns (losses (n,), dpred (n, 3·V),
-    tape). The decode is one ``human_decode`` GEMM."""
+    """Decode a batch and score it: returns (losses (n,), the weighted
+    residual (n, 3·V), tape). The decode is one ``human_decode`` GEMM; the
+    loss gradient is twice the weighted residual, and ``_batch_gradients``
+    applies that factor 2 on the (n, B) side."""
     windows = np.stack([s.window for s in samples])
-    targets = np.stack([s.target_vertices for s in samples])
     theta, tape = _run_forward(params, windows, [s.style_id for s in samples], masks)
     diff = human_decode(rig, theta)  # then in place: new (n, 3·V) arrays page-fault
-    if targets.shape != diff.shape:
-        raise ValueError(f"prediction has shape {diff.shape}, target {targets.shape}")
-    diff -= targets
+    for row, sample in zip(diff, samples):
+        if sample.target_vertices.shape != row.shape:
+            raise ValueError(
+                f"prediction has shape {row.shape}, target {sample.target_vertices.shape}"
+            )
+        row -= sample.target_vertices
     weighted = diff * _coordinate_weights(rig.mouth_mask, mouth_weight, diff.shape[1])
     losses = np.einsum("ij,ij->i", diff, weighted)
-    weighted *= 2.0
     return losses, weighted, tape
 
 
 def _batch_gradients(params, rig, samples, mouth_weight, masks):
     """Gradients summed over the batch, and one loss per sample.
 
-    The frozen decoder contributes only its transpose: dtheta = dpred @ Eᵀ.
+    The frozen decoder contributes only its transpose: dtheta = dpred @ Eᵀ
+    with dpred = 2·weighted. The 2 is applied to the (n, B) product, not
+    to the (n, 3·V) residual: doubling is exact in binary floating point,
+    so the bits are the same unless a product is subnormal or overflows.
     """
-    losses, dpred, tape = _batch_losses(params, rig, samples, mouth_weight, masks)
-    return _run_backward(params, tape, dpred @ rig.basis.matrix.T), losses
+    losses, weighted, tape = _batch_losses(params, rig, samples, mouth_weight, masks)
+    dtheta = weighted @ rig.basis.matrix.T
+    dtheta *= 2.0
+    return _run_backward(params, tape, dtheta), losses
 
 
 def training_loss(

@@ -1,8 +1,15 @@
 """Model tests: forward contract, gradient oracles, training, checkpoints."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import roboface
 from roboface import motionnet
 from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, apply_skinning
 from roboface.motionnet import (
@@ -439,6 +446,13 @@ class TestTrainingSampleChecks:
         with pytest.raises(ValueError, match="1-D"):
             TrainingSample(window=np.zeros((4, 6)), style_id=0, target_vertices=np.zeros(shape))
 
+    @pytest.mark.parametrize("style_id", [1.5, True, "1", -1])
+    def test_style_id_must_be_a_nonnegative_integer(self, style_id):
+        # A float would train as its truncation and a bool as style 0 or 1.
+        with pytest.raises(ValueError, match="style_id must be a nonnegative integer"):
+            TrainingSample(window=np.zeros((4, 6)), style_id=style_id,
+                           target_vertices=np.zeros(15))
+
 
 def small_rig(seed=0, vertices=12):
     """A B=51 rig on a 12-vertex mesh, for full-width (K=8, H=64) models."""
@@ -548,6 +562,14 @@ class TestBatchedTraining:
         with pytest.raises(ValueError, match="style_id"):
             train(full_width_params(), rig, dataset, TrainConfig(epochs=1, batch_size=4))
 
+    def test_target_of_wrong_size_in_batch_raises_value_error(self):
+        rig = small_rig()
+        dataset = full_width_samples(rig, 4)
+        bad = dataset[2]
+        dataset[2] = TrainingSample(bad.window, bad.style_id, bad.target_vertices[:-3])
+        with pytest.raises(ValueError, match=r"prediction has shape \(36,\), target \(33,\)"):
+            motionnet._batch_gradients(full_width_params(), rig, dataset, 1.0, None)
+
     def test_validation_loss_is_mean_of_sample_losses(self):
         rig = small_rig()
         samples = full_width_samples(rig, 9)
@@ -566,3 +588,165 @@ class TestBatchedTraining:
         theta, _ = _run_forward(params, windows, styles, None)
         single = np.stack([forward(params, w, int(s)).values for w, s in zip(windows, styles)])
         np.testing.assert_allclose(theta, single, rtol=1e-12, atol=0.0)
+
+
+# The training step before its reverse pass was trimmed, frozen as the
+# oracle the lean step must match bit for bit: it forms block 0's input
+# gradient, stacks the targets into one array and doubles the (n, 3·V)
+# residual before the decoder's transpose.
+
+
+def frozen_conv1d_backward(dy, cols, weight, in_shape, stride, pad):
+    c_out, c_in, k = weight.shape
+    _, n, t = in_shape
+    t_out = dy.shape[2]
+    dy = dy.reshape(c_out, n * t_out)
+    dweight = (dy @ cols.T).reshape(c_out, c_in, k)
+    dbias = dy.sum(axis=1)
+    dcols = (weight.reshape(c_out, c_in * k).T @ dy).reshape(c_in, k, n, t_out)
+    dxp = np.zeros((c_in, n, t + 2 * pad), dtype=dy.dtype)
+    span = stride * (t_out - 1) + 1
+    for j in range(k):
+        dxp[:, :, j : j + span : stride] += dcols[:, j]
+    return dweight, dbias, dxp[:, :, pad : pad + t] if pad else dxp
+
+
+def frozen_run_backward(params, tape, dtheta):
+    taped_blocks, fused, z1, dropped, theta, style_ids, masks = tape
+    grads = {}
+    dz2 = dtheta.T * theta * (1.0 - theta)
+    grads["head2_weight"] = dz2 @ dropped.T
+    grads["head2_bias"] = dz2.sum(axis=1)
+    da = params.head2_weight.T @ dz2
+    if masks is not None:
+        da = da * masks.T
+    dz1 = da * (z1 > 0.0)
+    grads["head1_weight"] = dz1 @ fused.T
+    grads["head1_bias"] = dz1.sum(axis=1)
+    dh = params.head1_weight.T @ dz1
+    dstyle = np.zeros_like(params.style_table)
+    np.add.at(dstyle, style_ids, dh.T)
+    grads["style_table"] = dstyle
+    dx = dh[:, :, None]
+    for i in range(len(params.blocks) - 1, -1, -1):
+        blk = params.blocks[i]
+        x, cols1, y1, a1, cols2, cols_s = taped_blocks[i]
+        dw2, db2, da1 = frozen_conv1d_backward(dx, cols2, blk.conv2_weight, a1.shape, 1, 1)
+        dy1 = da1 * (y1 > 0.0)
+        dw1, db1, dx_main = frozen_conv1d_backward(dy1, cols1, blk.conv1_weight, x.shape, 2, 1)
+        dws, _, dx_side = frozen_conv1d_backward(dx, cols_s, blk.shortcut_weight, x.shape, 2, 0)
+        grads[f"block{i}.conv1_weight"] = dw1
+        grads[f"block{i}.conv1_bias"] = db1
+        grads[f"block{i}.conv2_weight"] = dw2
+        grads[f"block{i}.conv2_bias"] = db2
+        grads[f"block{i}.shortcut_weight"] = dws
+        dx = dx_main + dx_side
+    return grads
+
+
+def frozen_batch_losses(params, rig, samples, mouth_weight, masks):
+    windows = np.stack([s.window for s in samples])
+    targets = np.stack([s.target_vertices for s in samples])
+    theta, tape = _run_forward(params, windows, [s.style_id for s in samples], masks)
+    diff = human_decode(rig, theta)
+    if targets.shape != diff.shape:
+        raise ValueError(f"prediction has shape {diff.shape}, target {targets.shape}")
+    diff -= targets
+    weighted = diff * motionnet._coordinate_weights(rig.mouth_mask, mouth_weight, diff.shape[1])
+    losses = np.einsum("ij,ij->i", diff, weighted)
+    weighted *= 2.0
+    return losses, weighted, tape
+
+
+def frozen_batch_gradients(params, rig, samples, mouth_weight, masks):
+    losses, dpred, tape = frozen_batch_losses(params, rig, samples, mouth_weight, masks)
+    return frozen_run_backward(params, tape, dpred @ rig.basis.matrix.T), losses
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def lean_step_mismatches(directory) -> list[str]:
+    """Names of every output where the lean step and the frozen one differ
+    in any bit: the batch gradients and losses with dropout off and on, and
+    after one ragged `train` epoch the params, the history and the
+    `save_model` bytes with the Adam state."""
+    rig = small_rig()
+    samples = full_width_samples(rig, 9)
+    params = full_width_params()
+    mismatches = []
+    masks = motionnet._dropout_masks(params, 0.3, np.random.default_rng(6), 7)
+    for label, batch_masks in (("dropout off", None), ("dropout on", masks)):
+        lean = motionnet._batch_gradients(params, rig, samples[:7], 2.0, batch_masks)
+        frozen = frozen_batch_gradients(params, rig, samples[:7], 2.0, batch_masks)
+        if not same_bits(lean[1], frozen[1]):
+            mismatches.append(f"{label}: losses")
+        if lean[0].keys() != frozen[0].keys():
+            mismatches.append(f"{label}: gradient names")
+        mismatches += [f"{label}: {name}" for name in frozen[0]
+                       if not same_bits(lean[0].get(name, ()), frozen[0][name])]
+
+    config = TrainConfig(epochs=1, batch_size=3, dropout_rate=0.3, mouth_weight=2.0, seed=11)
+    runs = []
+    for side, losses_fn, gradients_fn in (
+        ("lean", motionnet._batch_losses, motionnet._batch_gradients),
+        ("frozen", frozen_batch_losses, frozen_batch_gradients),
+    ):
+        saved = motionnet._batch_losses, motionnet._batch_gradients
+        motionnet._batch_losses, motionnet._batch_gradients = losses_fn, gradients_fn
+        try:
+            trained = full_width_params()
+            state = AdamState.zeros_like(trained)
+            _, history = train(trained, rig, samples[:7], config, samples[7:], state)
+        finally:
+            motionnet._batch_losses, motionnet._batch_gradients = saved
+        path = Path(directory) / f"{side}.mnet"
+        save_model(path, trained, state)
+        runs.append((dict(named_arrays(trained)), history, path.read_bytes()))
+    (lean_params, lean_history, lean_bytes), (params, history, data) = runs
+    mismatches += [f"epoch: {name}" for name in params
+                   if not same_bits(lean_params[name], params[name])]
+    if not (same_bits(lean_history.train_loss, history.train_loss)
+            and same_bits(lean_history.val_loss, history.val_loss)):
+        mismatches.append("epoch: history")
+    if lean_bytes != data:
+        mismatches.append("epoch: save_model bytes")
+    return mismatches
+
+
+# Run in a fresh interpreter, since BLAS reads its thread count at load.
+_LEAN_STEP_CHILD = """
+import json
+import sys
+import test_golden
+import test_motionnet
+
+print(json.dumps({"threads": test_golden.blas_threads(),
+                  "mismatches": test_motionnet.lean_step_mismatches(sys.argv[1])}))
+"""
+
+
+def test_lean_step_is_bit_identical_to_frozen_step(tmp_path):
+    """The trimmed reverse pass moves no bit under 1 and 2 BLAS threads."""
+    src = Path(roboface.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    path = [str(src), str(tests)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    # OpenBLAS caps its threads at the cores it may run on.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(path)
+        out = subprocess.run(
+            [sys.executable, "-c", _LEAN_STEP_CHILD, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+        if result["threads"] is not None and cores >= 2:
+            assert result["threads"] == int(threads)
+        assert result["mismatches"] == [], f"OPENBLAS_NUM_THREADS={threads}"
