@@ -7,6 +7,7 @@ settings from a JSON config file; explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import inspect
@@ -28,7 +29,7 @@ from .formats import (
     save_motion,
     save_rig,
 )
-from .frontend import PhonemeLogitStream, resample, stub_extractor
+from .frontend import PhonemeLogitStream, _check_window_size, resample, stub_extractor
 from .lbs import apply_skinning
 from .motionnet import (
     AdamState,
@@ -120,15 +121,33 @@ _DATA_FLAG_NAMES = {"clip_count": "clips", "frame_count": "frames", "fps": "fps"
                     "class_count": "classes", "style_count": "styles", "seed": "seed"}
 
 
+@contextlib.contextmanager
+def _refusals(sink=None):
+    """The command line's one rule for bad input: a ``ValueError`` raised in
+    the block refuses the input and exits with its message. Once ``sink``
+    has been written to, output has started, so the error is a fault and
+    keeps its traceback."""
+    try:
+        yield
+    except ValueError as err:
+        if sink is not None and sink.written:
+            raise
+        raise SystemExit(str(err)) from None
+
+
 def _read_wav(path) -> tuple[np.ndarray, int]:
-    """Mono float PCM in [-1, 1] plus the sample rate; stereo is averaged."""
-    with wave.open(str(path), "rb") as handle:
-        if handle.getsampwidth() != 2:
-            raise SystemExit("only 16-bit PCM WAV input is supported")
-        rate = handle.getframerate()
-        raw = handle.readframes(handle.getnframes())
-        pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-        channels = handle.getnchannels()
+    """Mono float PCM in [-1, 1] plus the sample rate; stereo is averaged.
+    ``ValueError`` for a file that is not 16-bit PCM WAV."""
+    try:
+        with wave.open(str(path), "rb") as handle:
+            if handle.getsampwidth() != 2:
+                raise ValueError("only 16-bit PCM WAV input is supported")
+            rate = handle.getframerate()
+            raw = handle.readframes(handle.getnframes())
+            pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+            channels = handle.getnchannels()
+    except (wave.Error, EOFError) as err:
+        raise ValueError(f"not a WAV file: {err}") from None
     if channels > 1:
         pcm = pcm.reshape(-1, channels).mean(axis=1)
     return pcm, rate
@@ -148,23 +167,17 @@ def cmd_make_rig(args) -> int:
 
 def cmd_make_data(args) -> int:
     settings = {name: getattr(args, flag) for name, flag in _DATA_FLAG_NAMES.items()}
-    # Only the up-front refusal is an input error; a fault while writing
-    # keeps its traceback.
-    try:
+    with _refusals():
         check_dataset_settings(**settings)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
-    manifest = write_dataset(args.out, load_rig(args.rig), **settings)
+        rig = load_rig(args.rig)
+    manifest = write_dataset(args.out, rig, **settings)
     print(f"wrote {args.clips} clips x {args.frames} frames to {manifest}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    pcm, rate = _read_wav(args.audio)
-    try:
-        stream = stub_extractor(pcm, rate)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
+    with _refusals():
+        stream = stub_extractor(*_read_wav(args.audio))
     save_logits(args.out, stream.rate_hz, stream.frames)
     print(
         f"wrote {args.out}: {stream.frame_count} frames x "
@@ -174,12 +187,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_retarget(args) -> int:
-    rig = load_rig(args.rig)
-    frames, fps = load_dense_frames(args.frames)
-    try:
+    with _refusals():
+        rig = load_rig(args.rig)
+        frames, fps = load_dense_frames(args.frames)
         motion, residuals = project_sequence(frames, fps, rig)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
     save_motion(args.out, motion)
     print(
         f"wrote {args.out}: {motion.frame_count} frames, residual "
@@ -188,30 +199,58 @@ def cmd_retarget(args) -> int:
     return 0
 
 
+def _check_resumable(params, rig, samples, style_count) -> None:
+    """``ValueError`` unless a checkpoint's model can train on the dataset:
+    a style id past its style table, another logit class count or another
+    blendshape count would fail inside the first step."""
+    if style_count > params.style_count:
+        raise ValueError(
+            f"checkpoint has {params.style_count} styles, dataset has {style_count}"
+        )
+    for what, fixed, where, got in (
+        ("classes", params.class_count, "dataset", samples[0].window.shape[1]),
+        ("blendshapes", params.output_size, "rig", rig.blendshape_count),
+    ):
+        if got != fixed:
+            raise ValueError(f"checkpoint has {fixed} {what}, {where} has {got}")
+
+
 def cmd_train(args) -> int:
     from .motionnet import train
 
-    rig = load_rig(args.rig)
     values = _config_values(args, _TRAIN_KEYS)
     config = _train_config(values)
-    val_fraction = values.get("val_fraction", 0.0)
-    if not (is_real(val_fraction) and 0.0 <= val_fraction < 1.0):
-        raise SystemExit(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
-    if args.resume:
-        # The checkpoint fixes the model shape; a size set that differs
-        # from it is refused, and an unset size takes the checkpoint's.
-        params, adam = load_model(args.resume)
-        for name, key in _SHAPE_FLAG_NAMES.items():
-            fixed = getattr(params, name)
-            if key in values and not (is_index(values[key]) and values[key] == fixed):
-                raise SystemExit(
-                    f"checkpoint {key} {fixed} != requested {values[key]!r}"
-                )
-        samples, style_count = load_dataset(args.data, rig, params.window_size)
-        adam = adam if adam is not None else AdamState.zeros_like(params)
-    else:
-        shape = _model_shape(values)
+    shape = _model_shape(values)
+    if not args.resume:
+        # A setting, judged by init_params' rule like TrainConfig's fields,
+        # before the dataset is windowed with it.
+        _check_window_size(shape["window_size"])
+    params = adam = None
+    with _refusals():
+        rig = load_rig(args.rig)
+        val_fraction = values.get("val_fraction", 0.0)
+        if not (is_real(val_fraction) and 0.0 <= val_fraction < 1.0):
+            raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
+        if args.resume:
+            # The checkpoint fixes the model shape; a size set that differs
+            # from it is refused, and an unset size takes the checkpoint's.
+            params, adam = load_model(args.resume)
+            for name, key in _SHAPE_FLAG_NAMES.items():
+                fixed = getattr(params, name)
+                wanted = values.get(key, fixed)
+                if not (is_index(wanted) and wanted == fixed):
+                    raise ValueError(
+                        f"checkpoint {key} {fixed} != requested {wanted!r}"
+                    )
+                shape[name] = fixed
         samples, style_count = load_dataset(args.data, rig, shape["window_size"])
+        split = len(samples) - int(round(val_fraction * len(samples)))
+        if not 0 < split <= len(samples):
+            raise ValueError(f"val_fraction {val_fraction} leaves no training data")
+        if params is not None:
+            _check_resumable(params, rig, samples, style_count)
+    train_set, val_set = samples[:split], samples[split:]
+    if params is None:
         params = init_params(
             seed=config.seed,
             **shape,
@@ -219,12 +258,8 @@ def cmd_train(args) -> int:
             output_size=rig.blendshape_count,
             class_count=samples[0].window.shape[1],
         )
+    if adam is None:
         adam = AdamState.zeros_like(params)
-
-    split = len(samples) - int(round(val_fraction * len(samples)))
-    if not 0 < split <= len(samples):
-        raise SystemExit(f"val_fraction {val_fraction} leaves no training data")
-    train_set, val_set = samples[:split], samples[split:]
 
     params, history = train(params, rig, train_set, config, val_set, adam)
     save_model(args.out, params, adam)
@@ -243,27 +278,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params, _ = load_model(args.model)
-    rig = load_rig(args.rig)
-    rig_config = load_config(args.rig_config)
-    source_rig = load_rig(args.source_rig) if args.source_rig else None
     config = _pipeline_config(args)
-
-    rate, frames = load_logits(args.logits)
-    stream = PhonemeLogitStream(rate_hz=rate, frames=frames)
-    if stream.rate_hz != config.tick_hz:
-        stream = resample(stream, config.tick_hz)
-
-    with FileSink(args.out_servo) as sink:
-        try:
-            result = run_pipeline(config, params, rig, rig_config, stream.frames,
-                                  source_rig=source_rig, frame_sink=sink)
-        except ValueError as err:
-            # Only a refusal before the first frame is an input error; a
-            # fault mid-stream keeps its traceback.
-            if sink.written:
-                raise
-            raise SystemExit(str(err)) from None
+    with FileSink(args.out_servo) as sink, _refusals(sink):
+        params, _ = load_model(args.model)
+        rig = load_rig(args.rig)
+        rig_config = load_config(args.rig_config)
+        source_rig = load_rig(args.source_rig) if args.source_rig else None
+        rate, frames = load_logits(args.logits)
+        stream = PhonemeLogitStream(rate_hz=rate, frames=frames)
+        if stream.rate_hz != config.tick_hz:
+            stream = resample(stream, config.tick_hz)
+        result = run_pipeline(config, params, rig, rig_config, stream.frames,
+                              source_rig=source_rig, frame_sink=sink)
     if args.out_motion:
         save_motion(args.out_motion, result.motion)
     if args.report:
@@ -280,15 +306,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    rig = load_rig(args.rig)
-    rig_config = load_config(args.rig_config)
-    reference = load_motion(args.motion)
-    try:
+    with _refusals():
+        rig = load_rig(args.rig)
+        rig_config = load_config(args.rig_config)
+        reference = load_motion(args.motion)
         report = evaluate_tracking(
             rig_config, reference, rig, histogram_dir=args.histograms
         )
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for region, stats in report.items():
         print(
@@ -300,10 +324,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    motion = load_motion(args.motion)
-    cascade = design(
-        FilterSpec(order=args.order, cutoff_hz=args.cutoff_hz, sample_hz=motion.fps)
-    )
+    with _refusals():
+        motion = load_motion(args.motion)
+        spec = FilterSpec(order=args.order, cutoff_hz=args.cutoff_hz,
+                          sample_hz=motion.fps)
+        cascade = design(spec)
     save_motion(args.out, filter_sequence(cascade, motion))
     print(
         f"wrote {args.out}: {motion.frame_count} frames, group delay "
@@ -313,16 +338,12 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    # Only the up-front refusal is an input error; a fault mid-run keeps
-    # its traceback.
-    try:
-        check_count("n_frames", args.frames)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
-    params, _ = load_model(args.model)
-    rig = load_rig(args.rig)
-    rig_config = load_config(args.rig_config)
     config = _pipeline_config(args)
+    with _refusals():
+        check_count("n_frames", args.frames)
+        params, _ = load_model(args.model)
+        rig = load_rig(args.rig)
+        rig_config = load_config(args.rig_config)
     report = bench(
         params, rig, rig_config, config, n_frames=args.frames, seed=args.seed
     )
@@ -334,9 +355,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export_obj(args) -> int:
-    rig = load_rig(args.rig)
-    if args.motion:
-        written = export_obj_sequence(args.out, load_motion(args.motion), rig)
+    with _refusals():
+        rig = load_rig(args.rig)
+        motion = load_motion(args.motion) if args.motion else None
+    if motion is not None:
+        written = export_obj_sequence(args.out, motion, rig)
         print(f"wrote {len(written)} OBJ frames to {written[0].parent}")
     else:
         export_obj(args.out, apply_skinning(rig, np.zeros(rig.blendshape_count)))

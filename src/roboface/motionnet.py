@@ -33,6 +33,7 @@ so analytic derivatives can be held to finite-difference oracles.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -109,6 +110,44 @@ def named_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     return out + [(f.name, getattr(params, f.name)) for f in fields(ModelParams)[1:]]
 
 
+def _layout(
+    window_size: int,
+    hidden_size: int,
+    style_count: int,
+    output_size: int,
+    class_count: int,
+) -> list[tuple[tuple[int, ...], int | None]]:
+    """(shape, fan-in) of every array in ``named_arrays`` order, the one
+    shape rule for drawn and loaded models; the fan-in is None for an array
+    that starts at zero. Every size is an integer of at least 1 and the
+    window a power of two; ``ValueError`` otherwise."""
+    sizes = {"window_size": window_size, "hidden_size": hidden_size,
+             "style_count": style_count, "output_size": output_size,
+             "class_count": class_count}
+    for name, size in sizes.items():
+        if not (is_index(size) and size >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+    _check_window_size(window_size)
+    h = hidden_size
+    layout = []
+    c_in = class_count
+    for _ in range(int(np.log2(window_size))):
+        layout += [((h, c_in, 3), c_in * 3), ((h,), None), ((h, h, 3), h * 3),
+                   ((h,), None), ((h, c_in, 1), c_in)]
+        c_in = h
+    return layout + [((style_count, h), None), ((2 * h, h), h), ((2 * h,), None),
+                     ((output_size, 2 * h), 2 * h), ((output_size,), None)]
+
+
+def _assemble(arrays: list[np.ndarray]) -> ModelParams:
+    """``ModelParams`` from its arrays in ``named_arrays`` order."""
+    per_block = len(fields(BlockParams))
+    head = len(arrays) - (len(fields(ModelParams)) - 1)
+    blocks = [BlockParams(*arrays[i : i + per_block])
+              for i in range(0, head, per_block)]
+    return ModelParams(blocks, *arrays[head:])
+
+
 def init_params(
     seed: int,
     window_size: int = 8,
@@ -119,40 +158,16 @@ def init_params(
 ) -> ModelParams:
     """Fan-in-scaled uniform weights, zero biases, zero style table. Every
     size is an integer of at least 1; ``ValueError`` otherwise."""
-    sizes = {"window_size": window_size, "hidden_size": hidden_size,
-             "style_count": style_count, "output_size": output_size,
-             "class_count": class_count}
-    for name, size in sizes.items():
-        if not (is_index(size) and size >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
-    _check_window_size(window_size)
+    layout = _layout(window_size, hidden_size, style_count, output_size, class_count)
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, shape)
-
-    blocks = []
-    c_in = class_count
-    for _ in range(int(np.log2(window_size))):
-        blocks.append(
-            BlockParams(
-                conv1_weight=uniform((hidden_size, c_in, 3), c_in * 3),
-                conv1_bias=np.zeros(hidden_size),
-                conv2_weight=uniform((hidden_size, hidden_size, 3), hidden_size * 3),
-                conv2_bias=np.zeros(hidden_size),
-                shortcut_weight=uniform((hidden_size, c_in, 1), c_in),
-            )
-        )
-        c_in = hidden_size
-    return ModelParams(
-        blocks=blocks,
-        style_table=np.zeros((style_count, hidden_size)),
-        head1_weight=uniform((2 * hidden_size, hidden_size), hidden_size),
-        head1_bias=np.zeros(2 * hidden_size),
-        head2_weight=uniform((output_size, 2 * hidden_size), 2 * hidden_size),
-        head2_bias=np.zeros(output_size),
-    )
+    arrays = []
+    for shape, fan_in in layout:
+        if fan_in is None:
+            arrays.append(np.zeros(shape))
+        else:
+            bound = 1.0 / np.sqrt(fan_in)
+            arrays.append(rng.uniform(-bound, bound, shape))
+    return _assemble(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -716,17 +731,23 @@ def load_model(path) -> tuple[ModelParams, AdamState | None]:
     r = _Reader(Path(path).read_bytes(), "model")
     _check_header(r, b"MNET")
     # Window, hidden, style, output and class counts: init_params' order.
-    params = init_params(0, *(r.u32() for _ in range(5)))
-    for _, array in named_arrays(params):
-        array[...] = r.f64_array(array.size).reshape(array.shape)
+    shapes = [shape for shape, _ in _layout(*(r.u32() for _ in range(5)))]
+    # The header fixes the weights' size; a short file is refused before
+    # anything of that size is allocated.
+    if 8 * sum(math.prod(shape) for shape in shapes) > r.remaining():
+        raise ValueError("truncated model file")
+
+    def arrays():
+        return [r.f64_array(math.prod(shape)).reshape(shape) for shape in shapes]
+
+    params = _assemble(arrays())
     state = None
     if r.remaining() >= 4 and r.peek(4) == b"ADAM":
         r.take(4)
-        state = AdamState.zeros_like(params)
-        state.step = r.u32()
-        for moments in (state.first, state.second):
-            for name, array in named_arrays(params):
-                moments[name][...] = r.f64_array(array.size).reshape(array.shape)
+        step = r.u32()
+        names = [name for name, _ in named_arrays(params)]
+        first = dict(zip(names, arrays()))
+        state = AdamState(step, first, dict(zip(names, arrays())))
     r.finish()
     return params, state
 

@@ -234,37 +234,62 @@ def save_config(path, config: RigConfig) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _entry(doc, key: str, kind: type = object):
+    """``doc[key]`` from a rig config file; ``ValueError`` naming the key if
+    ``doc`` is not a JSON object, lacks the key or holds no ``kind`` there."""
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"rig config: {key!r} must sit in a JSON object, got {type(doc).__name__}"
+        )
+    if key not in doc:
+        raise ValueError(f"rig config lacks key {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"rig config key {key!r} must be a {kind.__name__}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
 def load_config(path) -> RigConfig:
-    """Read a ``save_config`` file. ``ValueError`` if ``vertex_count`` is not a
-    nonnegative integer, or a skinning entry has an index that is not an
-    integer in range or a weight that is not a finite number. Every other
-    rule is the constructors' (``ControlPoint``, ``ActuatorChannel``,
+    """Read a ``save_config`` file. ``ValueError`` naming the key if one is
+    missing or a list is not a list, if ``vertex_count`` is not a
+    nonnegative integer, or if a skinning entry is not an integer vertex and
+    control-point index in range plus a finite weight. Every other rule is
+    the constructors' (``ControlPoint``, ``ActuatorChannel``,
     ``RigConfig``), which raise ``ValueError`` as for a config built in
     code. A point's ``rest_orientation``, which older files carry, is
     ignored: no map ever read it."""
     doc = json.loads(Path(path).read_text())
     points = tuple(
         ControlPoint(
-            id=p["id"],
-            kind=p["kind"],
-            rest_position=np.array(p["rest_position"]),
-            bounds=np.array(p["bounds"]),
+            id=_entry(p, "id"),
+            kind=_entry(p, "kind"),
+            rest_position=np.array(_entry(p, "rest_position")),
+            bounds=np.array(_entry(p, "bounds")),
         )
-        for p in doc["control_points"]
+        for p in _entry(doc, "control_points", list)
     )
     channels = tuple(
         ActuatorChannel(
-            name=c["name"],
-            pulse_us=c["pulse_us"],
-            gains=tuple((g["cp"], g["dof"], g["value"]) for g in c["gains"]),
+            name=_entry(c, "name"),
+            pulse_us=_entry(c, "pulse_us"),
+            gains=tuple(
+                (_entry(g, "cp"), _entry(g, "dof"), _entry(g, "value"))
+                for g in _entry(c, "gains", list)
+            ),
         )
-        for c in doc["actuator_channels"]
+        for c in _entry(doc, "actuator_channels", list)
     )
-    vertex_count = doc["vertex_count"]
+    vertex_count = _entry(doc, "vertex_count")
     if not is_index(vertex_count):
         raise ValueError(f"vertex_count {vertex_count!r} is not a nonnegative integer")
     weights = np.zeros((vertex_count, len(points)))
-    for v, c, w in doc["skinning_weights"]:
+    for entry in _entry(doc, "skinning_weights", list):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"skinning entry {entry!r} is not [vertex, point, weight]")
+        v, c, w = entry
         if not (is_index(v, vertex_count) and is_index(c, len(points))):
             raise ValueError(
                 f"skinning entry {[v, c, w]!r}: vertex index must be an integer "

@@ -4,12 +4,18 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roboface
 from roboface.cli import (
     _TRAIN_KEYS,
     _add_pipeline_flags,
@@ -27,7 +33,7 @@ from roboface.formats import (
     save_motion,
 )
 from roboface.lbs import MotionSequence, apply_skinning
-from roboface.motionnet import TrainConfig, init_params, load_model
+from roboface.motionnet import TrainConfig, init_params, load_model, save_model
 from roboface.pipeline import PipelineConfig, bench
 from roboface.rigsim import build_reference_rig, load_config
 from roboface.smoothing import FilterSpec
@@ -167,6 +173,26 @@ class TestTrain:
             argv += ["--config", str(cfg)]
         with pytest.raises(SystemExit, match="checkpoint hidden 4 != requested 32"):
             main(argv)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes, message", [
+        ({"style_count": 1}, "checkpoint has 1 styles, dataset has 2"),
+        ({"class_count": 64}, "checkpoint has 64 classes, dataset has 32"),
+        ({"output_size": 50}, "checkpoint has 50 blendshapes, rig has 51"),
+    ], ids=["styles", "classes", "blendshapes"])
+    def test_resume_refuses_a_dataset_the_checkpoint_cannot_take(
+        self, workspace, tmp_path, sizes, message
+    ):
+        # The workspace dataset has 2 styles and 32 classes; the rig 51
+        # blendshapes. A mismatch is refused before any training step.
+        shape = {"style_count": 2, "output_size": 51, "class_count": 32, **sizes}
+        checkpoint = tmp_path / "other.mnet"
+        save_model(checkpoint, init_params(0, window_size=8, hidden_size=4, **shape))
+        out = tmp_path / "resumed.mnet"
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            main(["train", "--rig", str(workspace["rig"]),
+                  "--data", str(workspace["data"]), "--out", str(out),
+                  "--resume", str(checkpoint), "--epochs", "1"])
         assert not out.exists()
 
     def test_model_shape_defaults_are_init_params(self, workspace, tmp_path):
@@ -596,6 +622,18 @@ class TestSmooth:
         ).mean()
 
 
+    def test_cutoff_past_nyquist_exits_with_the_reason(self, tmp_path):
+        motion_path = tmp_path / "raw.lbsm"
+        save_motion(motion_path, MotionSequence(25.0, np.zeros((4, 51))))
+        out = tmp_path / "smooth.lbsm"
+        with pytest.raises(SystemExit, match=re.escape(
+            "cutoff_hz must lie in (0, 12.5) Hz, got 20.0"
+        )):
+            main(["smooth", "--motion", str(motion_path), "--out", str(out),
+                  "--cutoff-hz", "20"])
+        assert not out.exists()
+
+
 class TestBench:
     def test_prints_json_report(self, workspace, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -660,3 +698,97 @@ class TestExportObj:
             "--motion", str(motion_path),
         ]) == 0
         assert len(list((tmp_path / "seq").glob("*.obj"))) == 3
+
+
+@pytest.fixture(scope="module")
+def corrupt(workspace, tmp_path_factory):
+    """One truncated or corrupt file per kind a subcommand reads, next to
+    the valid workspace files."""
+    root = tmp_path_factory.mktemp("corrupt")
+    files = {"good_rig": workspace["rig"], "config": workspace["config"],
+             "logits": workspace["logits"]}
+
+    def truncated(name, source, cut):
+        files[name] = root / name
+        files[name].write_bytes(source.read_bytes()[:-cut])
+
+    truncated("rig", workspace["rig"], 7)
+    truncated("model", workspace["model"], 10)
+    motion = root / "motion.lbsm"
+    save_motion(motion, MotionSequence(25.0, np.zeros((3, 51))))
+    files["motion_ok"] = motion
+    truncated("motion", motion, 5)
+
+    doc = json.loads(workspace["config"].read_text())
+    del doc["vertex_count"]
+    files["bad_config"] = root / "bad_config.json"
+    files["bad_config"].write_text(json.dumps(doc))
+
+    files["wav"] = root / "speech.wav"
+    files["wav"].write_bytes(b"not audio at all")
+    files["frames"] = root / "frames.dnsf"
+    save_dense_frames(files["frames"], np.zeros((1, 9)), 25.0)
+
+    files["data"] = root / "data"
+    shutil.copytree(workspace["data"], files["data"])
+    manifest = json.loads((files["data"] / "manifest.json").read_text())
+    coeffs = files["data"] / manifest["clips"][-1]["coeffs"]
+    coeffs.write_bytes(coeffs.read_bytes()[:-5])
+    return files
+
+
+class TestCorruptInput:
+    """Each subcommand that reads a file refuses a truncated or corrupt one
+    by exiting with the loader's message, before it writes anything."""
+
+    CASES = {
+        "make-data": (["--rig", "{rig}", "--out", "{out}"], "truncated rig file"),
+        "extract": (["--audio", "{wav}", "--out", "{out}"],
+                    "not a WAV file: file does not start with RIFF id"),
+        "retarget": (["--frames", "{frames}", "--rig", "{rig}", "--out", "{out}"],
+                     "truncated rig file"),
+        "train": (["--rig", "{good_rig}", "--data", "{data}", "--out", "{out}",
+                   "--epochs", "1"], "truncated motion file"),
+        "synth": (["--logits", "{logits}", "--model", "{model}",
+                   "--rig", "{good_rig}", "--rig-config", "{config}",
+                   "--out-servo", "{out}"], "truncated model file"),
+        "simulate": (["--motion", "{motion_ok}", "--rig", "{good_rig}",
+                      "--rig-config", "{bad_config}", "--out", "{out}"],
+                     "rig config lacks key 'vertex_count'"),
+        "smooth": (["--motion", "{motion}", "--out", "{out}"],
+                   "truncated motion file"),
+        "bench": (["--model", "{model}", "--rig", "{good_rig}",
+                   "--rig-config", "{config}", "--frames", "10", "--out", "{out}"],
+                  "truncated model file"),
+        "export-obj": (["--rig", "{good_rig}", "--motion", "{motion}",
+                        "--out", "{out}/frame.obj"], "truncated motion file"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_refused_with_the_loaders_message(self, corrupt, tmp_path, command):
+        flags, message = self.CASES[command]
+        out = tmp_path / "out"
+        if command == "synth":  # an earlier run's servo file keeps its bytes
+            out.write_bytes(b"an earlier run")
+        argv = [command] + [flag.format(out=out, **corrupt) for flag in flags]
+        with pytest.raises(SystemExit, match=re.escape(message)) as refused:
+            main(argv)
+        assert str(refused.value) == message
+        if command == "synth":
+            assert out.read_bytes() == b"an earlier run"
+        else:
+            assert not out.exists()
+
+    def test_module_run_prints_one_line_and_no_traceback(self, corrupt, tmp_path):
+        src = Path(roboface.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "roboface", "retarget", "--frames",
+             str(corrupt["frames"]), "--rig", str(corrupt["rig"]),
+             "--out", str(tmp_path / "out.lbsm")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1
+        assert done.stderr == "truncated rig file\n"
+        assert "Traceback" not in done.stdout
+        assert not (tmp_path / "out.lbsm").exists()

@@ -21,6 +21,7 @@ from roboface.formats import (
     save_rig,
 )
 from roboface.arkit import REGIONS
+from roboface.motionnet import init_params, load_model, save_model
 from roboface.lbs import (
     BlendshapeBasis,
     FaceMesh,
@@ -317,6 +318,14 @@ FORMATS = {
         load_dense_frames,
         20,
         range(16),
+    ),
+    # 164 bytes: the header's five sizes, then 17 f64 weights; no Adam state.
+    "mnet": (
+        "m.mnet",
+        lambda p: save_model(p, init_params(0, 2, 1, 1, 1, 1)),
+        load_model,
+        28,
+        range(28),
     ),
 }
 

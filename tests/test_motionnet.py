@@ -2,8 +2,10 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +410,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated") as caught:
             load_model(path)
         assert "file file" not in str(caught.value)
+
+    def test_short_file_refused_before_the_model_is_allocated(self, tmp_path):
+        # A 113,908-byte checkpoint whose header says hidden 256, not 8,
+        # implies a 9.8 MB model; the refusal must come before any of it.
+        path = tmp_path / "model.mnet"
+        save_model(path, init_params(0, window_size=4, hidden_size=8, style_count=1))
+        raw = bytearray(path.read_bytes())
+        assert len(raw) == 113_908
+        struct.pack_into("<I", raw, 12, 256)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated model file"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     @pytest.mark.parametrize("with_adam", [False, True])
     @pytest.mark.parametrize("tail", [b"junk", bytes(104)], ids=["junk", "zeros"])

@@ -862,6 +862,27 @@ class TestConfigIo:
         with pytest.raises(ValueError, match="channel 'lift' uses invalid dof 1.7"):
             self.load_edited(tmp_path, edit)
 
+    @pytest.mark.parametrize("case", ["point id", "vertex_count", "gains", "top level"])
+    def test_malformed_document_names_the_key(self, tmp_path, case):
+        # A missing key or a list that is not one is a ValueError, not a
+        # KeyError or TypeError from deep in the reader.
+        _, config, _ = toy_setup()
+        path = tmp_path / "rig.json"
+        save_config(path, config)
+        doc = json.loads(path.read_text())
+        if case == "point id":
+            del doc["control_points"][0]["id"]
+        elif case == "vertex_count":
+            del doc["vertex_count"]
+        elif case == "gains":
+            doc["actuator_channels"][0]["gains"] = 5
+        else:
+            doc = [doc]
+        path.write_text(json.dumps(doc))
+        key = {"point id": "id", "top level": "control_points"}.get(case, case)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_config(path)
+
     def test_accepts_pulse_us_at_the_16_bit_edges(self, tmp_path):
         def edit(doc):
             doc["actuator_channels"][1]["pulse_us"] = [0, 65535]
