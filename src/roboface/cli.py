@@ -123,13 +123,14 @@ _DATA_FLAG_NAMES = {"clip_count": "clips", "frame_count": "frames", "fps": "fps"
 
 @contextlib.contextmanager
 def _refusals(sink=None):
-    """The command line's one rule for bad input: a ``ValueError`` raised in
+    """The command line's one rule for bad input: a ``ValueError``, or a
+    ``FileNotFoundError`` for an input path that does not exist, raised in
     the block refuses the input and exits with its message. Once ``sink``
     has been written to, output has started, so the error is a fault and
     keeps its traceback."""
     try:
         yield
-    except ValueError as err:
+    except (ValueError, FileNotFoundError) as err:
         if sink is not None and sink.written:
             raise
         raise SystemExit(str(err)) from None

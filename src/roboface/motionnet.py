@@ -5,9 +5,17 @@ frames, 392 classes), to blendshape coefficients (n, B): a stack of log2(K)
 stride-2 residual conv blocks, each layer one GEMM over the batch, fuses a
 window down to a single H-vector, a per-style embedding row is added to
 it, and a two-layer head squashes through a Sigmoid into theta in (0,1)^B.
-Targets are vertex positions decoded by a frozen linear skinning layer,
-one (n, B) @ (B, 3·V) product per batch, so the loss is a plain
-(optionally mouth-weighted) squared vertex error.
+The loss is the (optionally mouth-weighted) squared vertex error of the
+face a frozen linear skinning layer decodes from theta. The decoder is
+linear, so that error is a quadratic form in the B coefficients,
+``(theta - theta*)ᵀ G_w (theta - theta*) + f`` with ``G_w = E W Eᵀ``
+(B×B): training scores and differentiates it without decoding a mesh. A
+target given as coefficients is its own ``theta*`` with ``f = 0``; a
+target given as vertices is reduced to them by one weighted least-squares
+fit per batch, ``f`` being the fit's residual. The centred form measures
+the difference directly, so it does not cancel near the optimum as the
+expanded Gram identity ``θᵀGθ - 2θᵀb + ‖t‖²`` does (Golub & Van Loan,
+*Matrix Computations*, §5.3).
 
 Inference is frame-major and runs a compiled plan (``compile_plan``).
 Block 0 is the widest layer (classes in, H out), and each frame enters K
@@ -24,8 +32,7 @@ a shuffled batch shares no frames between its windows, the projection
 would cost it all 3 taps at all K positions, twice block 0's work, and
 its weights change every step. Its reverse pass forms only the gradients
 the step returns: block 0's input gradient, with respect to the logit
-windows, is never formed, and the loss's factor 2 is applied to the
-(n, B) dtheta, not to the (n, 3·V) residual.
+windows, is never formed.
 
 Everything runs in float64 numpy with hand-written reverse-mode gradients
 so analytic derivatives can be held to finite-difference oracles.
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import KW_ONLY, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -452,9 +459,10 @@ def forward(params: ModelParams, window, style_id: int) -> BlendCoefficients:
 def human_decode(rig: LbsRig, theta) -> np.ndarray:
     """Frozen linear decoder: coefficients -> absolute vertex positions.
 
-    Matrix form of the skinning sum, so training can treat the human rig
-    as a fixed affine output layer. ``theta`` is one pose (B,) or a stack
-    of poses (T, B), which decodes as one matrix-matrix product to (T, 3V).
+    Matrix form of the skinning sum: the fixed affine output layer whose
+    vertex error training scores (in coefficient space, without calling
+    it). ``theta`` is one pose (B,) or a stack of poses (T, B), which
+    decodes as one matrix-matrix product to (T, 3V).
     """
     vals = theta.values if isinstance(theta, BlendCoefficients) else np.asarray(theta)
     if vals.ndim not in (1, 2) or vals.shape[-1] != rig.blendshape_count:
@@ -467,6 +475,12 @@ def human_decode(rig: LbsRig, theta) -> np.ndarray:
     return out
 
 
+def _mouth_coordinates(mouth_mask) -> np.ndarray:
+    """Flat (3·V,) indices of the mouth vertices' coordinates, each once."""
+    mask = np.unique(np.asarray(mouth_mask, dtype=np.int64))
+    return (3 * mask[:, None] + np.arange(3)[None, :]).ravel()
+
+
 def _coordinate_weights(mouth_mask, mouth_weight: float, size: int) -> np.ndarray:
     """Loss weight of each of the (3·V,) coordinates: 1, or 1 + mouth_weight
     on the mouth vertices."""
@@ -474,7 +488,7 @@ def _coordinate_weights(mouth_mask, mouth_weight: float, size: int) -> np.ndarra
     if mask.size and (mask.min() < 0 or mask.max() >= size // 3):
         raise ValueError("mouth mask indexes vertices outside the prediction")
     weight = np.ones(size)
-    weight[(3 * mask[:, None] + np.arange(3)[None, :]).ravel()] += mouth_weight
+    weight[_mouth_coordinates(mask)] += mouth_weight
     return weight
 
 
@@ -491,54 +505,120 @@ def loss(pred_vertices, target_vertices, mouth_mask, mouth_weight: float) -> flo
 
 @dataclass(frozen=True)
 class TrainingSample:
-    """One supervised pair: logit window + style -> target vertex frame."""
+    """One supervised pair: logit window + style -> target face.
+
+    The target is given once, either as blendshape coefficients
+    ``target_coefficients`` (B,), the form ``build_samples`` makes, or as
+    vertex positions ``target_vertices`` (3·V,), which need not lie in the
+    rig's span; a sample holding both or neither raises ``ValueError``.
+    Both forms are scored as the same vertex loss (``_batch_losses``).
+    """
 
     window: np.ndarray
     style_id: int
-    target_vertices: np.ndarray
+    target_vertices: np.ndarray | None = None
+    _: KW_ONLY
+    target_coefficients: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.target_vertices is None) == (self.target_coefficients is None):
+            raise ValueError(
+                "a training sample holds exactly one of target_vertices and "
+                "target_coefficients"
+            )
+        name = "target_vertices" if self.target_coefficients is None else "target_coefficients"
         window = np.asarray(self.window, dtype=np.float64)
-        target = np.asarray(self.target_vertices, dtype=np.float64)
+        target = np.asarray(getattr(self, name), dtype=np.float64)
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "target_vertices", target)
+        object.__setattr__(self, name, target)
         if not is_index(self.style_id):
             raise ValueError(f"style_id must be a nonnegative integer, got {self.style_id!r}")
         if window.ndim != 2 or target.ndim != 1:
-            raise ValueError("window must be 2-D and target_vertices 1-D")
+            raise ValueError(f"window must be 2-D and {name} 1-D")
         if not (np.isfinite(window).all() and np.isfinite(target).all()):
             raise ValueError("training sample holds NaN or inf")
 
 
+def _grams(rig: LbsRig) -> tuple[np.ndarray, np.ndarray]:
+    """(G, G_mouth): the (B, B) Grams ``E Eᵀ`` of the basis and of its
+    mouth-coordinate columns, so ``G + mouth_weight·G_mouth = E W Eᵀ``.
+
+    Built on a rig's first training call, not with the rig, since the tick
+    never trains, and kept on the rig: one entry, as ``rigsim._kinematics``
+    keeps its maps on the config."""
+    entry = getattr(rig, "_gram_entry", None)
+    if entry is None:
+        basis = rig.basis.matrix
+        mouth = basis[:, _mouth_coordinates(rig.mouth_mask)]
+        entry = (basis @ basis.T, mouth @ mouth.T)
+        for gram in entry:
+            gram.flags.writeable = False
+        object.__setattr__(rig, "_gram_entry", entry)
+    return entry
+
+
+def _batch_targets(rig, samples, mouth_weight, gram_w):
+    """Each sample's target as coefficients: (theta* (n, B), f (n,)), so
+    that its loss is ``(theta - theta*)ᵀ G_w (theta - theta*) + f``.
+
+    A coefficient target is its own theta* with f = 0. The vertex targets
+    are reduced together, by one weighted least-squares fit: theta* solves
+    the normal equations ``G_w theta* = E W (t - neutral)`` (any solution
+    serves, so a singular G_w does too), and f is the weighted norm of the
+    fit's residual, formed from the residual itself. Each target's shape is
+    checked before any arithmetic."""
+    blend = rig.blendshape_count
+    size = rig.mesh.positions.size
+    target = np.empty((len(samples), blend))
+    floor = np.zeros(len(samples))
+    fitted = []
+    for i, sample in enumerate(samples):
+        vertices = sample.target_coefficients is None
+        given = sample.target_vertices if vertices else sample.target_coefficients
+        expected = (size,) if vertices else (blend,)
+        if given.shape != expected:
+            raise ValueError(f"prediction has shape {expected}, target {given.shape}")
+        if vertices:
+            fitted.append(i)
+        else:
+            target[i] = given
+    if fitted:
+        basis = rig.basis.matrix
+        offsets = np.stack([samples[i].target_vertices for i in fitted])
+        offsets -= rig.mesh.positions
+        weight = _coordinate_weights(rig.mouth_mask, mouth_weight, size)
+        rhs = (offsets * weight) @ basis.T
+        fit = np.linalg.lstsq(gram_w, rhs.T, rcond=None)[0].T
+        residual = fit @ basis
+        residual -= offsets
+        floor[fitted] = np.einsum("ij,ij->i", residual, residual * weight)
+        target[fitted] = fit
+    return target, floor
+
+
 def _batch_losses(params, rig, samples, mouth_weight, masks):
-    """Decode a batch and score it: returns (losses (n,), the weighted
-    residual (n, 3·V), tape). The decode is one ``human_decode`` GEMM; the
-    loss gradient is twice the weighted residual, and ``_batch_gradients``
-    applies that factor 2 on the (n, B) side."""
+    """Score a batch in coefficient space: returns (losses (n,), half the
+    loss gradient ``(theta - theta*) @ G_w`` (n, B), tape).
+
+    ``G_w = G + mouth_weight·G_mouth`` from the rig's cached Grams, so no
+    mesh is decoded; ``_batch_gradients`` doubles the second output."""
+    gram, gram_mouth = _grams(rig)
+    gram_w = gram + mouth_weight * gram_mouth
+    target, floor = _batch_targets(rig, samples, mouth_weight, gram_w)
     windows = np.stack([s.window for s in samples])
     theta, tape = _run_forward(params, windows, [s.style_id for s in samples], masks)
-    diff = human_decode(rig, theta)  # then in place: new (n, 3·V) arrays page-fault
-    for row, sample in zip(diff, samples):
-        if sample.target_vertices.shape != row.shape:
-            raise ValueError(
-                f"prediction has shape {row.shape}, target {sample.target_vertices.shape}"
-            )
-        row -= sample.target_vertices
-    weighted = diff * _coordinate_weights(rig.mouth_mask, mouth_weight, diff.shape[1])
-    losses = np.einsum("ij,ij->i", diff, weighted)
-    return losses, weighted, tape
+    diff = theta - target  # theta is on the tape: not in place
+    half_grad = diff @ gram_w
+    losses = np.einsum("ij,ij->i", diff, half_grad)
+    losses += floor
+    return losses, half_grad, tape
 
 
 def _batch_gradients(params, rig, samples, mouth_weight, masks):
-    """Gradients summed over the batch, and one loss per sample.
-
-    The frozen decoder contributes only its transpose: dtheta = dpred @ Eᵀ
-    with dpred = 2·weighted. The 2 is applied to the (n, B) product, not
-    to the (n, 3·V) residual: doubling is exact in binary floating point,
-    so the bits are the same unless a product is subnormal or overflows.
-    """
-    losses, weighted, tape = _batch_losses(params, rig, samples, mouth_weight, masks)
-    dtheta = weighted @ rig.basis.matrix.T
+    """Gradients summed over the batch, and one loss per sample. The loss's
+    gradient with respect to theta is ``2·(theta - theta*) @ G_w``: the
+    frozen decoder enters only through its Gram."""
+    losses, dtheta, tape = _batch_losses(params, rig, samples, mouth_weight, masks)
     dtheta *= 2.0
     return _run_backward(params, tape, dtheta), losses
 
@@ -568,7 +648,7 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of the sample loss for every trainable array.
 
-    The frozen decoder contributes only its transpose to the chain; no
+    The frozen decoder enters the chain only through its Gram; no
     gradient entry exists for it.
     """
     masks = _dropout_masks(params, dropout_rate, np.random.default_rng(seed), 1)
@@ -632,20 +712,39 @@ class TrainHistory:
 
 
 def _adam_step(params, grads, state, config):
+    """One AdamW update of every array in place. Each elementwise operation
+    writes into two scratch rows sized to the largest array, in the order
+    of ``array -= lr·((m/c1) / (sqrt(v/c2) + eps) + wd·array)``, so no
+    per-array temporary is allocated and the bits are those of that
+    expression."""
     state.step += 1
     t = state.step
     correct1 = 1.0 - _BETA1 ** t
     correct2 = 1.0 - _BETA2 ** t
-    for name, array in named_arrays(params):
+    arrays = named_arrays(params)
+    scratch = np.empty((2, max(array.size for _, array in arrays)))
+    for name, array in arrays:
         g = grads[name]
         m = state.first[name]
         v = state.second[name]
+        a = scratch[0, : array.size].reshape(array.shape)
+        b = scratch[1, : array.size].reshape(array.shape)
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        np.multiply(g, 1.0 - _BETA1, out=a)
+        m += a
         v *= _BETA2
-        v += (1.0 - _BETA2) * (g * g)
-        update = (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
-        array -= config.learning_rate * (update + config.weight_decay * array)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - _BETA2
+        v += a
+        np.divide(v, correct2, out=a)
+        np.sqrt(a, out=a)
+        a += _ADAM_EPS
+        np.divide(m, correct1, out=b)
+        b /= a  # the update
+        np.multiply(array, config.weight_decay, out=a)
+        a += b
+        a *= config.learning_rate
+        array -= a
 
 
 def train(
@@ -659,7 +758,8 @@ def train(
     """AdamW over shuffled mini-batches; mutates and returns ``params``.
 
     Each mini-batch is one forward/backward pass on (n, K, classes)
-    windows, decoded by one (n, B) @ (B, 3·V) product. Per epoch the seed's
+    windows, scored in coefficient space by ``_batch_losses``: no mesh is
+    decoded for a coefficient target. Per epoch the seed's
     stream draws the permutation, then one dropout mask per sample in batch
     order, so a fixed seed reproduces the loss history bitwise for a fixed
     BLAS thread count.

@@ -56,6 +56,8 @@ class ControlPoint:
         object.__setattr__(self, "bounds", bounds)
         if self.rest_position.shape != (3,):
             raise ValueError("rest position needs 3 values")
+        if not np.isfinite(self.rest_position).all():
+            raise ValueError(f"control point {self.id!r} has a non-finite rest position")
         if not np.isfinite(bounds).all():
             raise ValueError(f"control point {self.id!r} has non-finite bounds")
         if (bounds[:, 0] > bounds[:, 1]).any():
@@ -252,9 +254,21 @@ def _entry(doc, key: str, kind: type = object):
     return value
 
 
+def _numbers(doc, key: str) -> np.ndarray:
+    """``doc[key]``, a list (of lists) of numbers, as a float array;
+    ``ValueError`` naming the key for any other value or element."""
+    value = _entry(doc, key, list)
+    cells = np.array(value, dtype=object)
+    if not all(isinstance(cell, numbers.Real) for cell in cells.flat):
+        raise ValueError(f"rig config key {key!r} must hold only numbers, got {value!r}")
+    return cells.astype(np.float64)
+
+
 def load_config(path) -> RigConfig:
     """Read a ``save_config`` file. ``ValueError`` naming the key if one is
-    missing or a list is not a list, if ``vertex_count`` is not a
+    missing or holds the wrong type (a string for an id, kind, name or
+    gain target, a number for a gain value, a list of numbers for a
+    position or bounds, a list for a list), if ``vertex_count`` is not a
     nonnegative integer, or if a skinning entry is not an integer vertex and
     control-point index in range plus a finite weight. Every other rule is
     the constructors' (``ControlPoint``, ``ActuatorChannel``,
@@ -264,19 +278,19 @@ def load_config(path) -> RigConfig:
     doc = json.loads(Path(path).read_text())
     points = tuple(
         ControlPoint(
-            id=_entry(p, "id"),
-            kind=_entry(p, "kind"),
-            rest_position=np.array(_entry(p, "rest_position")),
-            bounds=np.array(_entry(p, "bounds")),
+            id=_entry(p, "id", str),
+            kind=_entry(p, "kind", str),
+            rest_position=_numbers(p, "rest_position"),
+            bounds=_numbers(p, "bounds"),
         )
         for p in _entry(doc, "control_points", list)
     )
     channels = tuple(
         ActuatorChannel(
-            name=_entry(c, "name"),
+            name=_entry(c, "name", str),
             pulse_us=_entry(c, "pulse_us"),
             gains=tuple(
-                (_entry(g, "cp"), _entry(g, "dof"), _entry(g, "value"))
+                (_entry(g, "cp", str), _entry(g, "dof"), _entry(g, "value", numbers.Real))
                 for g in _entry(c, "gains", list)
             ),
         )

@@ -18,7 +18,7 @@ import numpy as np
 from .formats import load_logits, load_motion, save_logits, save_motion
 from .frontend import PhonemeLogitStream, make_windows
 from .lbs import LbsRig, MotionSequence
-from .motionnet import TrainingSample, human_decode
+from .motionnet import TrainingSample
 from .util import check_count, is_index, is_positive_finite
 
 MANIFEST_NAME = "manifest.json"
@@ -66,10 +66,12 @@ def build_samples(
     style_id: int,
     window_size: int,
 ) -> list[TrainingSample]:
-    """Per-frame training pairs: a centered logit window against the skinned
-    landmark target for that frame's coefficients. The windows come from
-    one ``make_windows`` and the targets from one ``human_decode`` of the
-    whole clip; each sample holds a row of each."""
+    """Per-frame training pairs: a centered logit window against that
+    frame's coefficients, which training scores as the face ``rig``
+    decodes from them (``motionnet._batch_losses``). The windows come from
+    one ``make_windows``; each sample holds a view of one window and one
+    row of ``motion.frames``, so no mesh is decoded here. ``rig`` fixes the
+    coefficient count each frame must have."""
     if motion.frame_count != logits.frame_count:
         raise ValueError(
             f"motion has {motion.frame_count} frames, logits "
@@ -77,11 +79,15 @@ def build_samples(
         )
     if motion.fps != logits.rate_hz:
         raise ValueError("motion and logits must share one frame rate")
+    if motion.blendshape_count != rig.blendshape_count:
+        raise ValueError(
+            f"motion has {motion.blendshape_count} coefficients per frame, "
+            f"rig has {rig.blendshape_count} blendshapes"
+        )
     windows = make_windows(logits, window_size)
-    targets = human_decode(rig, motion.frames)
     return [
-        TrainingSample(window, style_id, target)
-        for window, target in zip(windows, targets)
+        TrainingSample(window, style_id, target_coefficients=frame)
+        for window, frame in zip(windows, motion.frames)
     ]
 
 

@@ -792,3 +792,19 @@ class TestCorruptInput:
         assert done.stderr == "truncated rig file\n"
         assert "Traceback" not in done.stdout
         assert not (tmp_path / "out.lbsm").exists()
+
+    def test_missing_input_exits_with_one_line(self, tmp_path):
+        # A path that does not exist is refused like a corrupt file: status
+        # 1, the reason on one line, nothing written.
+        src = Path(roboface.__file__).resolve().parents[1]
+        out = tmp_path / "x.lbsm"
+        done = subprocess.run(
+            [sys.executable, "-m", "roboface", "smooth", "--motion",
+             "/nonexistent.lbsm", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1
+        assert done.stderr.endswith("No such file or directory: '/nonexistent.lbsm'\n")
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()

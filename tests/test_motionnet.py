@@ -271,9 +271,8 @@ class TestBackward:
         # The target is the training path's own output: ``forward`` runs the
         # inference kernel, which agrees with it only to rounding.
         theta, _ = _run_forward(params, window[None], [0], None)
-        sample = TrainingSample(
-            window=window, style_id=0, target_vertices=human_decode(rig, theta[0])
-        )
+        sample = TrainingSample(window=window, style_id=0, target_coefficients=theta[0])
+        assert training_loss(params, rig, sample, 1.0) == 0.0
         grads = backward(params, rig, sample, 1.0)
         assert all(not g.any() for g in grads.values())
 
@@ -473,6 +472,25 @@ class TestTrainingSampleChecks:
             TrainingSample(window=np.zeros((4, 6)), style_id=style_id,
                            target_vertices=np.zeros(15))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_coefficients_rejected(self, bad):
+        target = np.full(3, 0.5)
+        target[1] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            TrainingSample(np.zeros((4, 6)), 0, target_coefficients=target)
+
+    def test_target_coefficients_must_be_1d(self):
+        with pytest.raises(ValueError, match="target_coefficients 1-D"):
+            TrainingSample(np.zeros((4, 6)), 0, target_coefficients=np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("targets", [{}, {"target_vertices": np.zeros(15),
+                                               "target_coefficients": np.zeros(3)}],
+                             ids=["neither", "both"])
+    def test_holds_exactly_one_target(self, targets):
+        with pytest.raises(ValueError, match="exactly one of target_vertices and "
+                                             "target_coefficients"):
+            TrainingSample(window=np.zeros((4, 6)), style_id=0, **targets)
+
 
 def small_rig(seed=0, vertices=12):
     """A B=51 rig on a 12-vertex mesh, for full-width (K=8, H=64) models."""
@@ -610,10 +628,91 @@ class TestBatchedTraining:
         np.testing.assert_allclose(theta, single, rtol=1e-12, atol=0.0)
 
 
-# The training step before its reverse pass was trimmed, frozen as the
-# oracle the lean step must match bit for bit: it forms block 0's input
-# gradient, stacks the targets into one array and doubles the (n, 3·V)
-# residual before the decoder's transpose.
+class TestCoefficientTargets:
+    """A target given as coefficients or as vertices is scored as the one
+    mouth-weighted vertex loss, though no mesh is decoded for the first."""
+
+    def test_pose_as_coefficients_or_as_vertices_scores_the_same(self):
+        rig = small_rig(vertices=30)  # 90 coordinates fix all 51 coefficients
+        params = full_width_params()
+        rng = np.random.default_rng(30)
+        coefficients = [
+            TrainingSample(rng.normal(0.0, 1.0, (8, 392)), i % 3,
+                           target_coefficients=rng.uniform(0.1, 0.9, 51))
+            for i in range(5)
+        ]
+        vertices = [as_vertex_sample(rig, s) for s in coefficients]
+        assert all(s.target_vertices is not None for s in vertices)
+        grads, losses = motionnet._batch_gradients(params, rig, coefficients, 2.0, None)
+        from_vertices, vertex_losses = motionnet._batch_gradients(params, rig, vertices, 2.0, None)
+        np.testing.assert_allclose(losses, vertex_losses, rtol=1e-10, atol=0.0)
+        assert max_relative_gap(grads, from_vertices) < 1e-10
+
+    @staticmethod
+    def check_scored_like_loss(rig, mouth_weight):
+        params = tiny_params()
+        sample = tiny_sample(rig)
+        theta, _ = _run_forward(params, sample.window[None], [sample.style_id], None)
+        expected = loss(human_decode(rig, theta[0]), sample.target_vertices,
+                        rig.mouth_mask, mouth_weight)
+        got = training_loss(params, rig, sample, mouth_weight)
+        assert got == pytest.approx(expected, rel=1e-10)
+        grads, _ = motionnet._batch_gradients(params, rig, [sample], mouth_weight, None)
+        frozen, _ = frozen_batch_gradients(params, rig, [sample], mouth_weight, None)
+        assert max_relative_gap(grads, frozen) < 1e-10
+        gram, gram_mouth = motionnet._grams(rig)
+        return motionnet._batch_targets(rig, [sample], mouth_weight,
+                                        gram + mouth_weight * gram_mouth)
+
+    def test_off_span_vertex_target_is_scored_like_loss(self):
+        # 15 coordinates, 3 blendshapes: the target is off the rig's span, so
+        # its floor f, the fit's residual, carries part of the loss.
+        _, floor = self.check_scored_like_loss(tiny_rig(), 1.5)
+        assert floor[0] > 1e-3
+
+    def test_singular_gram_is_scored_like_loss(self):
+        rig = tiny_rig()
+        fields = list(rig.basis.displacements)
+        fields[1] = np.zeros_like(fields[1])
+        rig = LbsRig(rig.mesh, BlendshapeBasis(rig.basis.names, tuple(fields)),
+                     rig.mouth_mask)
+        gram, gram_mouth = motionnet._grams(rig)
+        assert np.linalg.matrix_rank(gram + 1.5 * gram_mouth) == 2
+        target, floor = self.check_scored_like_loss(rig, 1.5)
+        assert np.isfinite(target).all() and floor[0] > 1e-3
+
+    def test_near_the_optimum_matches_the_frozen_path(self):
+        # The centred form does not cancel where the loss is small.
+        rig = small_rig()
+        params = full_width_params()
+        rng = np.random.default_rng(31)
+        windows = rng.normal(0.0, 1.0, (6, 8, 392))
+        styles = [i % 3 for i in range(6)]
+        theta, _ = _run_forward(params, windows, styles, None)
+        samples = [
+            TrainingSample(w, s, target_coefficients=t + rng.normal(0.0, 1e-4, 51))
+            for w, s, t in zip(windows, styles, theta)
+        ]
+        losses, _, _ = motionnet._batch_losses(params, rig, samples, 2.0, None)
+        frozen, _, _ = frozen_batch_losses(
+            params, rig, [as_vertex_sample(rig, s) for s in samples], 2.0, None)
+        assert np.median(frozen) < 1e-5
+        np.testing.assert_allclose(losses, frozen, rtol=1e-10, atol=0.0)
+
+    def test_target_coefficients_of_wrong_length_raise_value_error(self):
+        rig = small_rig()
+        dataset = mixed_samples(rig, 4)
+        bad = dataset[2]
+        dataset[2] = TrainingSample(bad.window, bad.style_id,
+                                    target_coefficients=bad.target_coefficients[:-1])
+        with pytest.raises(ValueError, match=r"prediction has shape \(51,\), target \(50,\)"):
+            motionnet._batch_gradients(full_width_params(), rig, dataset, 1.0, None)
+
+
+# The ISSUE 25 training step, frozen as the oracle of the coefficient-space
+# step: it decodes each batch to (n, 3·V) vertices, subtracts the stacked
+# targets, weights the residual and multiplies it back by the decoder's
+# transpose, and it forms block 0's input gradient.
 
 
 def frozen_conv1d_backward(dy, cols, weight, in_shape, stride, pad):
@@ -683,73 +782,134 @@ def frozen_batch_gradients(params, rig, samples, mouth_weight, masks):
     return frozen_run_backward(params, tape, dpred @ rig.basis.matrix.T), losses
 
 
+def frozen_adam_step(params, grads, state, config):
+    """``_adam_step`` before its temporaries went into scratch buffers."""
+    state.step += 1
+    t = state.step
+    correct1 = 1.0 - motionnet._BETA1 ** t
+    correct2 = 1.0 - motionnet._BETA2 ** t
+    for name, array in named_arrays(params):
+        g = grads[name]
+        m = state.first[name]
+        v = state.second[name]
+        m *= motionnet._BETA1
+        m += (1.0 - motionnet._BETA1) * g
+        v *= motionnet._BETA2
+        v += (1.0 - motionnet._BETA2) * (g * g)
+        update = (m / correct1) / (np.sqrt(v / correct2) + motionnet._ADAM_EPS)
+        array -= config.learning_rate * (update + config.weight_decay * array)
+
+
+def test_adam_step_is_bit_identical_to_frozen_adam_step():
+    config = TrainConfig(learning_rate=np.float32(1e-3), weight_decay=1e-2)
+    params, frozen = full_width_params(), full_width_params()
+    state, frozen_state = AdamState.zeros_like(params), AdamState.zeros_like(frozen)
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        # Gradients spread over 20 decades, as near-zero entries are where
+        # AdamW's division amplifies any rounding.
+        grads = {name: rng.normal(0.0, 1.0, a.shape) * 10.0 ** rng.uniform(-20, 0, a.shape)
+                 for name, a in named_arrays(params)}
+        _adam_step(params, grads, state, config)
+        frozen_adam_step(frozen, grads, frozen_state, config)
+    assert state.step == frozen_state.step == 5
+    for name, array in named_arrays(frozen):
+        assert same_bits(dict(named_arrays(params))[name], array), name
+        assert same_bits(state.first[name], frozen_state.first[name]), name
+        assert same_bits(state.second[name], frozen_state.second[name]), name
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
-def lean_step_mismatches(directory) -> list[str]:
-    """Names of every output where the lean step and the frozen one differ
-    in any bit: the batch gradients and losses with dropout off and on, and
-    after one ragged `train` epoch the params, the history and the
-    `save_model` bytes with the Adam state."""
+def as_vertex_sample(rig, sample):
+    """``sample`` with a coefficient target decoded to vertices, the only
+    target form the frozen step reads."""
+    if sample.target_coefficients is None:
+        return sample
+    return TrainingSample(sample.window, sample.style_id,
+                          human_decode(rig, sample.target_coefficients))
+
+
+def mixed_samples(rig, count, seed=5):
+    """``full_width_samples`` with the even samples' targets given as the
+    coefficients ``build_samples`` would hold and the odd ones as off-span
+    vertices."""
+    rng = np.random.default_rng(seed + 100)
+    return [
+        TrainingSample(s.window, s.style_id, target_coefficients=rng.uniform(0.1, 0.9, 51))
+        if i % 2 == 0 else s
+        for i, s in enumerate(full_width_samples(rig, count, seed))
+    ]
+
+
+def trained_epoch(rig, dataset, path, step=None):
+    """Params after one ragged, validated ``train`` epoch, with ``step`` =
+    (batch losses, batch gradients) standing in for motionnet's own, and
+    the ``save_model`` bytes with the Adam state."""
+    config = TrainConfig(epochs=1, batch_size=3, dropout_rate=0.3, mouth_weight=2.0, seed=11)
+    saved = motionnet._batch_losses, motionnet._batch_gradients
+    if step is not None:
+        motionnet._batch_losses, motionnet._batch_gradients = step
+    try:
+        trained = full_width_params()
+        state = AdamState.zeros_like(trained)
+        train(trained, rig, dataset[:7], config, dataset[7:], state)
+    finally:
+        motionnet._batch_losses, motionnet._batch_gradients = saved
+    save_model(path, trained, state)
+    return dict(named_arrays(trained)), Path(path).read_bytes()
+
+
+def step_against_frozen(directory) -> dict:
+    """The coefficient step held to the frozen step and to itself.
+
+    Returns the worst relative gap to the frozen step of the batch losses
+    and gradients, with dropout off and on, and of the params after one
+    epoch; and whether two epochs of the new step, the first on a rig whose
+    Grams are not built yet, give the same ``save_model`` bytes."""
     rig = small_rig()
-    samples = full_width_samples(rig, 9)
+    samples = mixed_samples(rig, 9)
+    frozen_samples = [as_vertex_sample(rig, s) for s in samples]
     params = full_width_params()
-    mismatches = []
+    gaps = {}
     masks = motionnet._dropout_masks(params, 0.3, np.random.default_rng(6), 7)
     for label, batch_masks in (("dropout off", None), ("dropout on", masks)):
-        lean = motionnet._batch_gradients(params, rig, samples[:7], 2.0, batch_masks)
-        frozen = frozen_batch_gradients(params, rig, samples[:7], 2.0, batch_masks)
-        if not same_bits(lean[1], frozen[1]):
-            mismatches.append(f"{label}: losses")
-        if lean[0].keys() != frozen[0].keys():
-            mismatches.append(f"{label}: gradient names")
-        mismatches += [f"{label}: {name}" for name in frozen[0]
-                       if not same_bits(lean[0].get(name, ()), frozen[0][name])]
+        grads, losses = motionnet._batch_gradients(params, rig, samples[:7], 2.0, batch_masks)
+        frozen, frozen_losses = frozen_batch_gradients(
+            params, rig, frozen_samples[:7], 2.0, batch_masks)
+        assert grads.keys() == frozen.keys()
+        gaps[f"{label}: losses"] = float(np.max(np.abs(losses / frozen_losses - 1.0)))
+        gaps[f"{label}: gradients"] = float(max_relative_gap(grads, frozen))
 
-    config = TrainConfig(epochs=1, batch_size=3, dropout_rate=0.3, mouth_weight=2.0, seed=11)
-    runs = []
-    for side, losses_fn, gradients_fn in (
-        ("lean", motionnet._batch_losses, motionnet._batch_gradients),
-        ("frozen", frozen_batch_losses, frozen_batch_gradients),
-    ):
-        saved = motionnet._batch_losses, motionnet._batch_gradients
-        motionnet._batch_losses, motionnet._batch_gradients = losses_fn, gradients_fn
-        try:
-            trained = full_width_params()
-            state = AdamState.zeros_like(trained)
-            _, history = train(trained, rig, samples[:7], config, samples[7:], state)
-        finally:
-            motionnet._batch_losses, motionnet._batch_gradients = saved
-        path = Path(directory) / f"{side}.mnet"
-        save_model(path, trained, state)
-        runs.append((dict(named_arrays(trained)), history, path.read_bytes()))
-    (lean_params, lean_history, lean_bytes), (params, history, data) = runs
-    mismatches += [f"epoch: {name}" for name in params
-                   if not same_bits(lean_params[name], params[name])]
-    if not (same_bits(lean_history.train_loss, history.train_loss)
-            and same_bits(lean_history.val_loss, history.val_loss)):
-        mismatches.append("epoch: history")
-    if lean_bytes != data:
-        mismatches.append("epoch: save_model bytes")
-    return mismatches
+    directory = Path(directory)
+    fresh = small_rig()
+    new, first = trained_epoch(fresh, samples, directory / "first.mnet")
+    _, second = trained_epoch(fresh, samples, directory / "second.mnet")
+    frozen, _ = trained_epoch(rig, frozen_samples, directory / "frozen.mnet",
+                              (frozen_batch_losses, frozen_batch_gradients))
+    gaps["epoch: params"] = float(max_relative_gap(new, frozen))
+    return {"gaps": gaps, "self_identical": first == second}
 
 
 # Run in a fresh interpreter, since BLAS reads its thread count at load.
-_LEAN_STEP_CHILD = """
+_STEP_CHILD = """
 import json
 import sys
 import test_golden
 import test_motionnet
 
 print(json.dumps({"threads": test_golden.blas_threads(),
-                  "mismatches": test_motionnet.lean_step_mismatches(sys.argv[1])}))
+                  **test_motionnet.step_against_frozen(sys.argv[1])}))
 """
 
 
-def test_lean_step_is_bit_identical_to_frozen_step(tmp_path):
-    """The trimmed reverse pass moves no bit under 1 and 2 BLAS threads."""
+def test_coefficient_step_matches_frozen_step(tmp_path):
+    """Under 1 and 2 BLAS threads the coefficient-space step matches the
+    frozen vertex-space step within 1e-10 relative and reproduces its own
+    checkpoint bytes."""
     src = Path(roboface.__file__).resolve().parents[1]
     tests = Path(__file__).resolve().parent
     path = [str(src), str(tests)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
@@ -759,7 +919,7 @@ def test_lean_step_is_bit_identical_to_frozen_step(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(path)
         out = subprocess.run(
-            [sys.executable, "-c", _LEAN_STEP_CHILD, str(tmp_path)],
+            [sys.executable, "-c", _STEP_CHILD, str(tmp_path)],
             env=env,
             capture_output=True,
             text=True,
@@ -769,4 +929,6 @@ def test_lean_step_is_bit_identical_to_frozen_step(tmp_path):
         result = json.loads(out.stdout.strip().splitlines()[-1])
         if result["threads"] is not None and cores >= 2:
             assert result["threads"] == int(threads)
-        assert result["mismatches"] == [], f"OPENBLAS_NUM_THREADS={threads}"
+        label = f"OPENBLAS_NUM_THREADS={threads}"
+        assert max(result["gaps"].values()) < 1e-10, (label, result["gaps"])
+        assert result["self_identical"], label

@@ -883,6 +883,34 @@ class TestConfigIo:
         with pytest.raises(ValueError, match=f"'{key}'"):
             load_config(path)
 
+    @pytest.mark.parametrize("value", [None, "1.5", [1.0], {}])
+    def test_gain_value_of_wrong_type_names_the_key(self, tmp_path, value):
+        # A null gain value was a TypeError from float() inside the channel.
+        def edit(doc):
+            doc["actuator_channels"][0]["gains"][0]["value"] = value
+
+        with pytest.raises(ValueError, match="rig config key 'value' must be a Real"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("key, value", [
+        ("rest_position", [{}, 0.0, 0.0]), ("rest_position", [None, 0.0, 0.0]),
+        ("rest_position", {}), ("bounds", [[None, 1.0]] * 6), ("id", {}),
+        ("id", ["cpA"]), ("kind", None),
+    ])
+    def test_point_leaf_of_wrong_type_names_the_key(self, tmp_path, key, value):
+        def edit(doc):
+            doc["control_points"][0][key] = value
+
+        with pytest.raises(ValueError, match=f"rig config key '{key}' must"):
+            self.load_edited(tmp_path, edit)
+
+    def test_rejects_non_finite_rest_position(self, tmp_path):
+        def edit(doc):
+            doc["control_points"][0]["rest_position"][1] = float("nan")
+
+        with pytest.raises(ValueError, match="'cpA' has a non-finite rest position"):
+            self.load_edited(tmp_path, edit)
+
     def test_accepts_pulse_us_at_the_16_bit_edges(self, tmp_path):
         def edit(doc):
             doc["actuator_channels"][1]["pulse_us"] = [0, 65535]

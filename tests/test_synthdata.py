@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig
-from roboface.motionnet import TrainConfig, human_decode, init_params, train
+from roboface.motionnet import TrainConfig, init_params, train
 from roboface.synthdata import (
     build_samples,
     load_dataset,
@@ -82,9 +82,16 @@ class TestBuildSamples:
         assert len(samples) == 25
         assert samples[0].window.shape == (4, 12)
         assert samples[0].style_id == 1
-        np.testing.assert_array_equal(
-            samples[7].target_vertices, human_decode(rig, motion.frames[7])
-        )
+        # The target is the frame's coefficients, bit for bit; no mesh is
+        # decoded.
+        assert samples[7].target_vertices is None
+        assert samples[7].target_coefficients.tobytes() == motion.frames[7].tobytes()
+
+    def test_rejects_motion_of_another_rig(self, rig):
+        motion = make_motion(25, 4, 25.0, np.random.default_rng(1))
+        logits = make_logits(motion, class_count=12, seed=2)
+        with pytest.raises(ValueError, match="4 coefficients per frame, rig has 3"):
+            build_samples(rig, motion, logits, 0, 4)
 
     def test_rejects_misaligned_clips(self, rig):
         motion = make_motion(25, 3, 25.0, np.random.default_rng(1))
