@@ -29,7 +29,7 @@ from .formats import (
     save_motion,
     save_rig,
 )
-from .frontend import PhonemeLogitStream, _check_window_size, resample, stub_extractor
+from .frontend import PhonemeLogitStream, resample, stub_extractor
 from .lbs import apply_skinning
 from .motionnet import (
     AdamState,
@@ -50,15 +50,20 @@ def _config_values(args, keys: tuple[str, ...]) -> dict:
     """Merge the JSON config file (if any) with explicit flags; flags win.
 
     argparse leaves unset flags at None, so a None simply defers to the
-    file value or the downstream default.
+    file value or the downstream default. ``ValueError`` for a file that
+    is not a JSON object or names a key outside ``keys``.
     """
     values: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(
+                f"config file must hold a JSON object, got {type(loaded).__name__}"
+            )
         unknown = set(loaded) - set(keys)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
     for key in keys:
         flag = getattr(args, key, None)
@@ -125,9 +130,10 @@ _DATA_FLAG_NAMES = {"clip_count": "clips", "frame_count": "frames", "fps": "fps"
 def _refusals(sink=None):
     """The command line's one rule for bad input: a ``ValueError``, or a
     ``FileNotFoundError`` for an input path that does not exist, raised in
-    the block refuses the input and exits with its message. Once ``sink``
-    has been written to, output has started, so the error is a fault and
-    keeps its traceback."""
+    the block refuses the input and exits with its message. Each command
+    reads its settings (flags and ``--config`` file) inside the block too.
+    Once ``sink`` has been written to, output has started, so the error is
+    a fault and keeps its traceback."""
     try:
         yield
     except (ValueError, FileNotFoundError) as err:
@@ -219,15 +225,11 @@ def _check_resumable(params, rig, samples, style_count) -> None:
 def cmd_train(args) -> int:
     from .motionnet import train
 
-    values = _config_values(args, _TRAIN_KEYS)
-    config = _train_config(values)
-    shape = _model_shape(values)
-    if not args.resume:
-        # A setting, judged by init_params' rule like TrainConfig's fields,
-        # before the dataset is windowed with it.
-        _check_window_size(shape["window_size"])
     params = adam = None
     with _refusals():
+        values = _config_values(args, _TRAIN_KEYS)
+        config = _train_config(values)
+        shape = _model_shape(values)
         rig = load_rig(args.rig)
         val_fraction = values.get("val_fraction", 0.0)
         if not (is_real(val_fraction) and 0.0 <= val_fraction < 1.0):
@@ -279,8 +281,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _pipeline_config(args)
     with FileSink(args.out_servo) as sink, _refusals(sink):
+        config = _pipeline_config(args)
         params, _ = load_model(args.model)
         rig = load_rig(args.rig)
         rig_config = load_config(args.rig_config)
@@ -339,8 +341,8 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _pipeline_config(args)
     with _refusals():
+        config = _pipeline_config(args)
         check_count("n_frames", args.frames)
         params, _ = load_model(args.model)
         rig = load_rig(args.rig)

@@ -828,6 +828,9 @@ def save_model(path, params: ModelParams, adam_state: AdamState | None = None) -
 
 
 def load_model(path) -> tuple[ModelParams, AdamState | None]:
+    """Read a ``save_model`` checkpoint. ``ValueError`` for a truncated or
+    corrupt file, and naming the array for a weight or Adam moment that
+    holds NaN or inf."""
     r = _Reader(Path(path).read_bytes(), "model")
     _check_header(r, b"MNET")
     # Window, hidden, style, output and class counts: init_params' order.
@@ -841,13 +844,25 @@ def load_model(path) -> tuple[ModelParams, AdamState | None]:
         return [r.f64_array(math.prod(shape)).reshape(shape) for shape in shapes]
 
     params = _assemble(arrays())
+    names = [name for name, _ in named_arrays(params)]
+    _check_finite("", named_arrays(params))
     state = None
     if r.remaining() >= 4 and r.peek(4) == b"ADAM":
         r.take(4)
         step = r.u32()
-        names = [name for name, _ in named_arrays(params)]
         first = dict(zip(names, arrays()))
-        state = AdamState(step, first, dict(zip(names, arrays())))
+        second = dict(zip(names, arrays()))
+        _check_finite("first moment of ", first.items())
+        _check_finite("second moment of ", second.items())
+        state = AdamState(step, first, second)
     r.finish()
     return params, state
+
+
+def _check_finite(prefix: str, named) -> None:
+    """``ValueError`` naming the first of the (name, array) pairs that holds
+    NaN or inf: a checkpoint that trains or drives nothing but NaN."""
+    for name, array in named:
+        if not np.isfinite(array).all():
+            raise ValueError(f"model file: {prefix}{name} holds NaN or inf")
 

@@ -242,8 +242,9 @@ def _ticks(config, params, robot_rig, robot_config, frames, source_rig=None):
     filter bank for all channels; and a ``StreamingWindower`` of block-0
     projected rows, so each frame meets the model's widest layer once.
     The returned iterator pulls ``frames`` K/2 ahead of the tick it emits
-    and keeps no per-tick history. IK takes the robot coefficients
-    directly (``Kinematics.coefficient_solver``). More than
+    and keeps no per-tick history. IK forms its problem from the robot
+    coefficients directly (``Kinematics.coefficient_problem``) and solves
+    it with ``Kinematics.landmark_solver``. More than
     ``config.max_unconverged_streak`` consecutive unconverged IK solves
     raise ``RuntimeError``.
     """
@@ -261,7 +262,7 @@ def _ticks(config, params, robot_rig, robot_config, frames, source_rig=None):
     plan = compile_plan(params)
     order = transfer_order(source, robot_rig)
     kin = _kinematics(robot_config, robot_rig)
-    solver, ik_channels = kin.coefficient_solver, kin.ik_channels
+    solver, ik_channels = kin.landmark_solver, kin.ik_channels
     bank = StreamingFilter(design(config.filter_spec))
     windower = StreamingWindower(plan.window_size, len(plan.projection))
     pulse_low, pulse_high = np.array([ch.pulse_us for ch in robot_config.channels]).T
@@ -280,7 +281,7 @@ def _ticks(config, params, robot_rig, robot_config, frames, source_rig=None):
             model_ms = 1000.0 * (time.perf_counter() - started)
             smoothed = bank.step(BlendCoefficients(theta).values)
             warm, residual, converged, iterations = solver.solve(
-                smoothed[order], x0=warm
+                *kin.coefficient_problem(smoothed[order]), warm
             )
             streak = 0 if converged else streak + 1
             if streak > config.max_unconverged_streak:

@@ -16,11 +16,11 @@ and binds the blocking coordinate; a full step is followed by releasing the
 bound whose gradient points most into the box. On a smooth stream the
 working set rarely changes, so a solve is one step from a cached inverse.
 The B x B Gram matrix E^T E is computed once per rig (U >> B makes that
-the dominant saving). When the target is itself a linear image of
-coefficients, ``CoefficientBoxLeastSquares`` takes those coefficients as
-the right-hand side and never forms the target. Every solve, of every
-solver, stops by one rule: ``MAX_ITERATIONS`` iterations at most and
-gradients within ``TOLERANCE``.
+the dominant saving). ``BoxLeastSquares`` takes each problem as its normal
+equations, so a caller whose target is a linear image of coefficients
+(``rigsim.Kinematics``) forms them from the coefficients and never forms
+the target. Every solve stops by one rule: ``MAX_ITERATIONS`` iterations
+at most and gradients within ``TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -56,20 +56,18 @@ class ProjectionResult:
 
 
 class BoxLeastSquares:
-    """min ||A x - y||^2 over the box [0, 1]^n, reusable across y.
+    """min ||A x - y||^2 over the box [0, 1]^n, reusable across problems.
 
-    Construction precomputes A^T A; ``solve`` then runs in O(n^2) per
-    iteration regardless of A's row count, plus one O(n^3) inverse each
-    time the working set differs from the previous iteration's (the
-    inverse of the last working set is kept). Every solve stops by the
-    module's rule, ``MAX_ITERATIONS`` and ``TOLERANCE``. The objective is
-    expanded as x^T (A^T A) x - 2 c^T x + const, and ``solve`` runs three
-    parts: ``_normal_equations`` derives the pair (c, const) from the
-    right-hand side, ``_active_set`` iterates on c alone, and ``_residual``
-    reports the final ||A x - y||^2. So a subclass can take the right-hand
-    side in another form (see ``CoefficientBoxLeastSquares``) and reuse the
-    iteration, and ``project_sequence`` can form c and the residuals of
-    many right-hand sides as matrix-matrix products.
+    Construction precomputes A^T A. A problem is given by its normal
+    equations: the objective is x^T (A^T A) x - 2 c^T x + const with
+    c = A^T y and const = y^T y, and the caller forms the pair in whatever
+    way suits its target (a rig coefficient vector, a chunk of frames as
+    one matrix-matrix product). ``minimize`` runs the active-set iteration
+    on c alone, in O(n^2) per iteration regardless of A's row count, plus
+    one O(n^3) inverse each time the working set differs from the
+    previous iteration's (the inverse of the last working set is kept).
+    ``solve`` is ``minimize`` plus the objective at the solution. Every
+    solve stops by the module's rule, ``MAX_ITERATIONS`` and ``TOLERANCE``.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -82,34 +80,15 @@ class BoxLeastSquares:
     # (working-set key, ``_factor`` result) of the last working set solved.
     _cached: tuple | None = None
 
-    def _objective(self, x, c, const):
-        return float(x @ (self.gram @ x) - 2.0 * (c @ x) + const)
+    def solve(self, c: np.ndarray, const: float, x0: np.ndarray | None = None):
+        """Returns (x, residual, converged, iterations): ``minimize`` from
+        ``x0``, and the residual ||A x - y||^2 as the objective at x,
+        clamped at 0 against rounding."""
+        x, converged, iterations = self.minimize(c, x0)
+        residual = float(x @ (self.gram @ x) - 2.0 * (c @ x) + const)
+        return x, max(residual, 0.0), converged, iterations
 
-    def _normal_equations(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        if y.shape != (self.matrix.shape[0],):
-            raise ValueError(
-                f"right-hand side has shape {y.shape}, "
-                f"matrix has {self.matrix.shape[0]} rows"
-            )
-        return self.matrix.T @ y, float(y @ y)
-
-    def _residual(self, x: np.ndarray, y: np.ndarray, c, const) -> float:
-        r = self.matrix @ x - y
-        return float(r @ r)
-
-    def solve(self, y: np.ndarray, x0: np.ndarray | None = None):
-        """Returns (x, residual, converged, iterations).
-
-        ``_normal_equations``, then ``_active_set`` from ``x0``, then
-        ``_residual``; see ``_active_set`` for the warm start and the
-        meaning of converged.
-        """
-        y = np.asarray(y, dtype=np.float64)
-        c, const = self._normal_equations(y)
-        x, converged, iterations = self._active_set(c, x0)
-        return x, self._residual(x, y, c, const), converged, iterations
-
-    def _active_set(self, c: np.ndarray, x0: np.ndarray | None):
+    def minimize(self, c: np.ndarray, x0: np.ndarray | None = None):
         """The active-set iteration on x^T (A^T A) x - 2 c^T x; returns
         (x, converged, iterations).
 
@@ -193,7 +172,7 @@ class BoxLeastSquares:
         G_FF^-1 is the pseudo-inverse when G_FF is singular to working
         precision (condition number past 1 / (n eps), the cut-off of
         ``np.linalg.lstsq``). Only the last working set is kept: the solves
-        of one stream mostly share it. ``solve`` runs the same operations
+        of one stream mostly share it. ``minimize`` runs the same operations
         on the same arrays on a hit as on a miss, so its output does not
         depend on the cache.
         """
@@ -217,45 +196,6 @@ class BoxLeastSquares:
         return factor
 
 
-class CoefficientBoxLeastSquares(BoxLeastSquares):
-    """The same box problem with y = theta @ basis, solved from theta alone.
-
-    ``basis`` is (B, rows) over the rows of the landmark solver's matrix A.
-    Precomputing M = basis @ A (B x n) and basis @ basis^T (B x B) gives
-    c = theta M and ||y||^2 = theta^T (basis basis^T) theta, so the
-    rows-long target y is never formed. The residual is the final objective
-    itself, clamped at 0 against rounding. ``matrix`` and ``gram`` are the
-    landmark solver's own objects.
-    """
-
-    def __init__(self, landmark_solver: BoxLeastSquares, basis: np.ndarray):
-        basis = np.ascontiguousarray(basis, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape[1] != landmark_solver.matrix.shape[0]:
-            raise ValueError(
-                f"basis has shape {basis.shape}, solver matrix has "
-                f"{landmark_solver.matrix.shape[0]} rows"
-            )
-        self.matrix = landmark_solver.matrix
-        self.gram = landmark_solver.gram
-        # One GEMV per basis row over a contiguous A^T. The (B, rows) @
-        # (rows, n) GEMM rounds differently with 1 and 2 threads on some
-        # OpenBLAS kernels; these GEMVs give the same bits either way.
-        a_t = np.ascontiguousarray(self.matrix.T)
-        self.basis_matrix = np.array([a_t @ row for row in basis])
-        self.basis_gram = basis @ basis.T
-
-    def _normal_equations(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
-        if theta.shape != (self.basis_gram.shape[0],):
-            raise ValueError(
-                f"coefficient vector has shape {theta.shape}, basis has "
-                f"{self.basis_gram.shape[0]} blendshapes"
-            )
-        return theta @ self.basis_matrix, float(theta @ (self.basis_gram @ theta))
-
-    def _residual(self, x: np.ndarray, theta: np.ndarray, c, const) -> float:
-        return max(self._objective(x, c, const), 0.0)
-
-
 def project_to_basis(
     target: FaceMesh,
     rig: LbsRig,
@@ -267,10 +207,10 @@ def project_to_basis(
             f"target has {target.vertex_count} vertices, rig has {rig.vertex_count}"
         )
     solver = _rig_solver(rig)
-    x, residual, converged, iters = solver.solve(
-        target.positions - rig.mesh.positions, x0=warm_start
-    )
-    return ProjectionResult(BlendCoefficients(x), residual, converged, iters)
+    y = target.positions - rig.mesh.positions
+    x, converged, iters = solver.minimize(solver.matrix.T @ y, warm_start)
+    r = solver.matrix @ x - y
+    return ProjectionResult(BlendCoefficients(x), float(r @ r), converged, iters)
 
 
 def _rig_solver(rig: LbsRig) -> BoxLeastSquares:
@@ -317,7 +257,7 @@ def project_sequence(
         y = frames[start:start + CHUNK_FRAMES] - neutral
         x = coeffs[start:start + len(y)]
         for i, c in enumerate(y @ a):
-            warm, _, _ = solver._active_set(c, warm)
+            warm, _, _ = solver.minimize(c, warm)
             x[i] = warm
         r = x @ a.T
         r -= y

@@ -34,7 +34,7 @@ import numpy as np
 from .arkit import CANONICAL_NAMES, REGIONS, region_of
 # apply_skinning stays importable here: perfbench/tracing.py wraps rigsim.apply_skinning.
 from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning  # noqa: F401
-from .retarget import CHUNK_FRAMES, BoxLeastSquares, CoefficientBoxLeastSquares
+from .retarget import CHUNK_FRAMES, BoxLeastSquares
 from .util import frozen_array, in_unit_interval, is_index
 
 DOF_PER_POINT = 6
@@ -324,11 +324,13 @@ class Kinematics:
     module formula, point by point in order, with no BLAS product.
     ``ik_channels`` have a nonzero ``RigConfig.gain`` column; the rest,
     ``neck_channels``, move no vertex and stay out of IK. The IK target is
-    the landmark union (``landmarks``) and its coordinate ``rows``; they
-    and both IK solvers are built on first use, so forward kinematics needs
-    no landmark groups: ``landmark_solver`` takes a landmark position target
-    (``solve_ik``) and ``coefficient_solver``, built on it, takes rig
-    coefficients (the tick and ``evaluate_tracking``).
+    the landmark union (``landmarks``) and its coordinate ``rows``. They,
+    the one IK solver ``landmark_solver`` and the coefficient maps behind
+    ``coefficient_problem`` are built on first use, so forward kinematics
+    needs no landmark groups. ``solve_ik`` forms the solver's normal
+    equations from a landmark position target; the tick and
+    ``evaluate_tracking`` form them from rig coefficients
+    (``coefficient_problem``). All three share the solver's inverse cache.
     """
 
     def __init__(self, config: RigConfig, rig: LbsRig):
@@ -378,13 +380,29 @@ class Kinematics:
         return BoxLeastSquares(self.vertex_map[np.ix_(self.rows, self.ik_channels)])
 
     @functools.cached_property
-    def coefficient_solver(self) -> CoefficientBoxLeastSquares:
-        """The landmark solver's problem with the target given as rig
-        coefficients: ``solve(theta)`` is ``landmark_solver.solve(theta @
-        basis[:, rows])`` without the target. Built on first use."""
-        return CoefficientBoxLeastSquares(
-            self.landmark_solver, self.rig.basis.matrix[:, self.rows]
-        )
+    def _coefficient_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, G_b) over the landmark rows, basis = ``rig.basis.matrix[:,
+        rows]``: M = basis @ A (B x n) and G_b = basis @ basis^T (B x B),
+        from one transient gather of the basis. Built on first use."""
+        basis = self.rig.basis.matrix[:, self.rows]
+        # One GEMV per basis row over a contiguous A^T. The (B, rows) @
+        # (rows, n) GEMM rounds differently with 1 and 2 threads on some
+        # OpenBLAS kernels; these GEMVs give the same bits either way.
+        a_t = np.ascontiguousarray(self.landmark_solver.matrix.T)
+        return np.array([a_t @ row for row in basis]), basis @ basis.T
+
+    def coefficient_problem(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
+        """``landmark_solver``'s normal equations (c, const) for the target
+        y = theta @ basis[:, rows]: c = theta M and ||y||^2 = theta^T G_b
+        theta, so the rows-long target is never formed. ``ValueError``
+        unless ``theta`` has one value per blendshape."""
+        basis_matrix, basis_gram = self._coefficient_maps
+        if theta.shape != (basis_gram.shape[0],):
+            raise ValueError(
+                f"coefficient vector has shape {theta.shape}, basis has "
+                f"{basis_gram.shape[0]} blendshapes"
+            )
+        return theta @ basis_matrix, float(theta @ (basis_gram @ theta))
 
 
 def _kinematics(config: RigConfig, rig: LbsRig) -> Kinematics:
@@ -463,14 +481,15 @@ def solve_ik(
                 f"target covers {positions.size // 3} vertices, evaluation "
                 f"set has {kin.landmarks.size}"
             )
-    x, residual, converged, iterations = kin.landmark_solver.solve(
-        positions - rig.mesh.positions[rows], x0=warm_start
-    )
+    solver = kin.landmark_solver
+    y = positions - rig.mesh.positions[rows]
+    x, converged, iterations = solver.minimize(solver.matrix.T @ y, warm_start)
+    r = solver.matrix @ x - y
     u = np.zeros(len(config.channels))
     u[kin.ik_channels] = x
     if neck is not None:
         u[kin.neck_channels] = np.clip(np.asarray(neck, dtype=np.float64), 0.0, 1.0)
-    return IkResult(ActuatorState(u), residual, converged, iterations)
+    return IkResult(ActuatorState(u), float(r @ r), converged, iterations)
 
 
 def evaluate_tracking(
@@ -482,11 +501,12 @@ def evaluate_tracking(
     """How well the actuated face tracks a reference coefficient motion.
 
     Every frame is solved to actuator space from its coefficients by the
-    tick's solver (``Kinematics.coefficient_solver``), warm-started frame to
-    frame in one chain, so each solution equals the tick's for the same
-    coefficients bit for bit. The error rows X A^T - Theta @ basis over the
-    landmark rows are then formed ``retarget.CHUNK_FRAMES`` frames at a time,
-    two matrix-matrix products per chunk; no full mesh is skinned.
+    tick's problem and solver (``Kinematics.coefficient_problem`` and
+    ``landmark_solver``), warm-started frame to frame in one chain, so each
+    solution equals the tick's for the same coefficients bit for bit. The
+    error rows X A^T - Theta @ basis over the landmark rows are then formed
+    ``retarget.CHUNK_FRAMES`` frames at a time, two matrix-matrix products
+    per chunk; no full mesh is skinned.
     Euclidean errors per landmark vertex pool across frames into per-region
     median and quartile statistics: {region: {median_mm, q1_mm, q3_mm,
     frames}}. A motion with no frames, or with another blendshape count than
@@ -527,18 +547,19 @@ def evaluate_tracking(
 
 
 def _tracking_errors(kin: Kinematics, frames: np.ndarray) -> tuple:
-    """The tick solver's chain over a (T, B) coefficient motion and each
+    """The tick's chain over a (T, B) coefficient motion and each
     landmark's Euclidean error: (solutions (T, n), errors (T, landmarks))."""
-    solver = kin.coefficient_solver
+    solver = kin.landmark_solver
     columns = kin.rig.basis.matrix[:, kin.rows]
     count = len(frames)
 
     # The tick's solve without the residual it reports: the same c and the
     # same iteration, so the same x.
+    basis_matrix, _ = kin._coefficient_maps
     solutions = np.empty((count, solver.matrix.shape[1]))
     warm = None
     for t, theta in enumerate(frames):
-        warm, _, _ = solver._active_set(theta @ solver.basis_matrix, warm)
+        warm, _, _ = solver.minimize(theta @ basis_matrix, warm)
         solutions[t] = warm
 
     errors = np.empty((count, kin.landmarks.size))

@@ -195,6 +195,20 @@ class TestTrain:
                   "--resume", str(checkpoint), "--epochs", "1"])
         assert not out.exists()
 
+    def test_resume_refuses_a_non_finite_checkpoint(self, workspace, tmp_path):
+        # One NaN weight would train NaN for every epoch and still write --out.
+        params, adam = load_model(workspace["model"])
+        params.head2_bias[0] = np.nan
+        checkpoint = tmp_path / "nan.mnet"
+        save_model(checkpoint, params, adam)
+        out = tmp_path / "resumed.mnet"
+        with pytest.raises(SystemExit) as refused:
+            main(["train", "--rig", str(workspace["rig"]),
+                  "--data", str(workspace["data"]), "--out", str(out),
+                  "--resume", str(checkpoint), "--epochs", "1"])
+        assert str(refused.value) == "model file: head2_bias holds NaN or inf"
+        assert not out.exists()
+
     def test_model_shape_defaults_are_init_params(self, workspace, tmp_path):
         # Neither --window/--hidden nor a config key: init_params' defaults.
         out = tmp_path / "default_shape.mnet"
@@ -214,7 +228,7 @@ class TestTrain:
         # A fraction or a bool is refused, not truncated to an integer.
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"epochs": 1, **values}))
-        with pytest.raises(ValueError, match="window|epochs|batch_size"):
+        with pytest.raises(SystemExit, match="window|epochs|batch_size"):
             main([
                 "train", "--rig", str(workspace["rig"]),
                 "--data", str(workspace["data"]), "--out", str(tmp_path / "m.mnet"),
@@ -227,7 +241,7 @@ class TestTrain:
         # A string or a bool is refused, not cast to a float.
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"epochs": 1, **values}))
-        with pytest.raises(ValueError, match="mouth_weight|learning_rate"):
+        with pytest.raises(SystemExit, match="mouth_weight|learning_rate"):
             main([
                 "train", "--rig", str(workspace["rig"]),
                 "--data", str(workspace["data"]), "--out", str(tmp_path / "m.mnet"),
@@ -391,7 +405,7 @@ class TestSynth:
         # A fraction or a bool is refused, not truncated to an integer.
         cfg = tmp_path / "pipe.json"
         cfg.write_text(json.dumps(values))
-        with pytest.raises(ValueError, match="style_id|order"):
+        with pytest.raises(SystemExit, match="style_id|order"):
             main([
                 "synth", "--logits", str(workspace["logits"]),
                 "--model", str(workspace["model"]), "--rig", str(workspace["rig"]),
@@ -404,7 +418,7 @@ class TestSynth:
         # A string or a bool is refused, not cast to a float.
         cfg = tmp_path / "pipe.json"
         cfg.write_text(json.dumps(values))
-        with pytest.raises(ValueError, match="tick_hz|cutoff_hz"):
+        with pytest.raises(SystemExit, match="tick_hz|cutoff_hz"):
             main([
                 "synth", "--logits", str(workspace["logits"]),
                 "--model", str(workspace["model"]), "--rig", str(workspace["rig"]),
@@ -468,7 +482,7 @@ class TestPipelineSettings:
         for name in self.DERIVED:
             cfg.write_text(json.dumps({name: 1}))
             args = parser.parse_args(required + ["--config", str(cfg)])
-            with pytest.raises(SystemExit, match="unknown config keys"):
+            with pytest.raises(ValueError, match="unknown config keys"):
                 _pipeline_config(args)
 
     def test_nothing_set_gives_the_defaults(self):
@@ -508,7 +522,7 @@ class TestTrainSettings:
         cfg.write_text(json.dumps(self.VALUES))
         assert self.config(["--config", str(cfg)]) == self.EXPECTED
         cfg.write_text(json.dumps({"dropout_rate": 0.25}))
-        with pytest.raises(SystemExit, match="unknown config keys"):
+        with pytest.raises(ValueError, match="unknown config keys"):
             self.config(["--config", str(cfg)])
 
 
@@ -806,5 +820,62 @@ class TestCorruptInput:
         )
         assert done.returncode == 1
         assert done.stderr.endswith("No such file or directory: '/nonexistent.lbsm'\n")
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()
+
+
+class TestSettingRefusals:
+    """A bad setting, from a flag or the ``--config`` file, is refused like a
+    bad input file: the reason on one line, nothing written."""
+
+    BASE = {
+        "train": ["--rig", "{rig}", "--data", "{data}", "--out", "{out}"],
+        "synth": ["--logits", "{logits}", "--model", "{model}", "--rig", "{rig}",
+                  "--rig-config", "{config}", "--out-servo", "{out}"],
+        "bench": ["--model", "{model}", "--rig", "{rig}", "--rig-config",
+                  "{config}", "--frames", "10", "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
+        ("train", ["--window", "3"],
+         "window size must be a power of two of at least 2, got 3"),
+        ("bench", ["--tick-hz", "-1"], "tick_hz must be finite and positive, got -1.0"),
+        ("synth", ["--filter-order", "0"],
+         "order must be an integer of at least 1, got 0"),
+        ("train", ["--config", "{missing}"], "No such file or directory"),
+        ("synth", ["--config", "{not_json}"], "Expecting value: line 1 column 1"),
+        ("bench", ["--config", "{not_object}"],
+         "config file must hold a JSON object, got list"),
+    ], ids=["epochs", "window", "tick_hz", "filter_order", "missing_config",
+            "config_not_json", "config_not_object"])
+    def test_refused_on_one_line(self, workspace, tmp_path, command, flags, message):
+        (tmp_path / "not.json").write_text("epochs = 1\n")
+        (tmp_path / "list.json").write_text("[1, 2]\n")
+        names = {**workspace, "out": tmp_path / "out",
+                 "missing": tmp_path / "missing.json",
+                 "not_json": tmp_path / "not.json",
+                 "not_object": tmp_path / "list.json"}
+        argv = [command] + [
+            flag.format(**names) for flag in self.BASE[command] + flags
+        ]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert message in str(refused.value)
+        assert "\n" not in str(refused.value)
+        assert not (tmp_path / "out").exists()
+
+    def test_module_run_prints_one_line_for_a_missing_config(self, workspace, tmp_path):
+        src = Path(roboface.__file__).resolve().parents[1]
+        out = tmp_path / "m.mnet"
+        done = subprocess.run(
+            [sys.executable, "-m", "roboface", "train", "--rig", str(workspace["rig"]),
+             "--data", str(workspace["data"]), "--out", str(out),
+             "--config", "/nonexistent.json"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1
+        assert done.stderr.endswith("No such file or directory: '/nonexistent.json'\n")
         assert done.stderr.count("\n") == 1
         assert not out.exists()

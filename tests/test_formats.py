@@ -21,7 +21,7 @@ from roboface.formats import (
     save_rig,
 )
 from roboface.arkit import REGIONS
-from roboface.motionnet import init_params, load_model, save_model
+from roboface.motionnet import AdamState, init_params, load_model, save_model
 from roboface.lbs import (
     BlendshapeBasis,
     FaceMesh,
@@ -405,3 +405,28 @@ def test_bad_rate_field_raises(fmt, rate, valid_files, tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="rate"):
         load(path)
+
+
+def test_model_with_a_nan_weight_raises_naming_it(tmp_path):
+    params = init_params(0, 2, 1, 1, 1, 1)
+    params.head2_bias[0] = np.nan
+    path = tmp_path / "m.mnet"
+    save_model(path, params)
+    with pytest.raises(ValueError, match="head2_bias holds NaN or inf"):
+        load_model(path)
+
+
+def test_model_with_an_inf_first_moment_raises_naming_it(tmp_path):
+    params = init_params(0, 2, 1, 1, 1, 1)
+    adam = AdamState.zeros_like(params)
+    adam.first["block0.conv1_weight"][0, 0, 1] = np.inf
+    path = tmp_path / "m.mnet"
+    save_model(path, params, adam)
+    with pytest.raises(
+        ValueError, match="first moment of block0.conv1_weight holds NaN or inf"
+    ):
+        load_model(path)
+    # The same moment finite loads, with the Adam state.
+    adam.first["block0.conv1_weight"][0, 0, 1] = 0.5
+    save_model(path, params, adam)
+    assert load_model(path)[1].first["block0.conv1_weight"][0, 0, 1] == 0.5

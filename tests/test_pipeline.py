@@ -44,7 +44,7 @@ from roboface.pipeline import (
     run_pipeline,
 )
 from roboface.retarget import transfer_coefficients
-from roboface.rigsim import _kinematics, build_reference_rig
+from roboface.rigsim import _kinematics, build_reference_rig, solve_ik
 from roboface.smoothing import FilterSpec
 from roboface.synthdata import make_logits, make_motion
 
@@ -84,14 +84,15 @@ def record_thetas(monkeypatch) -> list:
 
 
 class StubSolver:
-    """IK stand-in: returns ``x`` and pops each tick's converged flag from
-    ``converged``, or reports convergence once it is empty."""
+    """IK stand-in for ``BoxLeastSquares.solve``: returns ``x`` and pops each
+    tick's converged flag from ``converged``, or reports convergence once it
+    is empty."""
 
     def __init__(self, x, converged=()):
         self.x = x
         self.converged = list(converged)
 
-    def solve(self, y, x0=None):
+    def solve(self, c, const, x0=None):
         return self.x, 1.0, self.converged.pop(0) if self.converged else True, 500
 
 
@@ -388,10 +389,12 @@ class TestRunPipeline:
         frames = random_logits(12, seed=4)
         result = run_pipeline(PipelineConfig(), params, rig, config_r, frames)
         kin = _kinematics(config_r, rig)
-        solver = kin.coefficient_solver
+        solver = kin.landmark_solver
         warm, counts = None, []
         for smoothed in result.motion.frames:
-            warm, _, _, iterations = solver.solve(smoothed, x0=warm)
+            warm, _, _, iterations = solver.solve(
+                *kin.coefficient_problem(smoothed), warm
+            )
             counts.append(iterations)
         assert result.report.ik_iterations_p50 == float(np.median(counts))
         assert result.report.ik_iterations_max == max(counts)
@@ -432,7 +435,8 @@ class TestRunPipeline:
         order = [reversed_names.index(name) for name in rig.basis.names]
         robot_theta = routed.motion.frames[0][order]
         target = robot_theta @ rig.basis.matrix[:, rows]
-        x, _, _, _ = kin.landmark_solver.solve(target)
+        solver = kin.landmark_solver
+        x, _, _ = solver.minimize(solver.matrix.T @ target)
         u = np.zeros(len(config_r.channels))
         u[kin.ik_channels] = x
         lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
@@ -452,8 +456,8 @@ class TestRunPipeline:
         kin = _kinematics(config_r, rig)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "forward_rows", lambda plan, rows, style_id: theta)
-            mp.setattr(kin, "coefficient_solver",
-                       StubSolver(np.zeros(kin.ik_channels.size)))
+            mp.setattr(kin.landmark_solver, "solve",
+                       StubSolver(np.zeros(kin.ik_channels.size)).solve)
             frames = itertools.repeat(np.zeros(CLASSES), 65537)
             ticks = _ticks(PipelineConfig(), params, rig, config_r, frames)
             last = [t.frame.frame_counter for t in itertools.islice(ticks, 65535, None)]
@@ -463,7 +467,8 @@ class TestRunPipeline:
         """IK may fail for one second of ticks; the next failure aborts."""
         rig, config_r = reference
         solver = StubSolver(np.zeros(28))
-        monkeypatch.setattr(_kinematics(config_r, rig), "coefficient_solver", solver)
+        monkeypatch.setattr(_kinematics(config_r, rig).landmark_solver, "solve",
+                            solver.solve)
         for tick_hz, streak in ((25.0, 25), (50.0, 50)):
             config = PipelineConfig(tick_hz=tick_hz)
             # A full second of failures, a converged tick that resets the
@@ -670,11 +675,35 @@ class TestRunPipeline:
         warm = None
         for smoothed, frame in zip(result.motion.frames, result.servo_frames):
             robot = transfer_coefficients(BlendCoefficients(smoothed), source, rig)
-            x, _, _, _ = solver.solve(robot.values @ columns, x0=warm)
+            x, _, _ = solver.minimize(solver.matrix.T @ (robot.values @ columns), warm)
             warm = x
             u = np.zeros(len(config_r.channels))
             u[kin.ik_channels] = x
             assert tuple(np.rint(lows + u * span).astype(int)) == frame.pulses
+
+    def test_solve_ik_between_ticks_leaves_the_servo_bytes(self, reference, params):
+        """``solve_ik`` on the same (config, rig) shares the tick's solver and
+        its inverse cache. Landmark targets far outside the actuator box,
+        solved between ticks, evict the tick's working set every time; the
+        servo bytes must still equal an uninterleaved run's."""
+        rig, config_r = reference
+        frames = random_logits(40, seed=21)
+        alone = [encode_frame(tick.frame)
+                 for tick in _ticks(PipelineConfig(), params, rig, config_r, frames)]
+
+        kin = _kinematics(config_r, rig)
+        solver = kin.landmark_solver
+        neutral = rig.mesh.positions[kin.rows]
+        rng = np.random.default_rng(21)
+        interleaved, evicted = [], 0
+        for tick in _ticks(PipelineConfig(), params, rig, config_r, frames):
+            interleaved.append(encode_frame(tick.frame))
+            tick_set = solver._cached[0]
+            u = rng.uniform(-1.0, 2.0, solver.matrix.shape[1])
+            solve_ik(config_r, neutral + solver.matrix @ u, rig)
+            evicted += solver._cached[0] != tick_set
+        assert evicted == len(alone) == 40
+        assert interleaved == alone
 
 
 # Run in a fresh interpreter, since BLAS reads its kernel and thread count at
@@ -702,8 +731,8 @@ def recorded_forward_rows(plan, rows, style_id):
     theta.append(out.tolist())
     return out
 
-def recorded_solve(self, y, x0=None):
-    out = solve(self, y, x0)
+def recorded_solve(self, c, const, x0=None):
+    out = solve(self, c, const, x0)
     ik.append(out[0].tolist())
     return out
 

@@ -64,6 +64,16 @@ def grid_search(matrix, y, step=1e-3):
     return np.array([axis[i], axis[j]])
 
 
+def solve_target(matrix, y, x0=None):
+    """Box least squares on a target ``y`` as ``project_to_basis`` and
+    ``solve_ik`` run it: ``minimize`` on A^T y, then ||A x - y||^2.
+    Returns (x, residual, converged, iterations)."""
+    solver = BoxLeastSquares(matrix)
+    x, converged, iterations = solver.minimize(solver.matrix.T @ y, x0)
+    r = solver.matrix @ x - y
+    return x, float(r @ r), converged, iterations
+
+
 def oracle_solve(matrix, y, x0=None):
     """Reference box least squares by projected gradient, for comparison.
 
@@ -71,7 +81,7 @@ def oracle_solve(matrix, y, x0=None):
     and then an exact solve on the free subspace, both clipped at the box
     and accepted only if the objective does not rise. Slow to converge
     from a poor start, but shares no bookkeeping with the active-set
-    ``BoxLeastSquares.solve``, and stops by the same rule. Returns
+    ``BoxLeastSquares.minimize``, and stops by the same rule. Returns
     (x, converged).
     """
     g_mat = matrix.T @ matrix
@@ -169,7 +179,7 @@ class TestActiveSetAgainstOracle:
     @given(box_problems())
     def test_matches_projected_gradient_oracle(self, problem):
         a, y, x0, full_rank = problem
-        x, residual, converged, _ = BoxLeastSquares(a).solve(y, x0=x0)
+        x, residual, converged, _ = solve_target(a, y, x0)
         expected, oracle_converged = oracle_solve(a, y, x0)
         assert converged
         assert x.min() >= 0.0 and x.max() <= 1.0
@@ -187,7 +197,7 @@ class TestActiveSetAgainstOracle:
     @given(box_problems())
     def test_kkt_holds(self, problem):
         a, y, x0, _ = problem
-        x, _, converged, _ = BoxLeastSquares(a).solve(y, x0=x0)
+        x, _, converged, _ = solve_target(a, y, x0)
         assert converged
         assert kkt_violation(a, y, x) <= TOLERANCE
 
@@ -195,10 +205,10 @@ class TestActiveSetAgainstOracle:
     @given(box_problems())
     def test_one_iteration_cap_reports_unconverged(self, problem):
         a, y, x0, _ = problem
-        _, _, _, needed = BoxLeastSquares(a).solve(y, x0=x0)
+        _, _, _, needed = solve_target(a, y, x0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(retarget, "MAX_ITERATIONS", 1)
-            x, _, converged, iterations = BoxLeastSquares(a).solve(y, x0=x0)
+            x, _, converged, iterations = solve_target(a, y, x0)
         assert iterations == 1
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert converged == (needed == 1)
@@ -219,7 +229,7 @@ class TestActiveSetAgainstOracle:
         def chain(solver, ys):
             warm, out = None, []
             for y in ys:
-                warm = solver.solve(y, x0=warm)[0]
+                warm = solver.minimize(solver.matrix.T @ y, warm)[0]
                 out.append(warm)
             return np.array(out).tobytes()
 
@@ -229,7 +239,7 @@ class TestActiveSetAgainstOracle:
         warms, outs = [None] * 4, [[] for _ in range(4)]
         for t in range(25):
             for k, ys in enumerate(streams):
-                warms[k] = shared.solve(ys[t], x0=warms[k])[0]
+                warms[k] = shared.minimize(shared.matrix.T @ ys[t], warms[k])[0]
                 outs[k].append(warms[k])
         assert [np.array(out).tobytes() for out in outs] == alone
 
@@ -260,9 +270,9 @@ class TestActiveSetAgainstOracle:
         logits = make_logits(motion, params.class_count, seed=0).frames
         stream = run_pipeline(PipelineConfig(), params, rig, config, logits).motion
         kin = _kinematics(config, rig)
-        solver = kin.coefficient_solver
+        solver = kin.landmark_solver
         for theta in stream.frames:
-            _, _, converged, iterations = solver.solve(theta)
+            _, _, converged, iterations = solver.solve(*kin.coefficient_problem(theta))
             assert converged and iterations <= 5
 
 
@@ -291,8 +301,7 @@ class TestProjectToBasis:
         # Pull the optimum against the box so clipping is exercised.
         for true in ([0.4, 0.7], [1.3, -0.2], [0.0, 1.0]):
             y = matrix @ np.array(true) + rng.normal(0, 0.01, 60)
-            solver = BoxLeastSquares(matrix)
-            x, _, converged, _ = solver.solve(y)
+            x, _, converged, _ = solve_target(matrix, y)
             assert converged
             expected = grid_search(matrix, y)
             np.testing.assert_allclose(x, expected, atol=2e-3)
@@ -312,8 +321,8 @@ class TestProjectToBasis:
         matrix = np.column_stack([base, base + 1e-6 * rng.normal(0, 1, 40)])
         monkeypatch.setattr(retarget, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(retarget, "TOLERANCE", 1e-14)
-        solver = BoxLeastSquares(matrix)
-        x, _, converged, iterations = solver.solve(matrix @ np.array([0.5, 0.5]))
+        y = matrix @ np.array([0.5, 0.5])
+        x, _, converged, iterations = solve_target(matrix, y)
         assert iterations == 1
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert not converged
@@ -328,7 +337,7 @@ class TestProjectToBasis:
         col = rng.normal(0, 1, 50)
         matrix = np.column_stack([col, col, rng.normal(0, 1, 50)])
         y = matrix @ np.array([0.3, 0.3, 0.5])
-        x, residual, converged, _ = BoxLeastSquares(matrix).solve(y)
+        x, residual, converged, _ = solve_target(matrix, y)
         assert converged
         assert residual <= 1e-18
 
@@ -336,8 +345,8 @@ class TestProjectToBasis:
 def test_solvers_take_no_stopping_rule_callback_or_vertex_set():
     # The stopping rule is MAX_ITERATIONS and TOLERANCE, and IK is solved
     # over the landmark union; no entry point takes a value to change either.
-    for fn in (BoxLeastSquares.__init__, BoxLeastSquares.solve, project_to_basis,
-               solve_ik):
+    for fn in (BoxLeastSquares.__init__, BoxLeastSquares.minimize,
+               BoxLeastSquares.solve, project_to_basis, solve_ik):
         params = set(inspect.signature(fn).parameters)
         assert not params & {"settings", "callback", "eval_vertices"}, fn
     assert not hasattr(roboface, "ProjectionSettings")
@@ -417,7 +426,7 @@ class TestProjectSequence:
             y = frames[start:start + retarget.CHUNK_FRAMES] - rig.mesh.positions
             rows = []
             for c in y @ a:
-                warm, _, _ = solver._active_set(c, warm)
+                warm, _, _ = solver.minimize(c, warm)
                 rows.append(warm)
             r = np.array(rows) @ a.T - y
             chain += rows
@@ -444,7 +453,7 @@ class TestProjectSequence:
         frames[33, 0] = np.nan
         calls = []
         monkeypatch.setattr(
-            BoxLeastSquares, "_active_set", lambda *args: calls.append(args)
+            BoxLeastSquares, "minimize", lambda *args: calls.append(args)
         )
         with pytest.raises(ValueError, match="frame 19 holds NaN or inf"):
             project_sequence(frames, 25.0, rig)

@@ -362,7 +362,7 @@ def landmark_space_tracking(rig, config, reference):
     for t in range(reference.frame_count):
         offset = apply_skinning(rig, reference.frames[t]).positions[rows]
         offset = offset - rig.mesh.positions[rows]
-        warm, _, _, _ = solver.solve(offset, x0=warm)
+        warm, _, _ = solver.minimize(solver.matrix.T @ offset, warm)
         diff = (solver.matrix @ warm - offset).reshape(-1, 3)
         errors[t] = np.sqrt((diff * diff).sum(axis=1))
     position_of = {v: i for i, v in enumerate(vertices)}
@@ -470,7 +470,7 @@ class TestEvaluateTracking:
         def no_solve(*args, **kwargs):
             raise AssertionError("tracking solved a frame")
 
-        monkeypatch.setattr(BoxLeastSquares, "_active_set", no_solve)
+        monkeypatch.setattr(BoxLeastSquares, "minimize", no_solve)
         rig, config = reference
         motion = MotionSequence(25.0, np.zeros((3, count)))
         with pytest.raises(ValueError, match=f"{count} blendshapes, rig has 51"):
@@ -483,13 +483,13 @@ class TestEvaluateTracking:
         rig, config = reference
         motion = make_motion(count, 51, 25.0, np.random.default_rng(count))
         kin = _kinematics(config, rig)
-        solver = kin.coefficient_solver
+        solver = kin.landmark_solver
         columns = rig.basis.matrix[:, kin.rows]
         solutions, errors = _tracking_errors(kin, motion.frames)
         expected = np.empty((count, kin.landmarks.size))
         warm = None
         for t, theta in enumerate(motion.frames):
-            warm, _, _, _ = solver.solve(theta, x0=warm)
+            warm, _, _, _ = solver.solve(*kin.coefficient_problem(theta), warm)
             assert solutions[t].tobytes() == warm.tobytes(), f"frame {t}"
             diff = (solver.matrix @ warm - theta @ columns).reshape(-1, 3)
             expected[t] = np.sqrt((diff * diff).sum(axis=1))
@@ -507,7 +507,7 @@ class TestEvaluateTracking:
 
 # Run in a fresh interpreter, since BLAS reads its kernel and thread count at
 # load. The input is a fixed motion, built without BLAS: the model's own
-# rounding is not what this checks. Prints the tick solver's chain over it
+# rounding is not what this checks. Prints the tick's IK chain over it
 # (each tick of ``pipeline._ticks`` runs the same solve) and its tracking report.
 _TRACKING_CHILD = """
 import hashlib
@@ -519,10 +519,10 @@ import test_golden
 
 rig, config = build_reference_rig(seed=0)
 motion = make_motion(250, rig.blendshape_count, 25.0, np.random.default_rng(0))
-solver = _kinematics(config, rig).coefficient_solver
+kin = _kinematics(config, rig)
 ticks, warm = [], None
 for theta in motion.frames:
-    warm, _, _, _ = solver.solve(theta, x0=warm)
+    warm, _, _, _ = kin.landmark_solver.solve(*kin.coefficient_problem(theta), warm)
     ticks.append(warm.tolist())
 print(json.dumps({
     "threads": test_golden.blas_threads(),
@@ -1047,32 +1047,38 @@ class TestValidateConfig:
 
 
 class TestCoefficientSolver:
-    """IK from blendshape coefficients against the landmark-target solve."""
+    """IK from blendshape coefficients (``Kinematics.coefficient_problem``)
+    against the landmark-target solve."""
 
     @pytest.fixture(scope="class")
     def setup(self, reference):
         rig, config = reference
         kin = _kinematics(config, rig)
         columns = rig.basis.matrix[:, kin.rows]
-        return kin.landmark_solver, kin.coefficient_solver, columns
+        return kin.landmark_solver, kin, columns
 
     def test_cached_and_shares_landmark_solver_state(self, reference, setup):
         rig, config = reference
-        full, coeff, _ = setup
-        kin = _kinematics(config, rig)
-        assert kin.coefficient_solver is coeff
-        assert coeff.matrix is full.matrix and coeff.gram is full.gram
+        full, kin, columns = setup
+        maps = kin._coefficient_maps
+        assert _kinematics(config, rig) is kin
+        assert kin.landmark_solver is full and kin._coefficient_maps is maps
+        assert [m.shape for m in maps] == [
+            (columns.shape[0], full.matrix.shape[1]),
+            (columns.shape[0], columns.shape[0]),
+        ]
 
     def test_matches_full_space_solve(self, setup):
-        full, coeff, columns = setup
+        full, kin, columns = setup
         rng = np.random.default_rng(31)
         warm = None
         for theta in rng.uniform(0.0, 1.0, (12, columns.shape[0])):
-            x_full, r_full, conv_full, _ = full.solve(theta @ columns, x0=warm)
-            x, r, conv, _ = coeff.solve(theta, x0=warm)
+            y = theta @ columns
+            x_full, conv_full, _ = full.minimize(full.matrix.T @ y, warm)
+            r_full = float(np.sum((full.matrix @ x_full - y) ** 2))
+            x, r, conv, _ = full.solve(*kin.coefficient_problem(theta), warm)
             np.testing.assert_allclose(x, x_full, rtol=0, atol=1e-10)
             assert conv == conv_full
-            y = theta @ columns
             direct = float(np.sum((full.matrix @ x - y) ** 2))
             assert r >= 0.0
             assert abs(r - direct) <= 1e-9 * max(direct, 1.0)
@@ -1080,8 +1086,8 @@ class TestCoefficientSolver:
             warm = x
 
     def test_rejects_wrong_shape(self, setup):
-        _, coeff, columns = setup
+        _, kin, columns = setup
         with pytest.raises(ValueError, match="shape"):
-            coeff.solve(np.zeros(columns.shape[0] + 1))
+            kin.coefficient_problem(np.zeros(columns.shape[0] + 1))
         with pytest.raises(ValueError, match="shape"):
-            coeff.solve(np.zeros(columns.shape[1]))
+            kin.coefficient_problem(np.zeros(columns.shape[1]))
