@@ -128,15 +128,14 @@ _DATA_FLAG_NAMES = {"clip_count": "clips", "frame_count": "frames", "fps": "fps"
 
 @contextlib.contextmanager
 def _refusals(sink=None):
-    """The command line's one rule for bad input: a ``ValueError``, or a
-    ``FileNotFoundError`` for an input path that does not exist, raised in
-    the block refuses the input and exits with its message. Each command
-    reads its settings (flags and ``--config`` file) inside the block too.
-    Once ``sink`` has been written to, output has started, so the error is
-    a fault and keeps its traceback."""
+    """The command line's one rule for bad input: a ``ValueError``, or an
+    ``OSError`` on a path, raised in the block refuses the input and exits
+    with its message. Each command reads its settings (flags and
+    ``--config`` file) inside the block too. Once ``sink`` has been written
+    to, output has started, so the error is a fault and keeps its traceback."""
     try:
         yield
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         if sink is not None and sink.written:
             raise
         raise SystemExit(str(err)) from None

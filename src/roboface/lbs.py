@@ -18,6 +18,7 @@ file and one built in code pass the same check: an inconsistent rig raises
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,6 +174,23 @@ class LbsRig:
     @property
     def blendshape_count(self) -> int:
         return self.basis.blendshape_count
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """``E Eᵀ`` over the (B, 3V) basis E, read by projection and training."""
+        return _frozen(self.basis.matrix @ self.basis.matrix.T)
+
+    @functools.cached_property
+    def mouth_gram(self) -> np.ndarray:
+        """Gram of E's mouth-coordinate columns: ``gram + w·mouth_gram = E W Eᵀ``."""
+        mouth = self.basis.matrix[:, coordinate_rows(self.mouth_mask)]
+        return _frozen(mouth @ mouth.T)
+
+
+def coordinate_rows(vertices) -> np.ndarray:
+    """Flat indices 3v, 3v + 1, 3v + 2 of each vertex's coordinates, ascending."""
+    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+    return (3 * vertices[:, None] + np.arange(3)[None, :]).ravel()
 
 
 @dataclass(frozen=True)

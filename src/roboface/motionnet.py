@@ -9,7 +9,8 @@ The loss is the (optionally mouth-weighted) squared vertex error of the
 face a frozen linear skinning layer decodes from theta. The decoder is
 linear, so that error is a quadratic form in the B coefficients,
 ``(theta - theta*)ᵀ G_w (theta - theta*) + f`` with ``G_w = E W Eᵀ``
-(B×B): training scores and differentiates it without decoding a mesh. A
+(B×B), formed from the rig's ``gram`` and ``mouth_gram``, which projection
+shares: training scores and differentiates it without decoding a mesh. A
 target given as coefficients is its own ``theta*`` with ``f = 0``; a
 target given as vertices is reduced to them by one weighted least-squares
 fit per batch, ``f`` being the fit's residual. The centred form measures
@@ -50,7 +51,7 @@ import numpy as np
 from .arkit import CHANNEL_COUNT
 from .formats import _Reader, _check_header
 from .frontend import CLASS_COUNT, _check_window_size
-from .lbs import BlendCoefficients, LbsRig
+from .lbs import BlendCoefficients, LbsRig, coordinate_rows
 from .util import is_index, is_real
 
 _FORMAT_VERSION = 1
@@ -475,12 +476,6 @@ def human_decode(rig: LbsRig, theta) -> np.ndarray:
     return out
 
 
-def _mouth_coordinates(mouth_mask) -> np.ndarray:
-    """Flat (3·V,) indices of the mouth vertices' coordinates, each once."""
-    mask = np.unique(np.asarray(mouth_mask, dtype=np.int64))
-    return (3 * mask[:, None] + np.arange(3)[None, :]).ravel()
-
-
 def _coordinate_weights(mouth_mask, mouth_weight: float, size: int) -> np.ndarray:
     """Loss weight of each of the (3·V,) coordinates: 1, or 1 + mouth_weight
     on the mouth vertices."""
@@ -488,7 +483,7 @@ def _coordinate_weights(mouth_mask, mouth_weight: float, size: int) -> np.ndarra
     if mask.size and (mask.min() < 0 or mask.max() >= size // 3):
         raise ValueError("mouth mask indexes vertices outside the prediction")
     weight = np.ones(size)
-    weight[_mouth_coordinates(mask)] += mouth_weight
+    weight[coordinate_rows(mask)] += mouth_weight
     return weight
 
 
@@ -539,24 +534,6 @@ class TrainingSample:
             raise ValueError("training sample holds NaN or inf")
 
 
-def _grams(rig: LbsRig) -> tuple[np.ndarray, np.ndarray]:
-    """(G, G_mouth): the (B, B) Grams ``E Eᵀ`` of the basis and of its
-    mouth-coordinate columns, so ``G + mouth_weight·G_mouth = E W Eᵀ``.
-
-    Built on a rig's first training call, not with the rig, since the tick
-    never trains, and kept on the rig: one entry, as ``rigsim._kinematics``
-    keeps its maps on the config."""
-    entry = getattr(rig, "_gram_entry", None)
-    if entry is None:
-        basis = rig.basis.matrix
-        mouth = basis[:, _mouth_coordinates(rig.mouth_mask)]
-        entry = (basis @ basis.T, mouth @ mouth.T)
-        for gram in entry:
-            gram.flags.writeable = False
-        object.__setattr__(rig, "_gram_entry", entry)
-    return entry
-
-
 def _batch_targets(rig, samples, mouth_weight, gram_w):
     """Each sample's target as coefficients: (theta* (n, B), f (n,)), so
     that its loss is ``(theta - theta*)ᵀ G_w (theta - theta*) + f``.
@@ -600,10 +577,9 @@ def _batch_losses(params, rig, samples, mouth_weight, masks):
     """Score a batch in coefficient space: returns (losses (n,), half the
     loss gradient ``(theta - theta*) @ G_w`` (n, B), tape).
 
-    ``G_w = G + mouth_weight·G_mouth`` from the rig's cached Grams, so no
-    mesh is decoded; ``_batch_gradients`` doubles the second output."""
-    gram, gram_mouth = _grams(rig)
-    gram_w = gram + mouth_weight * gram_mouth
+    ``G_w = rig.gram + mouth_weight·rig.mouth_gram``, the rig's two Grams,
+    so no mesh is decoded; ``_batch_gradients`` doubles the second output."""
+    gram_w = rig.gram + mouth_weight * rig.mouth_gram
     target, floor = _batch_targets(rig, samples, mouth_weight, gram_w)
     windows = np.stack([s.window for s in samples])
     theta, tape = _run_forward(params, windows, [s.style_id for s in samples], masks)

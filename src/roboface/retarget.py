@@ -15,12 +15,12 @@ on the free coordinates. A step that would leave the box stops at its edge
 and binds the blocking coordinate; a full step is followed by releasing the
 bound whose gradient points most into the box. On a smooth stream the
 working set rarely changes, so a solve is one step from a cached inverse.
-The B x B Gram matrix E^T E is computed once per rig (U >> B makes that
-the dominant saving). ``BoxLeastSquares`` takes each problem as its normal
-equations, so a caller whose target is a linear image of coefficients
-(``rigsim.Kinematics``) forms them from the coefficients and never forms
-the target. Every solve stops by one rule: ``MAX_ITERATIONS`` iterations
-at most and gradients within ``TOLERANCE``.
+``BoxLeastSquares`` holds only the B x B Gram E^T E, which the rig builds
+once (``LbsRig.gram``; U >> B) and training shares, and takes each problem
+as its normal equations, so a caller whose target is a linear image of
+coefficients (``rigsim.Kinematics``) forms them from the coefficients and
+never forms the target. Every solve stops by one rule: ``MAX_ITERATIONS``
+iterations at most and gradients within ``TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbs import BlendCoefficients, FaceMesh, LbsRig, MotionSequence
+from .util import frozen_array
 
 
 # Stopping rule of every solve; the box is always [0, 1].
@@ -58,7 +59,7 @@ class ProjectionResult:
 class BoxLeastSquares:
     """min ||A x - y||^2 over the box [0, 1]^n, reusable across problems.
 
-    Construction precomputes A^T A. A problem is given by its normal
+    Construction copies the Gram A^T A. A problem is given by its normal
     equations: the objective is x^T (A^T A) x - 2 c^T x + const with
     c = A^T y and const = y^T y, and the caller forms the pair in whatever
     way suits its target (a rig coefficient vector, a chunk of frames as
@@ -70,12 +71,11 @@ class BoxLeastSquares:
     solve stops by the module's rule, ``MAX_ITERATIONS`` and ``TOLERANCE``.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        a = np.ascontiguousarray(matrix, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError("matrix must be 2-D and non-empty")
-        self.matrix = a
-        self.gram = a.T @ a
+    def __init__(self, gram: np.ndarray):
+        g = frozen_array(gram)
+        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
+            raise ValueError(f"Gram must be square and non-empty, got shape {g.shape}")
+        self.gram = g
 
     # (working-set key, ``_factor`` result) of the last working set solved.
     _cached: tuple | None = None
@@ -206,20 +206,11 @@ def project_to_basis(
         raise ValueError(
             f"target has {target.vertex_count} vertices, rig has {rig.vertex_count}"
         )
-    solver = _rig_solver(rig)
+    basis = rig.basis.matrix
     y = target.positions - rig.mesh.positions
-    x, converged, iters = solver.minimize(solver.matrix.T @ y, warm_start)
-    r = solver.matrix @ x - y
+    x, converged, iters = BoxLeastSquares(rig.gram).minimize(basis @ y, warm_start)
+    r = x @ basis - y
     return ProjectionResult(BlendCoefficients(x), float(r @ r), converged, iters)
-
-
-def _rig_solver(rig: LbsRig) -> BoxLeastSquares:
-    """The rig's projection solver, kept on the rig: Gram matrix built once."""
-    solver = getattr(rig, "_solver", None)
-    if solver is None:
-        solver = BoxLeastSquares(rig.basis.matrix.T)
-        object.__setattr__(rig, "_solver", solver)
-    return solver
 
 
 def project_sequence(
@@ -231,9 +222,9 @@ def project_sequence(
 
     One sequential chain: each solve warm-starts from the previous frame's
     solution, so the result does not depend on the machine. Frames go
-    ``CHUNK_FRAMES`` at a time: a chunk's normal equations Y A and its
-    residual rows X A^T - Y are one matrix-matrix product each, and its
-    rows run the active-set iteration in order. The result equals
+    ``CHUNK_FRAMES`` at a time: over the (B, 3V) basis E, a chunk's normal
+    equations Y E^T and residual rows X E - Y are one matrix-matrix product
+    each, and its rows run the active-set iteration in order. The result equals
     ``project_to_basis`` run frame by frame to rounding (the products sum
     in another order), and the extra memory is a few chunks whatever the
     clip length. A NaN or inf frame is rejected before any solve. Returns
@@ -247,8 +238,8 @@ def project_sequence(
         finite = np.isfinite(frames[start:start + CHUNK_FRAMES]).all(axis=1)
         if not finite.all():
             raise ValueError(f"frame {start + int(finite.argmin())} holds NaN or inf")
-    solver = _rig_solver(rig)
-    a = solver.matrix
+    solver = BoxLeastSquares(rig.gram)
+    basis = rig.basis.matrix
     neutral = rig.mesh.positions
     coeffs = np.empty((count, rig.blendshape_count))
     residuals = np.empty(count)
@@ -256,10 +247,10 @@ def project_sequence(
     for start in range(0, count, CHUNK_FRAMES):
         y = frames[start:start + CHUNK_FRAMES] - neutral
         x = coeffs[start:start + len(y)]
-        for i, c in enumerate(y @ a):
+        for i, c in enumerate(y @ basis.T):
             warm, _, _ = solver.minimize(c, warm)
             x[i] = warm
-        r = x @ a.T
+        r = x @ basis
         r -= y
         residuals[start:start + len(y)] = np.einsum("ij,ij->i", r, r)
     return MotionSequence(fps, coeffs), residuals

@@ -32,10 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from .arkit import CANONICAL_NAMES, REGIONS, region_of
+from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, coordinate_rows
 # apply_skinning stays importable here: perfbench/tracing.py wraps rigsim.apply_skinning.
-from .lbs import BlendshapeBasis, FaceMesh, LbsRig, MotionSequence, apply_skinning  # noqa: F401
+from .lbs import apply_skinning  # noqa: F401
 from .retarget import CHUNK_FRAMES, BoxLeastSquares
-from .util import frozen_array, in_unit_interval, is_index
+from .util import frozen_array, in_unit_interval, is_index, json_entry
 
 DOF_PER_POINT = 6
 
@@ -236,22 +237,7 @@ def save_config(path, config: RigConfig) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def _entry(doc, key: str, kind: type = object):
-    """``doc[key]`` from a rig config file; ``ValueError`` naming the key if
-    ``doc`` is not a JSON object, lacks the key or holds no ``kind`` there."""
-    if not isinstance(doc, dict):
-        raise ValueError(
-            f"rig config: {key!r} must sit in a JSON object, got {type(doc).__name__}"
-        )
-    if key not in doc:
-        raise ValueError(f"rig config lacks key {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise ValueError(
-            f"rig config key {key!r} must be a {kind.__name__}, "
-            f"got {type(value).__name__}"
-        )
-    return value
+_entry = functools.partial(json_entry, "rig config")
 
 
 def _numbers(doc, key: str) -> np.ndarray:
@@ -325,11 +311,11 @@ class Kinematics:
     ``ik_channels`` have a nonzero ``RigConfig.gain`` column; the rest,
     ``neck_channels``, move no vertex and stay out of IK. The IK target is
     the landmark union (``landmarks``) and its coordinate ``rows``. They,
-    the one IK solver ``landmark_solver`` and the coefficient maps behind
-    ``coefficient_problem`` are built on first use, so forward kinematics
-    needs no landmark groups. ``solve_ik`` forms the solver's normal
-    equations from a landmark position target; the tick and
-    ``evaluate_tracking`` form them from rig coefficients
+    the problem matrix ``landmark_matrix``, the one IK solver over its Gram
+    ``landmark_solver`` and the maps of ``coefficient_problem`` are built on
+    first use, so forward kinematics needs no landmark groups. ``solve_ik``
+    forms the solver's normal equations from a landmark position target;
+    the tick and ``evaluate_tracking`` form them from rig coefficients
     (``coefficient_problem``). All three share the solver's inverse cache.
     """
 
@@ -371,13 +357,19 @@ class Kinematics:
     @functools.cached_property
     def rows(self) -> np.ndarray:
         """Coordinate rows 3v, 3v + 1, 3v + 2 of each of ``landmarks``."""
-        rows = (3 * self.landmarks[:, None] + np.arange(3)[None, :]).ravel()
-        return frozen_array(rows, dtype=np.int64)
+        return frozen_array(coordinate_rows(self.landmarks), dtype=np.int64)
+
+    @functools.cached_property
+    def landmark_matrix(self) -> np.ndarray:
+        """A: the (rows, ik channels) block of ``vertex_map``, read-only."""
+        a = np.ascontiguousarray(self.vertex_map[np.ix_(self.rows, self.ik_channels)])
+        a.flags.writeable = False
+        return a
 
     @functools.cached_property
     def landmark_solver(self) -> BoxLeastSquares:
-        """IK solver over the landmark ``rows``. Built on first use."""
-        return BoxLeastSquares(self.vertex_map[np.ix_(self.rows, self.ik_channels)])
+        """IK solver over the Gram of ``landmark_matrix``. Built on first use."""
+        return BoxLeastSquares(self.landmark_matrix.T @ self.landmark_matrix)
 
     @functools.cached_property
     def _coefficient_maps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +380,7 @@ class Kinematics:
         # One GEMV per basis row over a contiguous A^T. The (B, rows) @
         # (rows, n) GEMM rounds differently with 1 and 2 threads on some
         # OpenBLAS kernels; these GEMVs give the same bits either way.
-        a_t = np.ascontiguousarray(self.landmark_solver.matrix.T)
+        a_t = np.ascontiguousarray(self.landmark_matrix.T)
         return np.array([a_t @ row for row in basis]), basis @ basis.T
 
     def coefficient_problem(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
@@ -481,10 +473,10 @@ def solve_ik(
                 f"target covers {positions.size // 3} vertices, evaluation "
                 f"set has {kin.landmarks.size}"
             )
-    solver = kin.landmark_solver
+    a = kin.landmark_matrix
     y = positions - rig.mesh.positions[rows]
-    x, converged, iterations = solver.minimize(solver.matrix.T @ y, warm_start)
-    r = solver.matrix @ x - y
+    x, converged, iterations = kin.landmark_solver.minimize(a.T @ y, warm_start)
+    r = a @ x - y
     u = np.zeros(len(config.channels))
     u[kin.ik_channels] = x
     if neck is not None:
@@ -549,14 +541,14 @@ def evaluate_tracking(
 def _tracking_errors(kin: Kinematics, frames: np.ndarray) -> tuple:
     """The tick's chain over a (T, B) coefficient motion and each
     landmark's Euclidean error: (solutions (T, n), errors (T, landmarks))."""
-    solver = kin.landmark_solver
+    solver, a = kin.landmark_solver, kin.landmark_matrix
     columns = kin.rig.basis.matrix[:, kin.rows]
     count = len(frames)
 
     # The tick's solve without the residual it reports: the same c and the
     # same iteration, so the same x.
     basis_matrix, _ = kin._coefficient_maps
-    solutions = np.empty((count, solver.matrix.shape[1]))
+    solutions = np.empty((count, a.shape[1]))
     warm = None
     for t, theta in enumerate(frames):
         warm, _, _ = solver.minimize(theta @ basis_matrix, warm)
@@ -565,7 +557,7 @@ def _tracking_errors(kin: Kinematics, frames: np.ndarray) -> tuple:
     errors = np.empty((count, kin.landmarks.size))
     for start in range(0, count, CHUNK_FRAMES):
         stop = start + CHUNK_FRAMES
-        diff = solutions[start:stop] @ solver.matrix.T
+        diff = solutions[start:stop] @ a.T
         diff -= frames[start:stop] @ columns
         diff = diff.reshape(len(diff), -1, 3)
         errors[start:stop] = np.sqrt(np.einsum("fvk,fvk->fv", diff, diff))

@@ -10,6 +10,7 @@ actually learn the mapping.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .formats import load_logits, load_motion, save_logits, save_motion
 from .frontend import PhonemeLogitStream, make_windows
 from .lbs import LbsRig, MotionSequence
 from .motionnet import TrainingSample
-from .util import check_count, is_index, is_positive_finite
+from .util import check_count, is_index, is_positive_finite, json_entry
 
 MANIFEST_NAME = "manifest.json"
 
@@ -155,22 +156,24 @@ def load_dataset(
     """Read a manifest directory back into training samples.
 
     Returns the samples and the style count (max style id + 1), which sizes
-    the model's style table.
+    the model's style table; a missing or mistyped manifest key raises
+    ``ValueError`` naming it.
     """
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
-    clips = json.loads(manifest.read_text())["clips"]
+    entry = functools.partial(json_entry, "manifest")
+    clips = entry(json.loads(manifest.read_text()), "clips", list)
     if not clips:
         raise ValueError("manifest lists no clips")
     samples: list[TrainingSample] = []
     max_style = 0
     for clip in clips:
-        motion = load_motion(directory / clip["coeffs"])
-        rate, frames = load_logits(directory / clip["logits"])
+        motion = load_motion(directory / entry(clip, "coeffs", str))
+        rate, frames = load_logits(directory / entry(clip, "logits", str))
         logits = PhonemeLogitStream(rate_hz=rate, frames=frames)
-        style_id = clip["style_id"]
+        style_id = entry(clip, "style_id")
         if not is_index(style_id):
             raise ValueError(
                 f"clip {clip['logits']} style_id must be a nonnegative "

@@ -54,3 +54,21 @@ def check_count(name: str, value) -> None:
     (``is_index``)."""
     if not (is_index(value) and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def json_entry(label: str, doc, key: str, kind: type = object):
+    """``doc[key]`` from the JSON file ``label`` names; ``ValueError`` naming
+    the key if ``doc`` is not an object, lacks the key or holds no ``kind``."""
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{label}: {key!r} must sit in a JSON object, got {type(doc).__name__}"
+        )
+    if key not in doc:
+        raise ValueError(f"{label} lacks key {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"{label} key {key!r} must be a {kind.__name__}, "
+            f"got {type(value).__name__}"
+        )
+    return value

@@ -865,6 +865,43 @@ class TestSettingRefusals:
         assert "\n" not in str(refused.value)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("bench", ["--config", "{dir}"]),
+        ("synth", ["--logits", "{dir}"]),
+        ("synth", ["--out-servo", "{dir}"]),
+    ], ids=["bench_config", "synth_logits", "synth_out_servo"])
+    def test_directory_is_refused_on_one_line(self, workspace, tmp_path, command, flags):
+        # Any OSError on a path the command opens is a refused input, not
+        # only a missing file.
+        names = {**workspace, "out": tmp_path / "out", "dir": tmp_path / "dir"}
+        names["dir"].mkdir()
+        argv = [command] + [
+            flag.format(**names) for flag in self.BASE[command] + flags
+        ]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert "Is a directory" in str(refused.value)
+        assert "\n" not in str(refused.value)
+        assert not (tmp_path / "out").exists()
+        assert not any(names["dir"].iterdir())
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({}, "manifest lacks key 'clips'"),
+        ({"clips": [{"logits": "clip_0.phlg", "style_id": 0}]},
+         "manifest lacks key 'coeffs'"),
+        ([1, 2], "manifest: 'clips' must sit in a JSON object, got list"),
+    ], ids=["no_clips", "clip_without_coeffs", "not_an_object"])
+    def test_malformed_manifest_is_refused(self, workspace, tmp_path, manifest, message):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "m.mnet"
+        with pytest.raises(SystemExit) as refused:
+            main(["train", "--rig", str(workspace["rig"]), "--data", str(data),
+                  "--out", str(out), "--epochs", "1"])
+        assert str(refused.value) == message
+        assert not out.exists()
+
     def test_module_run_prints_one_line_for_a_missing_config(self, workspace, tmp_path):
         src = Path(roboface.__file__).resolve().parents[1]
         out = tmp_path / "m.mnet"

@@ -1,5 +1,7 @@
 """Skinning core: identity, basis extraction, linearity, construction rules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from roboface.lbs import (
     LbsRig,
     MotionSequence,
     apply_skinning,
+    coordinate_rows,
     vertex_delta,
 )
 
@@ -227,6 +230,38 @@ class TestTypes:
             MotionSequence(0.0, np.zeros((1, 2)))
         with pytest.raises(ValueError):
             MotionSequence(25.0, np.full((2, 2), 1.5))
+
+
+class TestRigGrams:
+    def test_built_once_on_first_read_and_read_only(self):
+        rig = make_rig(seed=3)
+        assert "gram" not in vars(rig) and "mouth_gram" not in vars(rig)
+        gram, mouth_gram = rig.gram, rig.mouth_gram
+        assert rig.gram is gram and rig.mouth_gram is mouth_gram
+        for g in (gram, mouth_gram):
+            assert g.shape == (6, 6) and not g.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0] = 1.0
+        for name in ("gram", "mouth_gram"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rig, name, gram)
+
+    def test_bits_of_the_basis_products(self):
+        rig = make_rig(vertex_count=50, blendshape_count=7, seed=4)
+        basis = rig.basis.matrix
+        assert rig.gram.tobytes() == (basis @ basis.T).tobytes()
+        mouth = basis[:, coordinate_rows(rig.mouth_mask)]
+        assert rig.mouth_gram.tobytes() == (mouth @ mouth.T).tobytes()
+        # gram + w * mouth_gram is the mouth-weighted Gram E W E^T.
+        weight = np.ones(basis.shape[1])
+        weight[coordinate_rows(rig.mouth_mask)] += 1.5
+        np.testing.assert_allclose(
+            rig.gram + 1.5 * rig.mouth_gram, (basis * weight) @ basis.T, rtol=1e-12
+        )
+
+    def test_coordinate_rows_take_each_vertex_once_in_order(self):
+        assert coordinate_rows([4, 1, 4]).tolist() == [3, 4, 5, 12, 13, 14]
+        assert coordinate_rows(np.zeros(0, dtype=np.int64)).size == 0
 
 
 class TestNonFiniteRejected:

@@ -14,6 +14,7 @@ import pytest
 import roboface
 from roboface import motionnet
 from roboface.lbs import BlendshapeBasis, FaceMesh, LbsRig, apply_skinning
+from roboface.retarget import project_sequence
 from roboface.motionnet import (
     AdamState,
     TrainConfig,
@@ -660,9 +661,8 @@ class TestCoefficientTargets:
         grads, _ = motionnet._batch_gradients(params, rig, [sample], mouth_weight, None)
         frozen, _ = frozen_batch_gradients(params, rig, [sample], mouth_weight, None)
         assert max_relative_gap(grads, frozen) < 1e-10
-        gram, gram_mouth = motionnet._grams(rig)
         return motionnet._batch_targets(rig, [sample], mouth_weight,
-                                        gram + mouth_weight * gram_mouth)
+                                        rig.gram + mouth_weight * rig.mouth_gram)
 
     def test_off_span_vertex_target_is_scored_like_loss(self):
         # 15 coordinates, 3 blendshapes: the target is off the rig's span, so
@@ -670,14 +670,29 @@ class TestCoefficientTargets:
         _, floor = self.check_scored_like_loss(tiny_rig(), 1.5)
         assert floor[0] > 1e-3
 
+    def test_projection_and_training_read_the_rig_gram(self, monkeypatch):
+        rig = tiny_rig()
+        cached = vars(LbsRig)["gram"]
+        reads = []
+
+        def gram(self):
+            reads.append(cached.__get__(self, LbsRig))
+            return reads[-1]
+
+        monkeypatch.setattr(LbsRig, "gram", property(gram))
+        project_sequence(np.tile(rig.mesh.positions, (2, 1)), 25.0, rig)
+        projected = len(reads)
+        training_loss(tiny_params(), rig, tiny_sample(rig), 1.5)
+        assert 0 < projected < len(reads)
+        assert all(g is vars(rig)["gram"] for g in reads)
+
     def test_singular_gram_is_scored_like_loss(self):
         rig = tiny_rig()
         fields = list(rig.basis.displacements)
         fields[1] = np.zeros_like(fields[1])
         rig = LbsRig(rig.mesh, BlendshapeBasis(rig.basis.names, tuple(fields)),
                      rig.mouth_mask)
-        gram, gram_mouth = motionnet._grams(rig)
-        assert np.linalg.matrix_rank(gram + 1.5 * gram_mouth) == 2
+        assert np.linalg.matrix_rank(rig.gram + 1.5 * rig.mouth_gram) == 2
         target, floor = self.check_scored_like_loss(rig, 1.5)
         assert np.isfinite(target).all() and floor[0] > 1e-3
 

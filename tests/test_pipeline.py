@@ -1,6 +1,7 @@
 """Servo wire format, sinks, and the offline/streaming orchestrator."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -43,7 +44,7 @@ from roboface.pipeline import (
     encode_frame,
     run_pipeline,
 )
-from roboface.retarget import transfer_coefficients
+from roboface.retarget import project_sequence, transfer_coefficients
 from roboface.rigsim import _kinematics, build_reference_rig, solve_ik
 from roboface.smoothing import FilterSpec
 from roboface.synthdata import make_logits, make_motion
@@ -435,8 +436,7 @@ class TestRunPipeline:
         order = [reversed_names.index(name) for name in rig.basis.names]
         robot_theta = routed.motion.frames[0][order]
         target = robot_theta @ rig.basis.matrix[:, rows]
-        solver = kin.landmark_solver
-        x, _, _ = solver.minimize(solver.matrix.T @ target)
+        x, _, _ = kin.landmark_solver.minimize(kin.landmark_matrix.T @ target)
         u = np.zeros(len(config_r.channels))
         u[kin.ik_channels] = x
         lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
@@ -669,13 +669,13 @@ class TestRunPipeline:
 
         kin = _kinematics(config_r, rig)
         columns = rig.basis.matrix[:, kin.rows]
-        solver = kin.landmark_solver
+        solver, a = kin.landmark_solver, kin.landmark_matrix
         lows = np.array([ch.pulse_us[0] for ch in config_r.channels])
         span = np.array([ch.pulse_us[1] for ch in config_r.channels]) - lows
         warm = None
         for smoothed, frame in zip(result.motion.frames, result.servo_frames):
             robot = transfer_coefficients(BlendCoefficients(smoothed), source, rig)
-            x, _, _ = solver.minimize(solver.matrix.T @ (robot.values @ columns), warm)
+            x, _, _ = solver.minimize(a.T @ (robot.values @ columns), warm)
             warm = x
             u = np.zeros(len(config_r.channels))
             u[kin.ik_channels] = x
@@ -699,8 +699,8 @@ class TestRunPipeline:
         for tick in _ticks(PipelineConfig(), params, rig, config_r, frames):
             interleaved.append(encode_frame(tick.frame))
             tick_set = solver._cached[0]
-            u = rng.uniform(-1.0, 2.0, solver.matrix.shape[1])
-            solve_ik(config_r, neutral + solver.matrix @ u, rig)
+            u = rng.uniform(-1.0, 2.0, kin.landmark_matrix.shape[1])
+            solve_ik(config_r, neutral + kin.landmark_matrix @ u, rig)
             evicted += solver._cached[0] != tick_set
         assert evicted == len(alone) == 40
         assert interleaved == alone
@@ -745,6 +745,18 @@ for tick in ticks:
 print(json.dumps({"threads": test_golden.blas_threads(), "theta": theta,
                   "smoothed": smoothed, "ik": ik}))
 """
+
+
+def test_rig_holds_only_its_fields_and_grams(params):
+    # Projection, training and the tick keep nothing on the rig but the two
+    # Grams it builds itself.
+    rig, config_r = build_reference_rig(seed=0)
+    project_sequence(np.tile(rig.mesh.positions, (3, 1)), 25.0, rig)
+    sample = TrainingSample(random_logits(8), 0, target_coefficients=np.full(51, 0.5))
+    train(copy.deepcopy(params), rig, [sample], TrainConfig(epochs=1, batch_size=1))
+    list(_ticks(PipelineConfig(), params, rig, config_r, random_logits(10)))
+    fields = {f.name for f in dataclasses.fields(LbsRig)}
+    assert set(vars(rig)) == fields | {"gram", "mouth_gram"}
 
 
 def test_tick_does_not_depend_on_blas_threads(tmp_path):

@@ -68,9 +68,9 @@ def solve_target(matrix, y, x0=None):
     """Box least squares on a target ``y`` as ``project_to_basis`` and
     ``solve_ik`` run it: ``minimize`` on A^T y, then ||A x - y||^2.
     Returns (x, residual, converged, iterations)."""
-    solver = BoxLeastSquares(matrix)
-    x, converged, iterations = solver.minimize(solver.matrix.T @ y, x0)
-    r = solver.matrix @ x - y
+    solver = BoxLeastSquares(matrix.T @ matrix)
+    x, converged, iterations = solver.minimize(matrix.T @ y, x0)
+    r = matrix @ x - y
     return x, float(r @ r), converged, iterations
 
 
@@ -229,17 +229,17 @@ class TestActiveSetAgainstOracle:
         def chain(solver, ys):
             warm, out = None, []
             for y in ys:
-                warm = solver.minimize(solver.matrix.T @ y, warm)[0]
+                warm = solver.minimize(a.T @ y, warm)[0]
                 out.append(warm)
             return np.array(out).tobytes()
 
-        alone = [chain(BoxLeastSquares(a), ys) for ys in streams]
+        alone = [chain(BoxLeastSquares(a.T @ a), ys) for ys in streams]
 
-        shared = BoxLeastSquares(a)
+        shared = BoxLeastSquares(a.T @ a)
         warms, outs = [None] * 4, [[] for _ in range(4)]
         for t in range(25):
             for k, ys in enumerate(streams):
-                warms[k] = shared.minimize(shared.matrix.T @ ys[t], warms[k])[0]
+                warms[k] = shared.minimize(a.T @ ys[t], warms[k])[0]
                 outs[k].append(warms[k])
         assert [np.array(out).tobytes() for out in outs] == alone
 
@@ -353,6 +353,17 @@ def test_solvers_take_no_stopping_rule_callback_or_vertex_set():
     assert "ProjectionSettings" not in roboface.__all__
 
 
+def test_solver_keeps_a_read_only_copy_of_a_square_gram():
+    gram = np.eye(3)
+    solver = BoxLeastSquares(gram)
+    gram[0, 0] = 5.0
+    assert solver.gram[0, 0] == 1.0 and not solver.gram.flags.writeable
+    assert not hasattr(solver, "matrix")
+    for bad in (np.ones((3, 2)), np.ones(3), np.zeros((0, 0)), np.ones((1, 2, 2))):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            BoxLeastSquares(bad)
+
+
 class TestTransfer:
     def test_identical_order_is_bitwise_identity(self):
         rig = random_rig(seed=12)
@@ -417,18 +428,18 @@ class TestProjectSequence:
         tracks = make_motion(count, rig.blendshape_count, 25.0, rng).frames
         frames = tracks @ rig.basis.matrix + rig.mesh.positions
         frames += rng.normal(0.0, 0.05, frames.shape)
-        solver = retarget._rig_solver(rig)
-        a = solver.matrix
+        solver = BoxLeastSquares(rig.gram)
+        basis = rig.basis.matrix
         # The same normal-equation rows and residual rows, a chunk at a time,
         # through one unbroken warm-started chain of the iteration.
         chain, chain_residuals, warm = [], [], None
         for start in range(0, count, retarget.CHUNK_FRAMES):
             y = frames[start:start + retarget.CHUNK_FRAMES] - rig.mesh.positions
             rows = []
-            for c in y @ a:
+            for c in y @ basis.T:
                 warm, _, _ = solver.minimize(c, warm)
                 rows.append(warm)
-            r = np.array(rows) @ a.T - y
+            r = np.array(rows) @ basis - y
             chain += rows
             chain_residuals += list(np.einsum("ij,ij->i", r, r))
         per_frame, per_frame_residuals, warm = [], [], None
@@ -459,6 +470,24 @@ class TestProjectSequence:
             project_sequence(frames, 25.0, rig)
         assert calls == []
 
+    def test_first_call_copies_no_basis(self):
+        # The first call on a rig builds its (B, B) Gram, and the solver
+        # keeps only that. A 16-frame chunk is 1.8 MB; a transposed copy of
+        # the 5.9 MB basis would take the traced peak past 5 MB.
+        rig, _ = build_reference_rig(seed=0)
+        rng = np.random.default_rng(3)
+        tracks = make_motion(16, rig.blendshape_count, 25.0, rng).frames
+        frames = tracks @ rig.basis.matrix + rig.mesh.positions
+        assert "gram" not in vars(rig)
+        tracemalloc.start()
+        try:
+            project_sequence(frames, 25.0, rig)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert "gram" in vars(rig)
+
     def test_memory_stays_a_few_chunks(self):
         # The 200-frame reference-rig clip is 23 MB and a chunk 1.8 MB: a
         # whole-clip temporary would take the traced peak far past 8 MB.
@@ -466,7 +495,7 @@ class TestProjectSequence:
         rng = np.random.default_rng(2)
         tracks = make_motion(200, rig.blendshape_count, 25.0, rng).frames
         frames = tracks @ rig.basis.matrix + rig.mesh.positions
-        project_sequence(frames[:2], 25.0, rig)  # the rig's solver, built once
+        project_sequence(frames[:2], 25.0, rig)  # the rig's Gram, built once
         tracemalloc.start()
         try:
             seq, _ = project_sequence(frames, 25.0, rig)

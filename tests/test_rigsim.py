@@ -362,8 +362,8 @@ def landmark_space_tracking(rig, config, reference):
     for t in range(reference.frame_count):
         offset = apply_skinning(rig, reference.frames[t]).positions[rows]
         offset = offset - rig.mesh.positions[rows]
-        warm, _, _ = solver.minimize(solver.matrix.T @ offset, warm)
-        diff = (solver.matrix @ warm - offset).reshape(-1, 3)
+        warm, _, _ = solver.minimize(kin.landmark_matrix.T @ offset, warm)
+        diff = (kin.landmark_matrix @ warm - offset).reshape(-1, 3)
         errors[t] = np.sqrt((diff * diff).sum(axis=1))
     position_of = {v: i for i, v in enumerate(vertices)}
     stats = {}
@@ -491,7 +491,7 @@ class TestEvaluateTracking:
         for t, theta in enumerate(motion.frames):
             warm, _, _, _ = solver.solve(*kin.coefficient_problem(theta), warm)
             assert solutions[t].tobytes() == warm.tobytes(), f"frame {t}"
-            diff = (solver.matrix @ warm - theta @ columns).reshape(-1, 3)
+            diff = (kin.landmark_matrix @ warm - theta @ columns).reshape(-1, 3)
             expected[t] = np.sqrt((diff * diff).sum(axis=1))
         np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-12)
         report = evaluate_tracking(config, motion, rig)
@@ -1064,7 +1064,7 @@ class TestCoefficientSolver:
         assert _kinematics(config, rig) is kin
         assert kin.landmark_solver is full and kin._coefficient_maps is maps
         assert [m.shape for m in maps] == [
-            (columns.shape[0], full.matrix.shape[1]),
+            (columns.shape[0], kin.landmark_matrix.shape[1]),
             (columns.shape[0], columns.shape[0]),
         ]
 
@@ -1074,12 +1074,13 @@ class TestCoefficientSolver:
         warm = None
         for theta in rng.uniform(0.0, 1.0, (12, columns.shape[0])):
             y = theta @ columns
-            x_full, conv_full, _ = full.minimize(full.matrix.T @ y, warm)
-            r_full = float(np.sum((full.matrix @ x_full - y) ** 2))
+            a = kin.landmark_matrix
+            x_full, conv_full, _ = full.minimize(a.T @ y, warm)
+            r_full = float(np.sum((a @ x_full - y) ** 2))
             x, r, conv, _ = full.solve(*kin.coefficient_problem(theta), warm)
             np.testing.assert_allclose(x, x_full, rtol=0, atol=1e-10)
             assert conv == conv_full
-            direct = float(np.sum((full.matrix @ x - y) ** 2))
+            direct = float(np.sum((a @ x - y) ** 2))
             assert r >= 0.0
             assert abs(r - direct) <= 1e-9 * max(direct, 1.0)
             assert abs(r - r_full) <= 1e-9 * max(r_full, 1.0)
