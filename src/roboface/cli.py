@@ -131,8 +131,12 @@ def _refusals(sink=None):
     """The command line's one rule for bad input: a ``ValueError``, or an
     ``OSError`` on a path, raised in the block refuses the input and exits
     with its message. Each command reads its settings (flags and
-    ``--config`` file) inside the block too. Once ``sink`` has been written
-    to, output has started, so the error is a fault and keeps its traceback."""
+    ``--config`` file) inside the block too, and writes its output files
+    in such a block, so an output path that cannot be written is refused
+    the same way (``make-data`` writes as it generates, so it makes its
+    output directory in the block and a fault while writing keeps its
+    traceback). Once ``sink`` has been written to, output has started,
+    so the error is a fault and keeps its traceback."""
     try:
         yield
     except (ValueError, OSError) as err:
@@ -161,8 +165,9 @@ def _read_wav(path) -> tuple[np.ndarray, int]:
 
 def cmd_make_rig(args) -> int:
     rig, config = build_reference_rig(seed=args.seed)
-    save_rig(args.out_rig, rig)
-    save_config(args.out_config, config)
+    with _refusals():
+        save_rig(args.out_rig, rig)
+        save_config(args.out_config, config)
     print(
         f"wrote {args.out_rig}: {rig.vertex_count} vertices, "
         f"{rig.blendshape_count} blendshapes"
@@ -176,6 +181,9 @@ def cmd_make_data(args) -> int:
     with _refusals():
         check_dataset_settings(**settings)
         rig = load_rig(args.rig)
+        # ``write_dataset`` writes as it generates, so its directory is made
+        # here: a path that cannot be one is refused before any work.
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     manifest = write_dataset(args.out, rig, **settings)
     print(f"wrote {args.clips} clips x {args.frames} frames to {manifest}")
     return 0
@@ -184,7 +192,7 @@ def cmd_make_data(args) -> int:
 def cmd_extract(args) -> int:
     with _refusals():
         stream = stub_extractor(*_read_wav(args.audio))
-    save_logits(args.out, stream.rate_hz, stream.frames)
+        save_logits(args.out, stream.rate_hz, stream.frames)
     print(
         f"wrote {args.out}: {stream.frame_count} frames x "
         f"{stream.frames.shape[1]} classes at {stream.rate_hz:g} Hz"
@@ -197,7 +205,7 @@ def cmd_retarget(args) -> int:
         rig = load_rig(args.rig)
         frames, fps = load_dense_frames(args.frames)
         motion, residuals = project_sequence(frames, fps, rig)
-    save_motion(args.out, motion)
+        save_motion(args.out, motion)
     print(
         f"wrote {args.out}: {motion.frame_count} frames, residual "
         f"median {np.median(residuals):.6g} max {residuals.max():.6g} mm^2"
@@ -264,7 +272,8 @@ def cmd_train(args) -> int:
         adam = AdamState.zeros_like(params)
 
     params, history = train(params, rig, train_set, config, val_set, adam)
-    save_model(args.out, params, adam)
+    with _refusals():
+        save_model(args.out, params, adam)
 
     stride = max(1, config.epochs // 10)
     for epoch in range(0, config.epochs, stride):
@@ -292,12 +301,15 @@ def cmd_synth(args) -> int:
             stream = resample(stream, config.tick_hz)
         result = run_pipeline(config, params, rig, rig_config, stream.frames,
                               source_rig=source_rig, frame_sink=sink)
-    if args.out_motion:
-        save_motion(args.out_motion, result.motion)
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.report.to_dict(), indent=2) + "\n"
-        )
+    # The servo stream is complete here, so a motion or report path that
+    # cannot be written is refused like any other input.
+    with _refusals():
+        if args.out_motion:
+            save_motion(args.out_motion, result.motion)
+        if args.report:
+            Path(args.report).write_text(
+                json.dumps(result.report.to_dict(), indent=2) + "\n"
+            )
     report = result.report
     print(
         f"wrote {args.out_servo}: {report.frames} frames, tick p99 "
@@ -315,7 +327,7 @@ def cmd_simulate(args) -> int:
         report = evaluate_tracking(
             rig_config, reference, rig, histogram_dir=args.histograms
         )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for region, stats in report.items():
         print(
             f"{region:6s} median {stats['median_mm']:.4f} mm "
@@ -331,7 +343,7 @@ def cmd_smooth(args) -> int:
         spec = FilterSpec(order=args.order, cutoff_hz=args.cutoff_hz,
                           sample_hz=motion.fps)
         cascade = design(spec)
-    save_motion(args.out, filter_sequence(cascade, motion))
+        save_motion(args.out, filter_sequence(cascade, motion))
     print(
         f"wrote {args.out}: {motion.frame_count} frames, group delay "
         f"{group_delay_frames(cascade):.2f} frames"
@@ -351,7 +363,8 @@ def cmd_bench(args) -> int:
     )
     text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with _refusals():
+            Path(args.out).write_text(text + "\n")
     print(text)
     return 0
 
@@ -360,12 +373,12 @@ def cmd_export_obj(args) -> int:
     with _refusals():
         rig = load_rig(args.rig)
         motion = load_motion(args.motion) if args.motion else None
-    if motion is not None:
-        written = export_obj_sequence(args.out, motion, rig)
-        print(f"wrote {len(written)} OBJ frames to {written[0].parent}")
-    else:
-        export_obj(args.out, apply_skinning(rig, np.zeros(rig.blendshape_count)))
-        print(f"wrote {args.out}: {rig.vertex_count} vertices")
+        if motion is not None:
+            written = export_obj_sequence(args.out, motion, rig)
+            print(f"wrote {len(written)} OBJ frames to {written[0].parent}")
+        else:
+            export_obj(args.out, apply_skinning(rig, np.zeros(rig.blendshape_count)))
+            print(f"wrote {args.out}: {rig.vertex_count} vertices")
     return 0
 
 

@@ -34,7 +34,7 @@ from .formats import save_motion
 # names to time and count per-tick calls, and tests/test_golden.py patches
 # window_at to prove that no tick cuts a window with it.
 from .frontend import StreamingWindower, window_at  # noqa: F401
-from .lbs import BlendCoefficients, LbsRig, MotionSequence
+from .lbs import LbsRig, MotionSequence
 from .motionnet import (  # noqa: F401
     AdamState,
     ModelParams,
@@ -48,7 +48,7 @@ from .retarget import transfer_coefficients, transfer_order  # noqa: F401
 from .rigsim import RigConfig, _kinematics, evaluate_tracking
 from .smoothing import FilterSpec, StreamingFilter, design, group_delay_frames
 from .synthdata import build_samples, make_logits, make_motion
-from .util import check_count, is_index, is_positive_finite
+from .util import check_count, in_unit_interval, is_index, is_positive_finite
 
 SYNC_BYTE = 0xFA
 
@@ -279,7 +279,9 @@ def _ticks(config, params, robot_rig, robot_config, frames, source_rig=None):
             started = time.perf_counter()
             theta = forward_rows(plan, rows, config.style_id)
             model_ms = 1000.0 * (time.perf_counter() - started)
-            smoothed = bank.step(BlendCoefficients(theta).values)
+            if not in_unit_interval(theta):
+                raise ValueError("coefficients must be finite and lie in [0, 1]")
+            smoothed = bank.step(theta)
             warm, residual, converged, iterations = solver.solve(
                 *kin.coefficient_problem(smoothed[order]), warm
             )

@@ -13,8 +13,10 @@ sit at 0, which at 1 and which are free, the optimum is an affine function
 of the right-hand side (Bemporad et al., 2002), reached by one Newton step
 on the free coordinates. A step that would leave the box stops at its edge
 and binds the blocking coordinate; a full step is followed by releasing the
-bound whose gradient points most into the box. On a smooth stream the
-working set rarely changes, so a solve is one step from a cached inverse.
+bound whose gradient points most into the box. Each solver keeps the
+inverse of every working set it meets, up to ``FACTOR_SETS`` of them with
+the least recently used evicted first, so a set is inverted once and a
+solve on a known set is one step from its cached inverse.
 ``BoxLeastSquares`` holds only the B x B Gram E^T E, which the rig builds
 once (``LbsRig.gram``; U >> B) and training shares, and takes each problem
 as its normal equations, so a caller whose target is a linear image of
@@ -25,6 +27,7 @@ iterations at most and gradients within ``TOLERANCE``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,9 @@ from .util import frozen_array
 # Stopping rule of every solve; the box is always [0, 1].
 MAX_ITERATIONS = 500
 TOLERANCE = 1e-8
+# Working-set inverses each solver keeps, least recently used evicted first:
+# at most 64 x 28^2 x 8 B = 0.4 MB for the IK solver's 28 channels.
+FACTOR_SETS = 64
 
 # Frames ``project_sequence`` and ``rigsim.evaluate_tracking`` take per
 # matrix-matrix product; the extra memory is a few (CHUNK_FRAMES, rows)
@@ -65,10 +71,11 @@ class BoxLeastSquares:
     way suits its target (a rig coefficient vector, a chunk of frames as
     one matrix-matrix product). ``minimize`` runs the active-set iteration
     on c alone, in O(n^2) per iteration regardless of A's row count, plus
-    one O(n^3) inverse each time the working set differs from the
-    previous iteration's (the inverse of the last working set is kept).
-    ``solve`` is ``minimize`` plus the objective at the solution. Every
-    solve stops by the module's rule, ``MAX_ITERATIONS`` and ``TOLERANCE``.
+    one O(n^3) inverse the first time the solver meets a working set (one
+    inverse per working set is kept, up to ``FACTOR_SETS`` of them, least
+    recently used evicted first). ``solve`` is ``minimize`` plus the
+    objective at the solution. Every solve stops by the module's rule,
+    ``MAX_ITERATIONS`` and ``TOLERANCE``.
     """
 
     def __init__(self, gram: np.ndarray):
@@ -76,9 +83,9 @@ class BoxLeastSquares:
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
             raise ValueError(f"Gram must be square and non-empty, got shape {g.shape}")
         self.gram = g
-
-    # (working-set key, ``_factor`` result) of the last working set solved.
-    _cached: tuple | None = None
+        # Working-set bytes -> ``_invert``'s (free, G_FF^-1). The cache holds
+        # the Gram, not the solver, and locks its own bookkeeping.
+        self._factor = functools.lru_cache(FACTOR_SETS)(functools.partial(_invert, g))
 
     def solve(self, c: np.ndarray, const: float, x0: np.ndarray | None = None):
         """Returns (x, residual, converged, iterations): ``minimize`` from
@@ -106,7 +113,7 @@ class BoxLeastSquares:
         n = c.size
 
         if x0 is None:
-            _, inverse = self._factor(np.zeros(n, dtype=np.int8))
+            _, inverse = self._factor(bytes(n))
             x = np.clip(inverse @ c, 0.0, 1.0)
         else:
             x = np.clip(np.asarray(x0, dtype=np.float64), 0.0, 1.0)
@@ -118,7 +125,7 @@ class BoxLeastSquares:
         floor = np.inf
 
         for iterations in range(1, MAX_ITERATIONS + 1):
-            free, inverse = self._factor(side)
+            free, inverse = self._factor(side.tobytes())
             changed = False
             if free.size:
                 # Newton step to the minimiser over the free coordinates.
@@ -166,34 +173,34 @@ class BoxLeastSquares:
 
         return x, bool(converged), iterations
 
-    def _factor(self, side: np.ndarray) -> tuple:
-        """(free, G_FF^-1) for the working set ``side``.
 
-        G_FF^-1 is the pseudo-inverse when G_FF is singular to working
-        precision (condition number past 1 / (n eps), the cut-off of
-        ``np.linalg.lstsq``). Only the last working set is kept: the solves
-        of one stream mostly share it. ``minimize`` runs the same operations
-        on the same arrays on a hit as on a miss, so its output does not
-        depend on the cache.
-        """
-        key = side.tobytes()
-        cached = self._cached
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        free = np.flatnonzero(side == 0)
-        sub = self.gram[np.ix_(free, free)]
-        try:
-            inverse = np.linalg.inv(sub)
-            cond = np.linalg.norm(sub, 1) * np.linalg.norm(inverse, 1)
-            # Written so that a NaN condition number counts as singular.
-            singular = not cond * free.size * np.finfo(float).eps < 1.0
-        except np.linalg.LinAlgError:
-            singular = True
-        if singular:
-            inverse = np.linalg.pinv(sub)
-        factor = (free, inverse)
-        self._cached = (key, factor)
-        return factor
+def _invert(gram: np.ndarray, key: bytes) -> tuple:
+    """(free, G_FF^-1) for the working set whose int8 ``side`` bytes are
+    ``key``, both read-only.
+
+    G_FF^-1 is the pseudo-inverse when G_FF is singular to working
+    precision (condition number past 1 / (n eps), the cut-off of
+    ``np.linalg.lstsq``). Each ``BoxLeastSquares`` keeps one result per
+    working set, up to ``FACTOR_SETS`` of them, least recently used evicted
+    first. The result depends on the Gram and the set alone, so
+    ``minimize`` runs the same operations on the same arrays whether its
+    solver's cache hits or misses, and its output does not depend on the
+    cache's history or size.
+    """
+    free = np.flatnonzero(np.frombuffer(key, dtype=np.int8) == 0)
+    sub = gram[np.ix_(free, free)]
+    try:
+        inverse = np.linalg.inv(sub)
+        cond = np.linalg.norm(sub, 1) * np.linalg.norm(inverse, 1)
+        # Written so that a NaN condition number counts as singular.
+        singular = not cond * free.size * np.finfo(float).eps < 1.0
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
+        inverse = np.linalg.pinv(sub)
+    free.flags.writeable = False
+    inverse.flags.writeable = False
+    return free, inverse
 
 
 def project_to_basis(

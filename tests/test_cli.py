@@ -885,6 +885,51 @@ class TestSettingRefusals:
         assert not (tmp_path / "out").exists()
         assert not any(names["dir"].iterdir())
 
+    OUTPUT_ARGV = {
+        "make-rig": ["--out-rig", "{dir}", "--out-config", "{out}"],
+        "extract": ["--audio", "{wav}", "--out", "{dir}"],
+        "retarget": ["--frames", "{dense}", "--rig", "{rig}", "--out", "{dir}"],
+        "train": ["--rig", "{rig}", "--data", "{data}", "--out", "{dir}",
+                  "--epochs", "1", "--hidden", "4", "--batch-size", "8"],
+        "synth": BASE["synth"] + ["--out-motion", "{dir}"],
+        "simulate": ["--motion", "{motion}", "--rig", "{rig}",
+                     "--rig-config", "{config}", "--out", "{dir}"],
+        "smooth": ["--motion", "{motion}", "--out", "{dir}"],
+        "bench": BASE["bench"][:-1] + ["{dir}"],
+        "export-obj": ["--rig", "{rig}", "--out", "{dir}"],
+    }
+
+    @pytest.mark.parametrize("command", list(OUTPUT_ARGV))
+    def test_unwritable_output_is_refused_on_one_line(self, workspace, tmp_path, command):
+        # Each command writes its output files inside its refusal rule, so
+        # an output path that is a directory exits 1 with one line after the
+        # work, not with a traceback.
+        rig = load_rig(workspace["rig"])
+        names = {**workspace, "out": tmp_path / "out", "dir": tmp_path / "dir",
+                 "wav": tmp_path / "tone.wav", "dense": tmp_path / "frames.dnsf",
+                 "motion": tmp_path / "m.lbsm"}
+        names["dir"].mkdir()
+        make_wav(names["wav"])
+        save_dense_frames(names["dense"], np.tile(rig.mesh.positions, (3, 1)), 25.0)
+        save_motion(names["motion"], MotionSequence(25.0, np.full((6, 51), 0.5)))
+        argv = [command] + [flag.format(**names) for flag in self.OUTPUT_ARGV[command]]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert isinstance(refused.value.code, str)
+        assert "Is a directory" in refused.value.code
+        assert "\n" not in refused.value.code
+        assert not any(names["dir"].iterdir())
+
+    def test_dataset_path_that_is_a_file_is_refused_on_one_line(self, workspace, tmp_path):
+        out = tmp_path / "data"
+        out.write_text("")
+        with pytest.raises(SystemExit) as refused:
+            main(["make-data", "--rig", str(workspace["rig"]), "--out", str(out),
+                  "--clips", "1", "--frames", "12"])
+        assert "File exists" in refused.value.code
+        assert "\n" not in refused.value.code
+        assert out.read_text() == ""
+
     @pytest.mark.parametrize("manifest, message", [
         ({}, "manifest lacks key 'clips'"),
         ({"clips": [{"logits": "clip_0.phlg", "style_id": 0}]},

@@ -19,8 +19,14 @@ from test_golden import CORE_TYPES, cpu_flags, loads_openblas
 from test_rig_properties import CLASSES, small_rigs
 
 import roboface
-from roboface import frontend, pipeline
-from roboface.frontend import PhonemeLogitStream, make_windows, window_at
+from roboface import frontend, pipeline, retarget
+from roboface.frontend import (
+    PhonemeLogitStream,
+    make_windows,
+    resample,
+    stub_extractor,
+    window_at,
+)
 from roboface.lbs import BlendCoefficients, BlendshapeBasis, LbsRig
 from roboface.motionnet import (
     TrainConfig,
@@ -69,6 +75,21 @@ def params():
 
 def random_logits(frames, seed=7, classes=392):
     return np.random.default_rng(seed).normal(0.0, 1.0, (frames, classes))
+
+
+def recording_solver(config, rig):
+    """Records the lookups of the inverse cache of the IK solver that
+    ``_kinematics(config, rig)`` builds. Returns (cache, list of the
+    working-set keys looked up, in order)."""
+    solver = _kinematics(config, rig).landmark_solver
+    keys, cache = [], solver._factor
+
+    def recorded(key):
+        keys.append(key)
+        return cache(key)
+
+    solver._factor = recorded
+    return cache, keys
 
 
 def record_thetas(monkeypatch) -> list:
@@ -681,29 +702,140 @@ class TestRunPipeline:
             u[kin.ik_channels] = x
             assert tuple(np.rint(lows + u * span).astype(int)) == frame.pulses
 
-    def test_solve_ik_between_ticks_leaves_the_servo_bytes(self, reference, params):
+    @pytest.mark.parametrize("bad", [np.nan, 1.5], ids=["nan", "above_one"])
+    def test_model_output_outside_the_box_is_refused(
+        self, reference, params, monkeypatch, bad
+    ):
+        """A theta the tick cannot filter is refused with ``BlendCoefficients``'
+        message before the filter, IK or the sink see it."""
+        rig, config_r = reference
+
+        def broken(plan, rows, style_id):
+            theta = forward_rows(plan, rows, style_id)
+            theta[3] = bad
+            return theta
+
+        monkeypatch.setattr(pipeline, "forward_rows", broken)
+        sink = LoopbackSink()
+        with pytest.raises(ValueError, match=r"coefficients must be finite and lie in \[0, 1\]"):
+            run_pipeline(PipelineConfig(), params, rig, config_r, random_logits(12),
+                         frame_sink=sink)
+        assert sink.data == b""
+
+    def test_solve_ik_between_ticks_leaves_the_servo_bytes(
+        self, reference, params, monkeypatch
+    ):
         """``solve_ik`` on the same (config, rig) shares the tick's solver and
         its inverse cache. Landmark targets far outside the actuator box,
-        solved between ticks, evict the tick's working set every time; the
-        servo bytes must still equal an uninterleaved run's."""
+        solved between ticks, take another working set every time: with one
+        cached set that evicts the tick's, with the default both stay cached.
+        The servo bytes must still equal an uninterleaved run's."""
         rig, config_r = reference
         frames = random_logits(40, seed=21)
         alone = [encode_frame(tick.frame)
                  for tick in _ticks(PipelineConfig(), params, rig, config_r, frames)]
 
-        kin = _kinematics(config_r, rig)
-        solver = kin.landmark_solver
-        neutral = rig.mesh.positions[kin.rows]
-        rng = np.random.default_rng(21)
-        interleaved, evicted = [], 0
-        for tick in _ticks(PipelineConfig(), params, rig, config_r, frames):
-            interleaved.append(encode_frame(tick.frame))
-            tick_set = solver._cached[0]
-            u = rng.uniform(-1.0, 2.0, kin.landmark_matrix.shape[1])
-            solve_ik(config_r, neutral + kin.landmark_matrix @ u, rig)
-            evicted += solver._cached[0] != tick_set
-        assert evicted == len(alone) == 40
-        assert interleaved == alone
+        for capacity in (1, retarget.FACTOR_SETS):
+            monkeypatch.setattr(retarget, "FACTOR_SETS", capacity)
+            config = dataclasses.replace(config_r)
+            cache, keys = recording_solver(config, rig)
+            kin = _kinematics(config, rig)
+            neutral = rig.mesh.positions[kin.rows]
+            rng = np.random.default_rng(21)
+            interleaved, displaced = [], 0
+            for tick in _ticks(PipelineConfig(), params, rig, config, frames):
+                interleaved.append(encode_frame(tick.frame))
+                tick_set = keys[-1]
+                u = rng.uniform(-1.0, 2.0, kin.landmark_matrix.shape[1])
+                solve_ik(config, neutral + kin.landmark_matrix @ u, rig)
+                displaced += keys[-1] != tick_set
+                assert cache.cache_info().currsize <= capacity
+            assert displaced == len(alone) == 40
+            assert interleaved == alone
+
+
+@pytest.fixture(scope="module")
+def churning_logits():
+    """A 6 s FM tone (carrier 300 Hz, deviation 200 Hz, 2 Hz rate) through
+    ``stub_extractor``, resampled to 25 Hz. Under the ``params`` model on the
+    reference rig its IK chain looks up 271 working sets, 9 of them distinct,
+    and a one-entry cache inverts 119 times."""
+    t = np.arange(6 * 16000) / 16000.0
+    pcm = 0.5 * np.sin(2 * np.pi * 300.0 * t + 100.0 * np.sin(2 * np.pi * 2.0 * t))
+    return resample(stub_extractor(pcm), 25.0).frames
+
+
+class TestFactorCache:
+    """The tick's IK solver keeps one inverse per working set, up to
+    ``retarget.FACTOR_SETS``, and its output does not depend on the cache."""
+
+    def churn(self, monkeypatch, reference, params, logits, capacity):
+        """The tick on a fresh solver of ``capacity`` cached sets. Returns
+        (cache, keys looked up, inversions, ticks, IK solutions)."""
+        monkeypatch.setattr(retarget, "FACTOR_SETS", capacity)
+        rig, config_r = reference
+        config_r = dataclasses.replace(config_r)
+        cache, keys = recording_solver(config_r, rig)
+        solver = _kinematics(config_r, rig).landmark_solver
+        solutions, solve = [], solver.solve
+
+        def recorded_solve(*args):
+            out = solve(*args)
+            solutions.append(out[0].copy())
+            return out
+
+        solver.solve = recorded_solve
+        inversions = []
+        for name in ("inv", "pinv"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                inversions.append(args[0].shape)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        ticks = list(_ticks(PipelineConfig(), params, rig, config_r, logits))
+        monkeypatch.undo()
+        return cache, keys, len(inversions), ticks, np.array(solutions)
+
+    def test_bits_do_not_depend_on_capacity(
+        self, monkeypatch, reference, params, churning_logits
+    ):
+        runs = [self.churn(monkeypatch, reference, params, churning_logits, capacity)
+                for capacity in (1, retarget.FACTOR_SETS)]
+        (_, _, one_set, one, one_ik), (_, _, default, full, full_ik) = runs
+        assert one_set > default
+        assert [encode_frame(t.frame) for t in one] == [encode_frame(t.frame) for t in full]
+        assert [t.smoothed.tobytes() for t in one] == [t.smoothed.tobytes() for t in full]
+        assert one_ik.tobytes() == full_ik.tobytes()
+
+    def test_inverts_each_distinct_set_once(
+        self, monkeypatch, reference, params, churning_logits
+    ):
+        cache, keys, inversions, _, _ = self.churn(
+            monkeypatch, reference, params, churning_logits, retarget.FACTOR_SETS
+        )
+        distinct = len(set(keys))
+        assert inversions == distinct == cache.cache_info().misses
+        # The premise: the stream comes back to sets it left.
+        assert len(keys) > 2 * distinct
+        _, _, one_set, _, _ = self.churn(
+            monkeypatch, reference, params, churning_logits, 1
+        )
+        assert one_set > 2 * distinct
+
+    def test_cache_is_bounded_and_evicts(
+        self, monkeypatch, reference, params, churning_logits
+    ):
+        # With fewer places than distinct sets, the cache stays full and some
+        # set is inverted again after its eviction.
+        cache, keys, inversions, _, _ = self.churn(
+            monkeypatch, reference, params, churning_logits, 4
+        )
+        info = cache.cache_info()
+        assert len(set(keys)) > 4
+        assert info.maxsize == 4 and info.currsize == 4
+        assert inversions == info.misses > len(set(keys))
 
 
 # Run in a fresh interpreter, since BLAS reads its kernel and thread count at

@@ -20,6 +20,7 @@ from roboface.lbs import (
     apply_skinning,
 )
 from roboface.retarget import (
+    FACTOR_SETS,
     MAX_ITERATIONS,
     TOLERANCE,
     BoxLeastSquares,
@@ -213,11 +214,12 @@ class TestActiveSetAgainstOracle:
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert converged == (needed == 1)
 
-    def test_output_does_not_depend_on_the_factor_cache(self):
+    def test_output_does_not_depend_on_the_factor_cache(self, monkeypatch):
         # Stream k pushes coordinate k past 1, so the streams' working sets
-        # differ but have the same size. Interleaving them evicts the cached
-        # inverse on every solve; each stream must still get the bits of a
-        # solver of its own.
+        # differ but have the same size. With one cached set, interleaving
+        # them evicts the cached inverse on every solve; with the default,
+        # every set stays cached. Each stream must still get the bits of a
+        # solver of its own, at either capacity.
         rng = np.random.default_rng(20)
         a = rng.normal(0.0, 1.0, (30, 6))
         streams = []
@@ -235,31 +237,71 @@ class TestActiveSetAgainstOracle:
 
         alone = [chain(BoxLeastSquares(a.T @ a), ys) for ys in streams]
 
-        shared = BoxLeastSquares(a.T @ a)
-        warms, outs = [None] * 4, [[] for _ in range(4)]
-        for t in range(25):
-            for k, ys in enumerate(streams):
-                warms[k] = shared.minimize(a.T @ ys[t], warms[k])[0]
-                outs[k].append(warms[k])
-        assert [np.array(out).tobytes() for out in outs] == alone
+        for capacity in (1, retarget.FACTOR_SETS):
+            monkeypatch.setattr(retarget, "FACTOR_SETS", capacity)
+            shared = BoxLeastSquares(a.T @ a)
+            warms, outs = [None] * 4, [[] for _ in range(4)]
+            for t in range(25):
+                for k, ys in enumerate(streams):
+                    warms[k] = shared.minimize(a.T @ ys[t], warms[k])[0]
+                    outs[k].append(warms[k])
+            assert [np.array(out).tobytes() for out in outs] == alone
+            # Every interleaved solve misses with one cached set, none past
+            # the streams' first few with the default.
+            assert (shared._factor.cache_info().misses >= 100) == (capacity == 1)
 
-        results = [None] * 4
+            results = [None] * 4
 
-        def worker(k):
-            results[k] = chain(shared, streams[k])
+            def worker(k):
+                results[k] = chain(shared, streams[k])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == alone
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            assert results == alone
+
+    def test_factor_cache_is_bounded(self):
+        # Cold solves of random targets meet far more working sets than the
+        # cache keeps; it stays full at ``FACTOR_SETS``, least recently used
+        # out first.
+        rng = np.random.default_rng(31)
+        a = rng.normal(0.0, 1.0, (20, 8))
+        solver = BoxLeastSquares(a.T @ a)
+        keys, cache = [], solver._factor
+
+        def recorded(key):
+            keys.append(key)
+            return cache(key)
+
+        solver._factor = recorded
+        for _ in range(300):
+            solver.minimize(a.T @ (a @ rng.uniform(-1.0, 2.0, 8)))
+            assert cache.cache_info().currsize <= FACTOR_SETS
+        assert len(set(keys)) > FACTOR_SETS
+        assert cache.cache_info().currsize == FACTOR_SETS
+        recent = list(dict.fromkeys(reversed(keys)))[:FACTOR_SETS]
+        misses = cache.cache_info().misses
+        for key in recent:
+            cache(key)
+        assert cache.cache_info().misses == misses
+
+    def test_cached_factors_are_read_only(self):
+        a = np.random.default_rng(32).normal(0.0, 1.0, (12, 5))
+        solver = BoxLeastSquares(a.T @ a)
+        for side in ([0, 0, 0, 0, 0], [1, 0, -1, 0, 0], [1, 1, 1, 1, 1]):
+            free, inverse = solver._factor(np.array(side, dtype=np.int8).tobytes())
+            for array in (free, inverse):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
 
     def test_cold_start_on_reference_rig_takes_at_most_five_iterations(self):
         # The tick's coefficient problem, cold-started on every filtered
